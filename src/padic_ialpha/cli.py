@@ -32,13 +32,14 @@ from .radial import (
     LogPower,
     Monomial,
     OuterTail,
+    PowerRun,
     PowerTail,
     RadialFunction,
     Table,
     ZeroTail,
     eval_sphere,
-    inner_model,
     outer_expansion,
+    sphere_segments,
 )
 from .verify import lemma_decay_check, ratio_bound_check, residual_scan
 
@@ -156,10 +157,13 @@ def dump_table(f: RadialFunction, path: str, ctx: NumericContext, j_range) -> No
         outer = f.outer_tail
     else:
         j_lo, j_hi = min(j_range), max(j_range)
-        model = inner_model(f, ctx)
-        if model.valid_upto is not None:
-            j_lo = min(j_lo, model.valid_upto)
-        inner = ZeroTail() if model.is_zero else PowerTail(model.coeff, model.degree)
+        runs = sphere_segments(f, j_hi, ctx)
+        inner = ZeroTail()
+        if runs and isinstance(runs[-1], PowerRun) and runs[-1].lo is None:
+            inner = PowerTail(runs[-1].coeff, runs[-1].degree)
+            j_lo = min(j_lo, runs[-1].hi)
+        elif runs:
+            j_lo = min(j_lo, runs[-1].lo - 1)
         declared = outer_expansion(f)
         outer = None
         if declared is not None:

@@ -15,6 +15,7 @@ asymptotic coefficient engines) funnels its arithmetic through a
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -177,6 +178,15 @@ def _require_finite(n, what: str = "exponent") -> int:
     if not isinstance(n, (int, np.integer)):
         raise ParamOutOfRange(f"{what} must be an integer, got {n!r}")
     return int(n)
+
+
+def _require_real(x, what: str = "parameter"):
+    """x itself, if it is a finite real number; bools, NaN and inf are rejected."""
+    if isinstance(x, bool) or not isinstance(x, (numbers.Real, mp.mpf)):
+        raise ParamOutOfRange(f"{what} must be a real number, got {x!r}")
+    if not isinstance(x, numbers.Rational) and not mp.isfinite(x):
+        raise ParamOutOfRange(f"{what} must be finite, got {x!r}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +377,7 @@ def prefactor(ctx: NumericContext, alpha):
 
     Negative for every alpha > 1 (the denominator changes sign at 1).
     """
+    _require_real(alpha, "alpha")
     if float(alpha) <= 1 + ctx.rel_tol:
         raise AlphaOutOfRange(
             f"alpha must exceed 1 by more than rel_tol, got {alpha}"

@@ -3,10 +3,11 @@
 For a radial profile f and |x| = p**N the operator value decomposes exactly
 over spheres: strictly inner spheres (|y| < |x|) see the constant kernel
 p**(N(alpha-1)) - p**(j(alpha-1)) by the ultrametric inequality, while the
-sphere |y| = |x| contributes through the unit-sphere kernel integral.  The
-inner tail is continued in closed geometric form from the profile's declared
-model, so truncation is certified.  A Haar-measure Monte Carlo estimator
-provides an independent cross-check.
+sphere |y| = |x| contributes through the unit-sphere kernel integral.
+Wherever the profile is exactly c * p**(j*d) the inner spheres form two
+geometric series, summed in closed form; only table values and log-power
+runs are summed sphere by sphere (:class:`~padic_ialpha.radial.SphereSum`).
+A Haar-measure Monte Carlo estimator provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     ParamOutOfRange,
     RandomStream,
     _require_finite,
+    _require_real,
     prefactor,
     sample_kernel_exponents,
     unit_kernel_integral,
@@ -33,12 +35,10 @@ from .core import (
 from .radial import (
     LinearCombo,
     RadialFunction,
+    SphereSum,
     _as_number,
-    _explicit_cut,
-    _geometric_ball_sum,
     _mul_exp,
     eval_sphere,
-    inner_model,
 )
 
 __all__ = [
@@ -52,7 +52,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OperatorValue:
-    """Operator value at one radius with a certified truncation bound."""
+    """Operator value at one radius with a certified truncation bound.
+
+    ``j_cut`` is the lowest sphere exponent summed explicitly, one sphere at
+    a time; it equals N when every inner sphere came from a closed form.
+    """
 
     value: object
     truncation_bound: object
@@ -65,10 +69,15 @@ class OperatorValue:
 def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorValue:
     """Operator value at |x| = p**N for a radial profile.
 
-    Explicit spheres run from the inner cut up to N-1, the cut tail is the
-    closed geometric continuation of the declared inner model, and the
-    sphere |y| = |x| enters through the unit-sphere kernel integral.  N =
-    ZERO integrates over the single point 0 and returns exactly 0.
+    The inner spheres j < N are summed by :class:`SphereSum`: closed
+    geometric series wherever the profile is exactly c * p**(j*d), explicit
+    running-power terms for table values and log-power runs.  Log-power runs
+    that decay toward the origin are summed from N - 1 downward and stop
+    once their certified remainder is below rel_tol of what was summed.
+    The sphere |y| = |x| enters through the unit-sphere kernel integral.
+    The bound adds that remainder to a rounding bound on the magnitudes
+    summed before cancellation.  N = ZERO integrates over the single point
+    0 and returns exactly 0.
     """
     C = prefactor(ctx, alpha)  # validates alpha
     if N is ZERO:
@@ -89,50 +98,19 @@ def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorVal
                     cuts.append(part.j_cut)
             return OperatorValue(value, bound, min(cuts))
 
-    model = inner_model(f, ctx)
-    cut = _explicit_cut(ctx, N - 1, model)
     with ctx.workprec():
+        inner = SphereSum(f, N - 1, ctx, alpha)
         unit = ctx.real(1) - ctx.p_pow(-1)
-        outer_kernel = ctx.p_pow(_mul_exp(_diff1(alpha), N))
-
-        bracket = ctx.real(0)
-        abs_accum = ctx.real(0)
-        n_terms = 0
-        for j in range(cut, N):
-            term = (
-                eval_sphere(f, j, ctx)
-                * ctx.p_pow(j)
-                * (outer_kernel - ctx.p_pow(_mul_exp(_diff1(alpha), j)))
-            ) * unit
-            bracket += term
-            abs_accum += abs(term)
-            n_terms += 1
-
-        if not model.is_zero:
-            rate_measure = _as_number(model.degree) + 1
-            rate_kernel = _sum_exp(model.degree, alpha)
-            tail = (
-                ctx.real(model.coeff)
-                * unit
-                * (
-                    outer_kernel * _geometric_ball_sum(ctx, cut - 1, rate_measure)
-                    - _geometric_ball_sum(ctx, cut - 1, rate_kernel)
-                )
-            )
-            bracket += tail
-            abs_accum += abs(tail)
-
-        unit_term = (
-            eval_sphere(f, N, ctx)
-            * ctx.p_pow(_mul_exp(alpha, N))
-            * (unit_kernel_integral(ctx, alpha) - unit)
+        ball = inner.K * ctx.p_pow(N)  # p**(N alpha)
+        f_N = eval_sphere(f, N, ctx)
+        U = unit_kernel_integral(ctx, alpha)
+        bracket = unit * inner.total + f_N * ball * (U - unit)
+        magnitude = unit * inner.magnitude + abs(f_N) * ball * (U + unit)
+        bound = abs(C) * (
+            magnitude * ctx.rounding_eps() * (inner.explicit + 16)
+            + unit * inner.remainder
         )
-        bracket += unit_term
-        abs_accum += abs(unit_term)
-
-        value = C * bracket
-        bound = abs(C) * abs_accum * ctx.rounding_eps() * (n_terms + 16)
-        return OperatorValue(value, bound, cut)
+        return OperatorValue(C * bracket, bound, inner.low)
 
 
 def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
@@ -141,7 +119,7 @@ def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
     For a monomial the expansion C(alpha, p) * b(M) * p**(N(M+alpha)) is
     exact, not merely asymptotic.
     """
-    if float(M) <= -1:
+    if float(_require_real(M, "monomial degree")) <= -1:
         raise ParamOutOfRange("monomial degree must exceed -1")
     C = prefactor(ctx, alpha)
     if N is ZERO:
@@ -151,7 +129,7 @@ def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
         return (
             C
             * b_coefficient(M, alpha, ctx)
-            * ctx.p_pow(_mul_exp(_sum_exp(M, alpha), N))
+            * ctx.p_pow((ctx.real(M) + ctx.real(alpha)) * N)
         )
 
 
@@ -160,12 +138,6 @@ def _diff1(alpha):
     if isinstance(alpha, (int, Fraction)):
         return alpha - 1
     return float(alpha) - 1.0
-
-
-def _sum_exp(a, b):
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) + float(b)
-    return a + b
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,25 @@ class TestExitCodes:
                                             "--alpha", "1.0"])
         assert status == 2
 
+    def test_non_finite_alpha_rejected(self, capsys):
+        for alpha in ("nan", "inf"):
+            for argv in (["eval", "--monomial", "1", "--ladder", "0:2:1"],
+                         ["constants"]):
+                status, out, err = run_capture(
+                    capsys, [*argv, "--p", "2", "--alpha", alpha]
+                )
+                assert status == 2
+                assert out == ""
+                assert "finite" in err
+
+    def test_non_finite_profile_rejected(self, capsys):
+        status, out, _ = run_capture(
+            capsys, ["eval", "--p", "2", "--alpha", "2", "--monomial", "nan",
+                     "--ladder", "0:2:1"],
+        )
+        assert status == 2
+        assert out == ""
+
     def test_bad_table_file(self, tmp_path, capsys):
         path = tmp_path / "bad.tab"
         path.write_text("#nope\n")

@@ -187,6 +187,11 @@ class TestPrefactor:
         with pytest.raises(AlphaOutOfRange):
             prefactor(ctx2, 0.5)
 
+    def test_rejects_non_finite_and_bool_alpha(self, ctx2):
+        for alpha in (math.nan, math.inf, -math.inf, True, "2"):
+            with pytest.raises(ParamOutOfRange):
+                prefactor(ctx2, alpha)
+
 
 def test_precision_doubling_is_stable():
     # doubling the mantissa moves every closed form by < 2**(-bits/2) relative

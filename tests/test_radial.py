@@ -1,5 +1,6 @@
 """Radial profile evaluation and cumulative ball integrals."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,48 @@ class TestEvalSphere:
     def test_linear_combo(self, exact2):
         f = LinearCombo(((2, Monomial(1)), (-1, Indicator(0))))
         assert eval_sphere(f, -1, exact2) == Fraction(2, 2) - 1
+
+
+class TestParameterValidation:
+    BAD = (math.nan, math.inf, -math.inf, True)
+
+    def test_monomial(self):
+        for x in self.BAD:
+            with pytest.raises(ParamOutOfRange):
+                Monomial(x)
+
+    def test_log_power(self):
+        for x in self.BAD:
+            with pytest.raises(ParamOutOfRange):
+                LogPower(x, 0.0)
+            with pytest.raises(ParamOutOfRange):
+                LogPower(0.5, x)
+
+    def test_power_tail(self):
+        for x in self.BAD:
+            with pytest.raises(ParamOutOfRange):
+                PowerTail(x, 1.0)
+            with pytest.raises(ParamOutOfRange):
+                PowerTail(1.0, x)
+
+    def test_outer_tail(self):
+        for x in self.BAD:
+            with pytest.raises(ParamOutOfRange):
+                OuterTail(x, 1.0, (1.0,))
+            with pytest.raises(ParamOutOfRange):
+                OuterTail(0.5, x, (1.0,))
+            with pytest.raises(ParamOutOfRange):
+                OuterTail(0.5, 1.0, (1.0, x))
+
+    def test_table_values(self):
+        for x in self.BAD:
+            with pytest.raises(ParamOutOfRange):
+                Table(0, (1.0, x), ZeroTail())
+
+    def test_linear_combo_coefficients(self):
+        for x in self.BAD:
+            with pytest.raises(ParamOutOfRange):
+                LinearCombo(((1.0, Monomial(1.0)), (x, Indicator(0))))
 
 
 class TestCumulativeBallIntegral:
