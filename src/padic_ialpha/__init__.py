@@ -12,12 +12,10 @@ oracle over truncated p-adic digit expansions.
 from .asymptotics import (
     AsymptoticPrediction,
     b_coefficient,
-    b_coefficient_series,
     gen_binomial,
     omega,
     omega_tilde,
     phi_sum,
-    phi_sum_direct,
     predict_infinity,
     predict_infinity_beta1,
     predict_origin,

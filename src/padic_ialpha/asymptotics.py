@@ -5,8 +5,10 @@ power-scale coefficients b(M) near the origin, the log-power moments
 omega(k) and omega_tilde(k) at infinity, and their convolutions B_n) reduces
 to the series kernel Phi_k(q) = sum_{m>=1} m**k q**m.  Phi_k has an exact
 rational closed form generated by the derivative recurrence
-Phi_k = q d/dq Phi_{k-1}; direct summation of the same series is kept as an
-independent oracle for tests.
+Phi_k = q d/dq Phi_{k-1}.  Every real parameter enters through
+``NumericContext.real``, so exponents such as M + alpha and beta - alpha
+are formed in the context arithmetic.  The direct-summation oracles that
+tests compare these closed forms against live in the test suite.
 """
 
 from __future__ import annotations
@@ -29,17 +31,11 @@ from .core import (
     prefactor,
     unit_kernel_integral,
 )
-from .radial import (
-    RadialFunction,
-    _mul_exp,
-    cumulative_ball_integral,
-    outer_expansion,
-)
+from .radial import RadialFunction, cumulative_ball_integral, outer_expansion
 
 __all__ = [
     "AsymptoticPrediction",
     "b_coefficient",
-    "b_coefficient_series",
     "build_infinity_beta1_prediction",
     "build_infinity_prediction",
     "build_origin_prediction",
@@ -47,7 +43,6 @@ __all__ = [
     "omega",
     "omega_tilde",
     "phi_sum",
-    "phi_sum_direct",
     "predict_infinity",
     "predict_infinity_beta1",
     "predict_origin",
@@ -114,39 +109,14 @@ def phi_sum(k: int, q, ctx: NumericContext):
     """Phi_k(q) = sum_{m>=1} m**k q**m via its exact rational closed form."""
     if k < 0:
         raise ParamOutOfRange("k must be nonnegative")
-    if not 0 < float(q) < 1:
+    qv = ctx.real(q)
+    if not 0 < qv < 1:
         raise QOutOfRange(f"q must lie in (0, 1), got {float(q)}")
     with ctx.workprec():
-        qv = ctx.real(q) if isinstance(q, (int, float, Fraction)) else q
         num = ctx.real(0)
         for c in reversed(_phi_numerator(k)):
             num = num * qv + ctx.real(c)
         return num / (ctx.real(1) - qv) ** (k + 1)
-
-
-def phi_sum_direct(k: int, q, ctx: NumericContext):
-    """Phi_k(q) by direct summation with a geometric stopping bound.
-
-    Kept independent of the closed form as the series oracle.
-    """
-    if k < 0:
-        raise ParamOutOfRange("k must be nonnegative")
-    qf = float(q)
-    if not 0 < qf < 1:
-        raise QOutOfRange(f"q must lie in (0, 1), got {qf}")
-    with ctx.workprec():
-        qv = ctx.real(q) if isinstance(q, (int, float, Fraction)) else q
-        total = ctx.real(0)
-        m = 1
-        while True:
-            term = (ctx.real(m) ** k) * qv**m
-            total += term
-            ratio = qf * ((m + 1) / m) ** k
-            if ratio < 1:
-                tail = float(term) * ratio / (1 - ratio)
-                if tail < ctx.rel_tol * float(total):
-                    return total
-            m += 1
 
 
 # ---------------------------------------------------------------------------
@@ -161,47 +131,20 @@ def b_coefficient(M, alpha, ctx: NumericContext):
     the closed form of the sphere series over |s| < 1 plus the unit-sphere
     term.  b(0) = 0 for every (p, alpha): the operator annihilates constants.
     """
-    if float(M) <= -1:
+    m = ctx.real(M)
+    if m <= -1:
         raise ParamOutOfRange(f"M must exceed -1, got {M}")
-    if float(alpha) <= 1:
+    a = ctx.real(alpha)
+    if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
     with ctx.workprec():
         one = ctx.real(1)
         p = ctx.real(ctx.prime)
-        bterm = (ctx.p_pow(_diff2(1, alpha)) - one) / (
-            (one - ctx.p_pow(_neg(alpha))) * p
-        )
-        series = phi_sum(0, ctx.p_pow(_neg(_sum2(M, 1))), ctx) - phi_sum(
-            0, ctx.p_pow(_neg(_sum2(M, alpha))), ctx
+        bterm = (ctx.p_pow(1 - a) - one) / ((one - ctx.p_pow(-a)) * p)
+        series = phi_sum(0, ctx.p_pow(-(m + 1)), ctx) - phi_sum(
+            0, ctx.p_pow(-(m + a)), ctx
         )
         return bterm + (one - ctx.p_pow(-1)) * series
-
-
-def b_coefficient_series(M, alpha, ctx: NumericContext):
-    """b(M) by direct summation of its defining k-series (test oracle)."""
-    if float(M) <= -1:
-        raise ParamOutOfRange(f"M must exceed -1, got {M}")
-    if float(alpha) <= 1:
-        raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
-    with ctx.workprec():
-        one = ctx.real(1)
-        p = ctx.real(ctx.prime)
-        bterm = (ctx.p_pow(_diff2(1, alpha)) - one) / (
-            (one - ctx.p_pow(_neg(alpha))) * p
-        )
-        r = float(ctx.prime) ** -(float(M) + 1)
-        total = ctx.real(0)
-        k = 1
-        while True:
-            term = (
-                one - ctx.p_pow(_mul_exp(_diff2(1, alpha), k))
-            ) * ctx.p_pow(_mul_exp(_neg(_sum2(M, 1)), k))
-            total += term
-            tail = float(ctx.p_pow(_mul_exp(_neg(_sum2(M, 1)), k + 1))) / (1 - r)
-            if tail < ctx.rel_tol * max(float(total), 1e-300):
-                break
-            k += 1
-        return bterm + (one - ctx.p_pow(-1)) * total
 
 
 def omega(k: int, alpha, beta, ctx: NumericContext):
@@ -214,19 +157,21 @@ def omega(k: int, alpha, beta, ctx: NumericContext):
     """
     if k < 0:
         raise ParamOutOfRange("k must be nonnegative")
-    if not 0 <= float(beta) < 1:
+    b = ctx.real(beta)
+    if not 0 <= b < 1:
         raise BetaOutOfRange(f"beta must lie in [0, 1), got {beta}")
-    if float(alpha) <= 1:
+    a = ctx.real(alpha)
+    if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
     with ctx.workprec():
         one = ctx.real(1)
         unit = one - ctx.p_pow(-1)
-        series = phi_sum(k, ctx.p_pow(_neg(_diff2(1, beta))), ctx) - phi_sum(
-            k, ctx.p_pow(_neg(_diff2(alpha, beta))), ctx
+        series = phi_sum(k, ctx.p_pow(b - 1), ctx) - phi_sum(
+            k, ctx.p_pow(b - a), ctx
         )
         value = unit * _neg_log_power(ctx, k) * series
         if k == 0:
-            value += unit_kernel_integral(ctx, alpha) - unit
+            value += unit_kernel_integral(ctx, a) - unit
         return value
 
 
@@ -239,16 +184,15 @@ def omega_tilde(k: int, alpha, ctx: NumericContext):
     """
     if k < 0:
         raise ParamOutOfRange("k must be nonnegative")
-    if float(alpha) <= 1:
+    a = ctx.real(alpha)
+    if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
     with ctx.workprec():
         one = ctx.real(1)
         unit = one - ctx.p_pow(-1)
-        value = -unit * _neg_log_power(ctx, k) * phi_sum(
-            k, ctx.p_pow(_diff2(1, alpha)), ctx
-        )
+        value = -unit * _neg_log_power(ctx, k) * phi_sum(k, ctx.p_pow(1 - a), ctx)
         if k == 0:
-            value += unit_kernel_integral(ctx, alpha) - 2 * unit
+            value += unit_kernel_integral(ctx, a) - 2 * unit
         return value
 
 
@@ -263,6 +207,7 @@ def series_B(a, gamma, n_max: int, kind: str, alpha, ctx: NumericContext, beta=N
         raise ParamOutOfRange("coefficient list must be nonempty")
     if n_max < 0:
         raise ParamOutOfRange("n_max must be nonnegative")
+    g = ctx.real(gamma)
     if kind == "omega":
         if beta is None:
             raise ParamOutOfRange("kind 'omega' requires beta")
@@ -280,26 +225,11 @@ def series_B(a, gamma, n_max: int, kind: str, alpha, ctx: NumericContext, beta=N
                     continue
                 acc += (
                     ctx.real(a[n - k])
-                    * gen_binomial(_sum2(gamma, k - n), k, ctx)
+                    * gen_binomial(g + (k - n), k, ctx)
                     * moments[k]
                 )
             out.append(acc)
         return out
-
-
-# exponent bookkeeping: keep ints and Fractions exact
-def _neg(x):
-    return -x if isinstance(x, (int, Fraction)) else -float(x)
-
-
-def _sum2(a, b):
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) + float(b)
-    return a + b
-
-
-def _diff2(a, b):
-    return _sum2(a, _neg(b))
 
 
 def _neg_log_power(ctx: NumericContext, k: int):
@@ -341,21 +271,20 @@ class AsymptoticPrediction:
         """Value of the truncated expansion at |x| = p**x_exp."""
         x_exp = _require_finite(x_exp, "x_exp")
         with ctx.workprec():
-            power = ctx.p_pow(_mul_exp(self.power_exponent, x_exp))
+            power = ctx.p_pow(ctx.real(self.power_exponent) * x_exp)
+            terms = [(ctx.real(e), ctx.real(c)) for e, c in self.log_terms]
             logs = ctx.real(0)
-            if self.log_terms:
+            if terms:
                 log_r = x_exp * ctx.log_unit()
-                if float(log_r) <= 0 and any(
-                    not float(e).is_integer() for e, _ in self.log_terms
-                ):
+                if log_r <= 0 and any(e != int(e) for e, _ in terms):
                     raise LogDomain(
                         f"non-integer log powers need log radius > 0, got x_exp={x_exp}"
                     )
-                for log_exp, coeff in self.log_terms:
-                    if float(log_exp) == 0:
-                        logs += ctx.real(coeff)
+                for e, coeff in terms:
+                    if e == 0:
+                        logs += coeff
                     else:
-                        logs += ctx.real(coeff) * general_power(ctx, log_r, log_exp)
+                        logs += coeff * general_power(ctx, log_r, e)
             if not self.extra_cumulative:
                 return self.prefactor * power * logs
             if f is None:
@@ -372,17 +301,16 @@ def build_origin_prediction(a, scales, order: int, alpha, ctx: NumericContext):
         raise ParamOutOfRange("at least one expansion term is required")
     if len(a) != len(scales) or len(a) < order + 1:
         raise ParamOutOfRange("need len(a) == len(scales) >= order + 1")
-    fs = [float(m) for m in scales]
-    if any(m <= 0 for m in fs) or any(x >= y for x, y in zip(fs, fs[1:])):
+    ms = [ctx.real(m) for m in scales]
+    if any(m <= 0 for m in ms) or any(x >= y for x, y in zip(ms, ms[1:])):
         raise ParamOutOfRange("scales must be strictly increasing and positive")
     C = prefactor(ctx, alpha)
+    alpha = ctx.real(alpha)
     preds = []
     with ctx.workprec():
         for n in range(order + 1):
-            coeff = ctx.real(a[n]) * b_coefficient(scales[n], alpha, ctx)
-            preds.append(
-                AsymptoticPrediction(C, _sum2(scales[n], alpha), ((0.0, coeff),))
-            )
+            coeff = ctx.real(a[n]) * b_coefficient(ms[n], alpha, ctx)
+            preds.append(AsymptoticPrediction(C, ms[n] + alpha, ((0, coeff),)))
     return tuple(preds)
 
 
@@ -405,11 +333,13 @@ def build_infinity_prediction(
     a, beta, gamma, order: int, alpha, ctx: NumericContext
 ) -> AsymptoticPrediction:
     """Large-radius log-power prediction for outer decay beta < 1."""
-    if float(gamma) < 0:
+    g = ctx.real(gamma)
+    if g < 0:
         raise ParamOutOfRange("gamma must be nonnegative")
-    B = series_B(a, gamma, order, "omega", alpha, ctx, beta=beta)
-    terms = tuple((_diff2(gamma, n), B[n]) for n in range(order + 1))
-    return AsymptoticPrediction(prefactor(ctx, alpha), _diff2(alpha, beta), terms)
+    B = series_B(a, g, order, "omega", alpha, ctx, beta=beta)
+    terms = tuple((g - n, B[n]) for n in range(order + 1))
+    C = prefactor(ctx, alpha)
+    return AsymptoticPrediction(C, ctx.real(alpha) - ctx.real(beta), terms)
 
 
 def predict_infinity(a, beta, gamma, order: int, x_exp, alpha, ctx: NumericContext):
@@ -431,13 +361,15 @@ def build_infinity_beta1_prediction(
     integral plus log sum); ``printed_form=True`` evaluates the variant that
     leaves the log sum un-multiplied, kept for comparison.
     """
-    if float(gamma) < 0:
+    g = ctx.real(gamma)
+    if g < 0:
         raise ParamOutOfRange("gamma must be nonnegative")
-    B = series_B(a, gamma, order, "omega_tilde", alpha, ctx)
-    terms = tuple((_diff2(gamma, n), B[n]) for n in range(order + 1))
+    B = series_B(a, g, order, "omega_tilde", alpha, ctx)
+    terms = tuple((g - n, B[n]) for n in range(order + 1))
+    C = prefactor(ctx, alpha)
     return AsymptoticPrediction(
-        prefactor(ctx, alpha),
-        _diff2(alpha, 1),
+        C,
+        ctx.real(alpha) - 1,
         terms,
         extra_cumulative=True,
         power_applies_to_logs=not printed_form,

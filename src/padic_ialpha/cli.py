@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 
@@ -362,6 +363,12 @@ def _fmt(value) -> str:
 
 def _emit(config: RunConfig, header: list[str], rows: list[tuple], fmt: str,
           out=None) -> None:
+    # a value that overflowed or lost every digit cannot be printed
+    # faithfully; fail (exit 3) before the report starts
+    for row in rows:
+        for name, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ArithmeticError(f"{name} is {value!r} at {header[0]}={row[0]}")
     out = out or sys.stdout
     cfg = {k: v for k, v in asdict(config).items() if k != "extra"}
     cfg.update(config.extra)

@@ -182,9 +182,18 @@ def _require_finite(n, what: str = "exponent") -> int:
 
 def _require_real(x, what: str = "parameter"):
     """x itself, if it is a finite real number; bools, NaN and inf are rejected."""
-    if isinstance(x, bool) or not isinstance(x, (numbers.Real, mp.mpf)):
+    # concrete types first: the abstract numbers.* checks are slow
+    if isinstance(x, bool) or not isinstance(
+        x, (int, float, Fraction, mp.mpf, numbers.Real)
+    ):
         raise ParamOutOfRange(f"{what} must be a real number, got {x!r}")
-    if not isinstance(x, numbers.Rational) and not mp.isfinite(x):
+    if isinstance(x, float):
+        finite = math.isfinite(x)
+    elif isinstance(x, mp.mpf):
+        finite = mp.isfinite(x)
+    else:
+        finite = isinstance(x, (int, Fraction, numbers.Rational)) or math.isfinite(x)
+    if not finite:
         raise ParamOutOfRange(f"{what} must be finite, got {x!r}")
     return x
 
@@ -250,15 +259,22 @@ class NumericContext:
         return mp.workprec(self.precision_bits)
 
     def real(self, x):
-        """Convert a Python number into this context's scalar type."""
+        """x as this context's scalar: a Fraction in exact mode, else an mpf.
+
+        Every real parameter enters the arithmetic here, once, at its public
+        entry: a float becomes the exact value of its double, and every
+        exponent built from it (alpha - 1, M + alpha, ...) is then formed in
+        the context arithmetic, never in float64.  Bools, NaN and inf are
+        rejected here (:class:`ParamOutOfRange`), before any range check
+        sees them.
+        """
+        _require_real(x)
         if self.exact:
-            if isinstance(x, Fraction):
-                return x
-            if isinstance(x, (int, np.integer)):
-                return Fraction(int(x))
-            if isinstance(x, float):
+            if isinstance(x, (numbers.Rational, float)):
                 return Fraction(x)
             raise NumericModeError(f"cannot represent {x!r} exactly")
+        if isinstance(x, mp.mpf):
+            return x  # converting at working precision would not round it
         with self.workprec():
             return mp.convert(x)
 
@@ -340,16 +356,13 @@ def ball_power_integral(ctx: NumericContext, alpha, n):
     Equals (1 - 1/p) / (1 - p**(-alpha)) * p**(alpha*n); alpha = 1 collapses
     to the ball measure p**n.
     """
-    if float(alpha) <= 0:
+    a = ctx.real(alpha)
+    if a <= 0:
         raise AlphaOutOfRange(f"alpha must be positive, got {alpha}")
     n = _require_finite(n)
     with ctx.workprec():
         one = ctx.real(1)
-        return (
-            (one - ctx.p_pow(-1))
-            / (one - ctx.p_pow(_negate(alpha)))
-            * ctx.p_pow(_scale_exp(alpha, n))
-        )
+        return (one - ctx.p_pow(-1)) / (one - ctx.p_pow(-a)) * ctx.p_pow(a * n)
 
 
 def sphere_measure(ctx: NumericContext, n):
@@ -364,11 +377,12 @@ def unit_kernel_integral(ctx: NumericContext, alpha):
 
     Closed form (p - 2 + p**(-alpha)) / (p * (1 - p**(-alpha))).
     """
-    if float(alpha) <= 1:
+    a = ctx.real(alpha)
+    if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
     with ctx.workprec():
         p = ctx.real(ctx.prime)
-        pa = ctx.p_pow(_negate(alpha))
+        pa = ctx.p_pow(-a)
         return (p - 2 + pa) / (p * (ctx.real(1) - pa))
 
 
@@ -377,37 +391,14 @@ def prefactor(ctx: NumericContext, alpha):
 
     Negative for every alpha > 1 (the denominator changes sign at 1).
     """
-    _require_real(alpha, "alpha")
-    if float(alpha) <= 1 + ctx.rel_tol:
+    a = ctx.real(alpha)
+    if a - 1 <= ctx.rel_tol:
         raise AlphaOutOfRange(
             f"alpha must exceed 1 by more than rel_tol, got {alpha}"
         )
     with ctx.workprec():
         one = ctx.real(1)
-        return (one - ctx.p_pow(_negate(alpha))) / (
-            one - ctx.p_pow(_shift(alpha, -1))
-        )
-
-
-# small exponent helpers: keep ints/Fractions exact, floats as floats
-def _negate(x):
-    return -x
-
-
-def _scale_exp(alpha, n: int):
-    if isinstance(alpha, (int, np.integer)):
-        return int(alpha) * n
-    if isinstance(alpha, Fraction):
-        return alpha * n
-    return float(alpha) * n
-
-
-def _shift(alpha, d: int):
-    if isinstance(alpha, (int, np.integer)):
-        return int(alpha) + d
-    if isinstance(alpha, Fraction):
-        return alpha + d
-    return float(alpha) + d
+        return (one - ctx.p_pow(-a)) / (one - ctx.p_pow(a - 1))
 
 
 # ---------------------------------------------------------------------------

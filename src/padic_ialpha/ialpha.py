@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .core import (
     ParamOutOfRange,
     RandomStream,
     _require_finite,
-    _require_real,
     prefactor,
     sample_kernel_exponents,
     unit_kernel_integral,
@@ -36,8 +34,6 @@ from .radial import (
     LinearCombo,
     RadialFunction,
     SphereSum,
-    _as_number,
-    _mul_exp,
     eval_sphere,
 )
 
@@ -79,6 +75,7 @@ def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorVal
     summed before cancellation.  N = ZERO integrates over the single point
     0 and returns exactly 0.
     """
+    alpha = ctx.real(alpha)
     C = prefactor(ctx, alpha)  # validates alpha
     if N is ZERO:
         zero = ctx.real(0)
@@ -119,25 +116,16 @@ def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
     For a monomial the expansion C(alpha, p) * b(M) * p**(N(M+alpha)) is
     exact, not merely asymptotic.
     """
-    if float(_require_real(M, "monomial degree")) <= -1:
+    m = ctx.real(M)
+    if m <= -1:
         raise ParamOutOfRange("monomial degree must exceed -1")
     C = prefactor(ctx, alpha)
     if N is ZERO:
         return ctx.real(0)
     N = _require_finite(N, "radius exponent")
     with ctx.workprec():
-        return (
-            C
-            * b_coefficient(M, alpha, ctx)
-            * ctx.p_pow((ctx.real(M) + ctx.real(alpha)) * N)
-        )
-
-
-def _diff1(alpha):
-    """alpha - 1 without losing exactness for ints and Fractions."""
-    if isinstance(alpha, (int, Fraction)):
-        return alpha - 1
-    return float(alpha) - 1.0
+        a = ctx.real(alpha)
+        return C * b_coefficient(m, a, ctx) * ctx.p_pow((m + a) * N)
 
 
 # ---------------------------------------------------------------------------
@@ -149,53 +137,41 @@ def smallball_kernel_integral(k: int, beta, R: int, alpha, ctx: NumericContext):
 
     On |t| < 1 the kernel reduces to 1 - |t|**(alpha-1) since |1 - t| = 1
     there, so the integral is the sphere series
-    sum_{m>=R} (1 - p**(-m(alpha-1))) p**(m beta) (m L)**k (1 - 1/p) p**(-m),
-    summed directly with a geometric stopping bound below rel_tol.
+    (1 - 1/p) L**k sum_{m>=R} m**k (q1**m - q2**m), with q1 = p**(beta-1)
+    and q2 = p**(beta-alpha).  Each tail sum has the closed form
+
+        sum_{m>=R} m**k q**m
+            = q**R (R**k / (1 - q) + sum_{t=1..k} C(k, t) R**(k-t) Phi_t(q)),
+
+    expanding (R + n)**k binomially.  Its terms are all positive, so only
+    the final difference can cancel.  The same formula runs in both
+    arithmetic modes; in exact mode it needs integer beta and alpha (and
+    base-p logs when k > 0).
     """
     if k < 0:
         raise ParamOutOfRange("k must be nonnegative")
-    if not 0 <= float(beta) < 1:
+    b = ctx.real(beta)
+    if not 0 <= b < 1:
         raise BetaOutOfRange(f"beta must lie in [0, 1), got {beta}")
     if R < 1:
         raise ParamOutOfRange("R must be at least 1")
-    if float(alpha) <= 1:
+    a = ctx.real(alpha)
+    if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
 
-    if ctx.exact:
-        # direct summation cannot terminate exactly; take the series kernel
-        # minus its explicit head instead
-        unit = ctx.real(1) - ctx.p_pow(-1)
-        q1 = ctx.p_pow(-(1 - _as_number(beta)))
-        q2 = ctx.p_pow(-(_as_number(alpha) - _as_number(beta)))
-        head1 = sum((ctx.real(m) ** k) * q1**m for m in range(1, R))
-        head2 = sum((ctx.real(m) ** k) * q2**m for m in range(1, R))
-        lk = ctx.log_unit() ** k if k else ctx.real(1)
-        return unit * lk * (
-            (phi_sum(k, q1, ctx) - head1) - (phi_sum(k, q2, ctx) - head2)
-        )
-
-    decay = 1.0 - float(beta)
     with ctx.workprec():
-        unit = ctx.real(1) - ctx.p_pow(-1)
-        L = ctx.log_unit() if k else None
-        total = ctx.real(0)
-        m = R
-        while True:
-            term = (
-                (ctx.real(1) - ctx.p_pow(_mul_exp(-_diff1(alpha), m)))
-                * ctx.p_pow(_mul_exp(beta, m))
-                * ctx.p_pow(-m)
+        r = ctx.real(R)
+
+        def tail(q):
+            shifted = sum(
+                math.comb(k, t) * r ** (k - t) * phi_sum(t, q, ctx)
+                for t in range(1, k + 1)
             )
-            if k:
-                term *= (m * L) ** k
-            total += term
-            ratio = float(ctx.prime) ** (-decay) * ((m + 1) / m) ** k
-            if ratio < 1:
-                tail_bound = float(term) * ratio / (1 - ratio)
-                if tail_bound < ctx.rel_tol * float(total):
-                    break
-            m += 1
-        return unit * total
+            return q**R * (r**k / (1 - q) + shifted)
+
+        lk = ctx.log_unit() ** k if k else ctx.real(1)
+        unit = 1 - ctx.p_pow(-1)
+        return unit * lk * (tail(ctx.p_pow(b - 1)) - tail(ctx.p_pow(b - a)))
 
 
 # ---------------------------------------------------------------------------

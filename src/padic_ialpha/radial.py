@@ -14,7 +14,6 @@ are summed sphere by sphere, with running powers, from the top down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 from mpmath import mp
@@ -276,14 +275,6 @@ def _outer_tail_value(tail, j: int, ctx: NumericContext):
     for k, a in enumerate(tail.coeffs):
         value += ctx.real(a) * general_power(ctx, log_r, gamma - k)
     return ctx.p_pow(-ctx.real(tail.beta) * j) * value
-
-
-def _as_number(x):
-    return x if isinstance(x, (int, Fraction)) else float(x)
-
-
-def _mul_exp(degree, j: int):
-    return _as_number(degree) * j
 
 
 # ---------------------------------------------------------------------------

@@ -120,16 +120,18 @@ def _scan_origin(f, order, ladder, alpha, ctx, coeffs, scales):
         raise HypothesisMismatch("need len(coeffs) == len(scales) >= order + 1")
     # scale of the first omitted term; the last listed scale + 1 stands in
     # when the expansion is exhausted (exact finite expansions)
-    next_scale = (
-        scales[order + 1] if len(scales) > order + 1 else _fsum(scales[order], 1)
-    )
+    a = ctx.real(alpha)
+    if len(scales) > order + 1:
+        next_scale = ctx.real(scales[order + 1])
+    else:
+        next_scale = ctx.real(scales[order]) + 1
     rows = []
     with ctx.workprec():
         for x in ladder:
-            computed = ialpha_eval(f, x, alpha, ctx).value
-            predicted = predict_origin(coeffs, scales, order, x, alpha, ctx)
+            computed = ialpha_eval(f, x, a, ctx).value
+            predicted = predict_origin(coeffs, scales, order, x, a, ctx)
             err = abs(computed - predicted)
-            scale = ctx.p_pow(_fsum(next_scale, alpha) * x)
+            scale = ctx.p_pow((next_scale + a) * x)
             rows.append(
                 ResidualRow(x, float(computed), float(predicted), float(err),
                             float(err / scale))
@@ -156,16 +158,18 @@ def _scan_infinity(f, order, ladder, alpha, ctx, coeffs, beta, gamma):
         beta = beta_d if beta is None else beta
         gamma = gamma_d if gamma is None else gamma
         coeffs = coeffs_d if coeffs is None else coeffs
-    if not 0 <= float(beta) < 1:
+    b = ctx.real(beta)
+    if not 0 <= b < 1:
         raise HypothesisMismatch(f"outer decay beta={beta} is not in [0, 1)")
+    a, g = ctx.real(alpha), ctx.real(gamma)
     rows = []
     with ctx.workprec():
         for x in ladder:
-            computed = ialpha_eval(f, x, alpha, ctx).value
-            predicted = predict_infinity(coeffs, beta, gamma, order, x, alpha, ctx)
+            computed = ialpha_eval(f, x, a, ctx).value
+            predicted = predict_infinity(coeffs, b, g, order, x, a, ctx)
             err = abs(computed - predicted)
-            scale = ctx.p_pow(_fdiff(alpha, beta) * x) * _log_power_scale(
-                ctx, x, _fsum(gamma, -(order + 1))
+            scale = ctx.p_pow((a - b) * x) * _log_power_scale(
+                ctx, x, g - (order + 1)
             )
             rows.append(
                 ResidualRow(x, float(computed), float(predicted), float(err),
@@ -195,19 +199,20 @@ def _scan_critical(f, order, ladder, alpha, ctx, coeffs, gamma, printed_form):
         coeffs = coeffs_d if coeffs is None else coeffs
     if declared is not None and abs(float(declared[0]) - 1.0) > 1e-9:
         raise HypothesisMismatch("critical-decay scans need outer beta = 1")
+    a, g = ctx.real(alpha), ctx.real(gamma)
     rows = []
     with ctx.workprec():
         for x in ladder:
-            computed = ialpha_eval(f, x, alpha, ctx).value
+            computed = ialpha_eval(f, x, a, ctx).value
             predicted = predict_infinity_beta1(
-                coeffs, gamma, order, x, f, alpha, ctx, printed_form=printed_form
+                coeffs, g, order, x, f, a, ctx, printed_form=printed_form
             )
             err = abs(computed - predicted)
             # first omitted term of the form actually evaluated: the printed
             # variant carries no radius power on its log sum
-            scale = _log_power_scale(ctx, x, _fsum(gamma, -(order + 1)))
+            scale = _log_power_scale(ctx, x, g - (order + 1))
             if not printed_form:
-                scale = scale * ctx.p_pow(_fdiff(alpha, 1) * x)
+                scale = scale * ctx.p_pow((a - 1) * x)
             rows.append(
                 ResidualRow(x, float(computed), float(predicted), float(err),
                             float(err / scale))
@@ -224,19 +229,9 @@ def _scan_critical(f, order, ladder, alpha, ctx, coeffs, gamma, printed_form):
 
 
 def _log_power_scale(ctx, x_exp, exponent):
-    if float(exponent) == 0:
+    if exponent == 0:
         return ctx.real(1)
     return abs(general_power(ctx, x_exp * ctx.log_unit(), exponent))
-
-
-def _fsum(a, b):
-    if isinstance(a, float) or isinstance(b, float):
-        return float(a) + float(b)
-    return a + b
-
-
-def _fdiff(a, b):
-    return _fsum(a, -b if not isinstance(b, float) else -float(b))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +253,7 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     ladder = sorted(_require_finite(x, "ladder entry") for x in ladder)
     if not ladder:
         raise ParamOutOfRange("ladder must be nonempty")
+    a = ctx.real(alpha)
     positive, decay = _two_sided_profile(f)
     if not positive:
         raise HypothesisMismatch(
@@ -270,8 +266,8 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     rows = []
     with ctx.workprec():
         for x in ladder:
-            value = ialpha_eval(f, x, alpha, ctx).value
-            ratio = abs(value) / ctx.p_pow(_fdiff(alpha, 1) * x)
+            value = ialpha_eval(f, x, a, ctx).value
+            ratio = abs(value) / ctx.p_pow((a - 1) * x)
             rows.append((x, float(ratio)))
     ratios = [r for _, r in rows]
     return min(ratios), max(ratios), rows
@@ -330,26 +326,26 @@ def lemma_decay_check(which: str, params: dict, ladder, ctx: NumericContext):
     if not ladder:
         raise ParamOutOfRange("ladder must be nonempty")
     if which == "L1":
-        lam = float(params["lam"])
-        lam_prime = float(params["lam_prime"])
+        lam = ctx.real(params["lam"])
+        lam_prime = ctx.real(params["lam_prime"])
         if not 0 < lam < 1:
             raise ParamOutOfRange(f"lam must lie in (0, 1), got {lam}")
         if lam_prime <= lam:
             raise ParamOutOfRange("lam_prime must exceed lam")
-        f = params.get("f") or LogPower(lam_prime, 0.0)
+        f = params.get("f") or LogPower(params["lam_prime"], 0.0)
         rows = []
         with ctx.workprec():
             for m in ladder:
                 if m < 1:
                     raise ParamOutOfRange("L1 ladder entries must be >= 1")
                 g = cumulative_ball_integral(f, m, ctx)
-                rows.append((m, float(g * ctx.p_pow(-(1.0 - lam) * m))))
+                rows.append((m, float(g * ctx.p_pow((lam - 1) * m))))
         return rows
     if which == "L2":
         k = int(params["k"])
-        beta = float(params["beta"])
-        eps = float(params["eps"])
-        alpha = params["alpha"]
+        beta = ctx.real(params["beta"])
+        eps = ctx.real(params["eps"])
+        alpha = ctx.real(params["alpha"])
         if eps <= 0 or beta + eps >= 1:
             raise ParamOutOfRange("need eps > 0 and beta + eps < 1")
         rows = []
@@ -358,6 +354,6 @@ def lemma_decay_check(which: str, params: dict, ladder, ctx: NumericContext):
                 if R < 1:
                     raise ParamOutOfRange("L2 ladder entries must be >= 1")
                 kr = smallball_kernel_integral(k, beta, R, alpha, ctx)
-                rows.append((R, float(kr * ctx.p_pow((1.0 - beta - eps) * R))))
+                rows.append((R, float(kr * ctx.p_pow((1 - beta - eps) * R))))
         return rows
     raise ParamOutOfRange(f"unknown decay check {which!r}")

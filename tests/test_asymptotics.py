@@ -21,14 +21,12 @@ from padic_ialpha import (
     RandomStream,
     TailMismatch,
     b_coefficient,
-    b_coefficient_series,
     cumulative_ball_integral,
     gen_binomial,
     ialpha_monomial_exact,
     omega,
     omega_tilde,
     phi_sum,
-    phi_sum_direct,
     predict_infinity,
     predict_infinity_beta1,
     predict_origin,
@@ -37,6 +35,7 @@ from padic_ialpha import (
     unit_kernel_integral,
 )
 from padic_ialpha.core import sample_kernel_exponents
+from series_oracle import b_coefficient_series, phi_sum_direct, smallball_direct
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ class TestPhiSum:
                 for q_exp in (0.5, 1.0, 2.0):
                     q = float(p) ** -q_exp
                     a = phi_sum(k, q, ctx)
-                    b = phi_sum_direct(k, q, ctx)
+                    b = phi_sum_direct(k, q)
                     assert abs(float(a - b)) <= 10 * ctx.rel_tol * abs(float(a))
 
 
@@ -169,7 +168,7 @@ class TestBCoefficient:
             for alpha in (1.5, 2.0, 3.0):
                 for M in (0.5, 1.0, 2.0):
                     a = b_coefficient(M, alpha, ctx)
-                    b = b_coefficient_series(M, alpha, ctx)
+                    b = b_coefficient_series(M, alpha, p)
                     assert abs(float(a - b)) <= 10 * ctx.rel_tol * max(
                         abs(float(a)), 1e-30
                     )
@@ -407,6 +406,45 @@ class TestPredictInfinityCritical:
                 0, alpha, ctx2
             )
             assert abs(float((proof - printed) - gap)) < 1e-30 * abs(float(gap))
+
+
+class TestFloatParameters:
+    # a float parameter means the exact value of its double, so every engine
+    # must agree with the same call at Fraction(x); exponents such as M + alpha
+    # rounded in float64 were off by 8.5e-17 to 1.4e-15
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_float_equals_fraction_of_float(self, p):
+        ctx = NumericContext(p)
+        M, alpha, beta, gamma = 0.3, 2.1, 0.3, 1.7
+        F = Fraction
+        pairs = [
+            (b_coefficient(M, alpha, ctx), b_coefficient(F(M), F(alpha), ctx)),
+            *[(omega(k, alpha, beta, ctx), omega(k, F(alpha), F(beta), ctx))
+              for k in range(3)],
+            (predict_origin([1.0, -0.5], [M, 1.7], 1, -7, alpha, ctx),
+             predict_origin([1, F(-0.5)], [F(M), F(1.7)], 1, -7, F(alpha), ctx)),
+            (predict_infinity([1.0], beta, gamma, 2, 13, alpha, ctx),
+             predict_infinity([1], F(beta), F(gamma), 2, 13, F(alpha), ctx)),
+        ]
+        with mp.workprec(512):
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-60 * abs(want)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_float_parameters_match_direct_series(self, p):
+        # omega(k) is (-1)**k times the small-ball integral at R = 1, plus
+        # U - (1 - 1/p) at k = 0
+        ctx = NumericContext(p)
+        M, alpha, beta = 0.3, 2.1, 0.3
+        pairs = [(b_coefficient(M, alpha, ctx), b_coefficient_series(M, alpha, p))]
+        with mp.workprec(512):
+            for k in range(3):
+                want = (-1) ** k * smallball_direct(k, beta, 1, alpha, p)
+                if k == 0:
+                    want += unit_kernel_integral(ctx, alpha) - (1 - mp.mpf(1) / p)
+                pairs.append((omega(k, alpha, beta, ctx), want))
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-60 * abs(want)
 
 
 class TestAsymptoticPrediction:

@@ -204,6 +204,31 @@ class TestExitCodes:
         assert status == 2
         assert out == ""
 
+    def test_non_finite_lemma_alpha_rejected(self, capsys):
+        for alpha in ("nan", "inf"):
+            status, out, err = run_capture(
+                capsys, ["lemmas", "--p", "2", "--which", "L2", "--alpha", alpha]
+            )
+            assert status == 2
+            assert out == ""
+            assert "finite" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("argv,column", [
+        (["eval", "--monomial", "1", "--ladder", "300:600:300"], "value"),
+        (["mc", "--indicator", "0", "--ladder", "400:400:1", "--samples", "10000"],
+         "estimate"),
+    ], ids=["eval", "mc"])
+    def test_unprintable_values_exit_three(self, capsys, argv, column):
+        # at N = 300..600 and alpha = 3 the values overflow a double: nothing
+        # is printed, and the error names the column and the radius
+        status, out, err = run_capture(capsys, [*argv, "--p", "2", "--alpha", "3"])
+        assert status == 3
+        assert out == ""
+        assert "numeric error" in err
+        assert column in err and "x_exp=" in err
+
     def test_bad_table_file(self, tmp_path, capsys):
         path = tmp_path / "bad.tab"
         path.write_text("#nope\n")

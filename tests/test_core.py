@@ -20,10 +20,15 @@ from padic_ialpha import (
     ParamOutOfRange,
     PrecisionExhausted,
     RandomStream,
+    b_coefficient,
     ball_power_integral,
     haar_sample_ball,
+    lemma_decay_check,
+    omega,
+    omega_tilde,
     padic_sub_abs,
     prefactor,
+    smallball_kernel_integral,
     sphere_measure,
     unit_kernel_integral,
 )
@@ -191,6 +196,33 @@ class TestPrefactor:
         for alpha in (math.nan, math.inf, -math.inf, True, "2"):
             with pytest.raises(ParamOutOfRange):
                 prefactor(ctx2, alpha)
+
+
+# every entry takes its real parameters through NumericContext.real, which
+# rejects them before any range check can let a NaN through
+ENTRY_POINTS = {
+    "unit_kernel_integral": lambda ctx, x: unit_kernel_integral(ctx, x),
+    "ball_power_integral": lambda ctx, x: ball_power_integral(ctx, x, 1),
+    "b_coefficient.M": lambda ctx, x: b_coefficient(x, 2.0, ctx),
+    "b_coefficient.alpha": lambda ctx, x: b_coefficient(0.5, x, ctx),
+    "omega.alpha": lambda ctx, x: omega(0, x, 0.5, ctx),
+    "omega.beta": lambda ctx, x: omega(1, 2.0, x, ctx),
+    "omega_tilde": lambda ctx, x: omega_tilde(1, x, ctx),
+    "smallball.alpha": lambda ctx, x: smallball_kernel_integral(0, 0.0, 1, x, ctx),
+    "smallball.beta": lambda ctx, x: smallball_kernel_integral(1, x, 3, 2.0, ctx),
+    "lemma_L2.alpha": lambda ctx, x: lemma_decay_check(
+        "L2", {"k": 0, "beta": 0.0, "eps": 0.05, "alpha": x}, [1, 2], ctx),
+    "lemma_L1.lam": lambda ctx, x: lemma_decay_check(
+        "L1", {"lam": x, "lam_prime": 0.7}, [10], ctx),
+    "real.exact": lambda ctx, x: NumericContext(2, exact=True).real(x),
+}
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, True), ids=repr)
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_points_reject_non_finite_and_bool(entry, bad, ctx2):
+    with pytest.raises(ParamOutOfRange):
+        ENTRY_POINTS[entry](ctx2, bad)
 
 
 def test_precision_doubling_is_stable():

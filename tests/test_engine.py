@@ -1,6 +1,8 @@
 """The sphere-sum engine against literal sphere sums (tests/sphere_oracle.py)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from padic_ialpha import (
@@ -109,3 +111,22 @@ def test_near_critical_alpha_keeps_double_accuracy(ctx2):
     with mp.workprec(1024):
         assert abs((mp.mpf(got) - want) / want) <= 1e-14
 
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    alpha=st.floats(1.05, 3.5),
+    degree=st.floats(-0.75, 3.0),
+    beta=st.floats(0.0, 3.0),
+    gamma=st.floats(0.0, 3.0),
+    N=st.integers(-8, 24),
+    p=st.sampled_from([2, 3, 5]),
+)
+def test_float_parameters_within_bound(alpha, degree, beta, gamma, N, p):
+    # any double is a valid parameter: the certified bound must hold at its
+    # exact value, not only at the dyadic values above
+    ctx = NumericContext(p)
+    for f in (Monomial(degree), LogPower(beta, gamma)):
+        ov = ialpha_eval(f, N, alpha, ctx)
+        want, slack = oracle_ialpha(f, N, alpha, p)
+        with mp.workprec(512):
+            assert abs(mp.mpf(ov.value) - want) <= ov.truncation_bound + slack

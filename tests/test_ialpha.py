@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from series_oracle import smallball_direct
 
 from padic_ialpha import (
     ZERO,
@@ -22,6 +23,7 @@ from padic_ialpha import (
     ialpha_monomial_exact,
     mc_ialpha_eval,
     omega,
+    phi_sum,
     prefactor,
     smallball_kernel_integral,
     unit_kernel_integral,
@@ -210,6 +212,13 @@ class TestSmallBallKernelIntegral:
 
     def test_exact_mode_value(self, exact2):
         assert smallball_kernel_integral(0, 0, 1, 2, exact2) == Fraction(1, 3)
+        # R > 1: the kernel series minus its explicit head
+        ctx = NumericContext(2, exact=True, log_base="base_p")
+        q1, q2 = Fraction(1, 2), Fraction(1, 4)
+        for k in (0, 1, 2):
+            head = sum(Fraction(m) ** k * (q1**m - q2**m) for m in range(1, 5))
+            want = (phi_sum(k, q1, ctx) - phi_sum(k, q2, ctx) - head) / 2
+            assert smallball_kernel_integral(k, 0, 5, 2, ctx) == want
 
     def test_decay_bound(self, ctx2):
         # value * p**(R(1 - beta - eps)) stays bounded as R grows
@@ -241,6 +250,16 @@ class TestSmallBallKernelIntegral:
                             assert abs(float(full - expected)) <= 10 * ctx.rel_tol * max(
                                 1.0, abs(float(full))
                             )
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("beta", [0.0, 0.25, 0.3, 0.75])
+    @pytest.mark.parametrize("R", [1, 7, 30])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_closed_form_matches_direct_sum(self, k, R, beta, p):
+        got = smallball_kernel_integral(k, beta, R, 1.7, NumericContext(p))
+        want = smallball_direct(k, beta, R, 1.7, p)
+        with mp.workprec(512):
+            assert abs(got - want) <= 1e-60 * want
 
     def test_beta_domain(self, ctx2):
         with pytest.raises(BetaOutOfRange):

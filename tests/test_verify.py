@@ -70,6 +70,12 @@ class TestOriginScan:
             ov = ialpha_eval(f, row.x_exp, 2.0, ctx2)
             assert row.abs_err <= float(ov.truncation_bound) + 1e-60
 
+    def test_float_parameters_keep_an_exact_expansion_exact(self, ctx2):
+        # the expansion of a pure power is exact; exponents such as
+        # next_scale + alpha rounded in float64 made this 2.2e-4 at x = -40
+        rep = residual_scan("T1", Monomial(0.3), 0, [-40, -28, -16, -4], 2.1, ctx2)
+        assert max(r.normalized_err for r in rep.rows) <= 1e-50
+
     def test_zero_profile_rows_vanish(self, ctx2):
         rep = residual_scan(
             "T1",
