@@ -6,7 +6,7 @@ the kernel to a constant, so operator values reduce to certified sphere
 sums.  The package pairs that evaluator with closed-form coefficient
 engines for the operator's expansions at the origin and at infinity, decay
 checks for the associated tail integrals, and a Haar-measure Monte Carlo
-oracle over truncated p-adic digit expansions.
+oracle that draws the sizes |y| and |x - y| from their ultrametric law.
 """
 
 from .asymptotics import (
@@ -22,7 +22,6 @@ from .asymptotics import (
     series_B,
 )
 from .core import (
-    EXACT_ZERO,
     ZERO,
     AlphaOutOfRange,
     BetaOutOfRange,
@@ -33,7 +32,6 @@ from .core import (
     MissingTail,
     NumericContext,
     NumericModeError,
-    PadicApprox,
     ParamOutOfRange,
     ParseError,
     PrecisionExhausted,
@@ -42,8 +40,6 @@ from .core import (
     TailMismatch,
     UndefinedAtZero,
     ball_power_integral,
-    haar_sample_ball,
-    padic_sub_abs,
     prefactor,
     sphere_measure,
     unit_kernel_integral,

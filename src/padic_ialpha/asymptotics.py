@@ -62,18 +62,19 @@ def gen_binomial(gamma, k: int, ctx: NumericContext | None = None):
     """
     if k < 0:
         raise ParamOutOfRange("k must be nonnegative")
+    if ctx is not None and not isinstance(gamma, (int, Fraction)):
+        gamma = ctx.real(gamma)  # a Fraction in exact mode, else an mpf
     if isinstance(gamma, (int, Fraction)):
         num = Fraction(1)
         for i in range(k):
             num *= gamma - i
         result = num / math.factorial(k)
         return result if ctx is None else ctx.real(result)
-    if ctx is not None and not ctx.exact:
+    if ctx is not None:
         with ctx.workprec():
-            g = ctx.real(gamma)
             acc = ctx.real(1)
             for i in range(k):
-                acc *= g - i
+                acc *= gamma - i
             return acc / math.factorial(k)
     acc = 1.0
     for i in range(k):

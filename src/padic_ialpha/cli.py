@@ -459,12 +459,14 @@ def _run_theorem2(args, ctx, config):
     c_hat, d_hat, rows = ratio_bound_check(f, ladder, args.alpha, ctx)
     config = _with_extra(config, {"c_hat": c_hat, "d_hat": d_hat,
                                   "spread": d_hat / c_hat if c_hat else float("inf")})
-    p = float(ctx.prime)
+    a = ctx.real(args.alpha)
     out_rows = []
-    for x, ratio in rows:
-        reference = p ** (x * (args.alpha - 1.0))
-        computed = ratio * reference
-        out_rows.append((x, computed, reference, abs(computed - reference), ratio))
+    with ctx.workprec():
+        for x, ratio in rows:
+            reference = ctx.p_pow(x * (a - 1))
+            computed = ratio * reference
+            out_rows.append((x, float(computed), float(reference),
+                             float(abs(computed - reference)), ratio))
     _emit(config, _THEOREM_HEADER, out_rows, args.format)
 
 

@@ -1,4 +1,4 @@
-"""Numeric context, closed-form ball/sphere integrals and p-adic digit plumbing.
+"""Numeric context, closed-form ball/sphere integrals and the Haar depth sampler.
 
 Everything downstream (radial profiles, the operator evaluator, the
 asymptotic coefficient engines) funnels its arithmetic through a
@@ -27,14 +27,12 @@ __all__ = [
     "AlphaOutOfRange",
     "BetaOutOfRange",
     "DivergentInnerSum",
-    "EXACT_ZERO",
     "HypothesisMismatch",
     "LogBase",
     "LogDomain",
     "MissingTail",
     "NumericContext",
     "NumericModeError",
-    "PadicApprox",
     "ParamOutOfRange",
     "ParseError",
     "PrecisionExhausted",
@@ -44,8 +42,6 @@ __all__ = [
     "UndefinedAtZero",
     "ZERO",
     "ball_power_integral",
-    "haar_sample_ball",
-    "padic_sub_abs",
     "prefactor",
     "sample_kernel_exponents",
     "sphere_measure",
@@ -98,10 +94,10 @@ class HypothesisMismatch(ValueError):
 
 
 class PrecisionExhausted(ArithmeticError):
-    """Every available digit cancelled in a finite-precision subtraction.
+    """A Haar draw agreed with its reference point beyond the digit budget.
 
-    Never downgraded to a silent zero: Monte Carlo kernels rely on the
-    caller resampling or deepening the digit window.
+    Never downgraded to a silent zero: the caller resamples or widens the
+    budget.
     """
 
 
@@ -402,126 +398,6 @@ def prefactor(ctx: NumericContext, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Truncated p-adic numbers
-# ---------------------------------------------------------------------------
-
-class _ExactZero:
-    """Valuation marker for the exact p-adic zero."""
-
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "EXACT_ZERO"
-
-
-EXACT_ZERO = _ExactZero()
-
-
-@dataclass(frozen=True)
-class PadicApprox:
-    """A p-adic number to finite digit precision.
-
-    ``digits[i]`` is the coefficient of p**(valuation + i); the leading digit
-    is nonzero unless the value is the exact zero, so the absolute value is
-    exactly p**(-valuation).
-    """
-
-    prime: int
-    valuation: "int | _ExactZero"
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        if not _is_prime(self.prime):
-            raise ParamOutOfRange(f"prime must be prime, got {self.prime}")
-        if len(self.digits) < 1:
-            raise ParamOutOfRange("at least one digit is required")
-        if any(not 0 <= d < self.prime for d in self.digits):
-            raise ParamOutOfRange("digits must lie in [0, prime)")
-        if self.valuation is EXACT_ZERO:
-            if any(self.digits):
-                raise ParamOutOfRange("the exact zero has all-zero digits")
-        elif self.digits[0] == 0:
-            raise ParamOutOfRange("leading digit must be nonzero")
-
-    @property
-    def digit_precision(self) -> int:
-        return len(self.digits)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.valuation is EXACT_ZERO
-
-    @property
-    def abs_exponent(self) -> int:
-        """e with |self| = p**e."""
-        if self.is_zero:
-            raise UndefinedAtZero("the exact zero has absolute value 0")
-        return -self.valuation
-
-    @classmethod
-    def exact_zero(cls, prime: int, digit_precision: int = 8) -> "PadicApprox":
-        return cls(prime, EXACT_ZERO, (0,) * digit_precision)
-
-    @classmethod
-    def from_int(cls, value: int, prime: int, digit_precision: int = 8) -> "PadicApprox":
-        """Digit expansion of an integer (negative values wrap modularly)."""
-        if value == 0:
-            return cls.exact_zero(prime, digit_precision)
-        v = 0
-        u = value
-        while u % prime == 0:
-            u //= prime
-            v += 1
-        m = u % prime ** digit_precision
-        digits = []
-        for _ in range(digit_precision):
-            m, d = divmod(m, prime)
-            digits.append(d)
-        return cls(prime, v, tuple(digits))
-
-
-def padic_sub_abs(x: PadicApprox, y: PadicApprox) -> int:
-    """Exponent e with |x - y| = p**e, by digitwise subtraction with borrow.
-
-    Raises :class:`PrecisionExhausted` when every available digit cancels;
-    distinct inputs are never reported as an exact zero.
-    """
-    if x.prime != y.prime:
-        raise ParamOutOfRange("operands must share a prime")
-    if x.digit_precision != y.digit_precision:
-        raise ParamOutOfRange("operands must share digit precision")
-    if x.is_zero and y.is_zero:
-        raise PrecisionExhausted("both operands are the exact zero")
-    if x.is_zero:
-        return y.abs_exponent
-    if y.is_zero:
-        return x.abs_exponent
-    if x.valuation != y.valuation:
-        # ultrametric equality: |x - y| = max(|x|, |y|)
-        return max(x.abs_exponent, y.abs_exponent)
-    p = x.prime
-    borrow = 0
-    for i, (a, b) in enumerate(zip(x.digits, y.digits)):
-        d = a - b - borrow
-        if d < 0:
-            d += p
-            borrow = 1
-        else:
-            borrow = 0
-        if d != 0:
-            return -(x.valuation + i)
-    raise PrecisionExhausted(
-        f"all {x.digit_precision} digits cancelled; resample or deepen precision"
-    )
-
-
-# ---------------------------------------------------------------------------
 # Haar sampling
 # ---------------------------------------------------------------------------
 
@@ -540,35 +416,6 @@ class RandomStream:
         return [RandomStream(child) for child in self._seq.spawn(n)]
 
 
-def haar_sample_ball(
-    ctx: NumericContext,
-    n,
-    digit_precision: int = 16,
-    stream: RandomStream | None = None,
-) -> PadicApprox:
-    """Draw from the normalised Haar measure on the ball |y| <= p**n.
-
-    Digits are i.i.d. uniform starting at the p**(-n) coefficient, so the
-    valuation offset is geometric: P(|y| = p**j) = (1 - 1/p) * p**(j - n)
-    for j <= n.
-    """
-    if digit_precision < 8:
-        raise ParamOutOfRange("digit_precision must be at least 8")
-    n = _require_finite(n)
-    if stream is None:
-        raise ParamOutOfRange("a RandomStream is required")
-    rng = stream.generator
-    p = ctx.prime
-    zeros = 0
-    while True:
-        d = int(rng.integers(0, p))
-        if d:
-            break
-        zeros += 1
-    rest = rng.integers(0, p, size=digit_precision - 1)
-    return PadicApprox(p, -n + zeros, (d, *(int(r) for r in rest)))
-
-
 def sample_kernel_exponents(
     ctx: NumericContext,
     n,
@@ -578,49 +425,52 @@ def sample_kernel_exponents(
     max_escalations: int = 3,
     representative_digits: tuple[int, ...] = (1,),
 ):
-    """Vectorised Haar draws paired with distances to a fixed sphere point.
+    """Haar draws y in the ball |y| <= p**n, paired with distances to a sphere point.
 
-    Draws y_1..y_samples from the Haar measure on the ball |y| <= p**n and,
-    for the representative x with |x| = p**n whose digit string is
-    ``representative_digits`` (zero-padded), returns integer arrays (j, e)
-    with |y_i| = p**j[i] and |x - y_i| = p**e[i].
+    For the representative x with |x| = p**n whose digit string is
+    ``representative_digits``, returns integer arrays (j, e) with
+    |y_i| = p**j[i] and |x - y_i| = p**e[i], one entry per draw.  No digits
+    are drawn: Haar digits are i.i.d. uniform, so by ultrametricity the
+    pair follows the depth law
 
-    Digit agreement beyond the current window is resolved by widening the
-    window (doubled digit precision); after ``max_escalations`` widenings a
-    still-cancelling sample raises :class:`PrecisionExhausted`.
+    * P(j = n - z, e = n) = (1 - 1/p) p**(-z) for z >= 1;
+    * P(j = e = n) = (p - 2) / p (the leading digits differ);
+    * P(j = n, e = n - t) = (1 - 1/p) p**(-t) for t >= 1,
+
+    where t is the number of leading digits y shares with x.  j comes from
+    one geometric draw; on the sphere j = n the leading digit matches x's
+    with probability 1/(p - 1) (always at p = 2), and a match draws its
+    depth t from a second geometric.  The law does not depend on which
+    representative is chosen.
+
+    ``digit_window`` and ``max_escalations`` set the digit budget
+    max(digit_window - 1, 1) + sum_{k < max_escalations} digit_window * 2**k;
+    a draw whose depth t exceeds it (y agrees with x on the leading digit
+    and on every budgeted digit after it) raises :class:`PrecisionExhausted`.
     """
     n = _require_finite(n)
-    if representative_digits[0] % ctx.prime == 0:
-        raise ParamOutOfRange("representative leading digit must be nonzero")
-    rng = stream.generator
     p = ctx.prime
-    zeros = rng.geometric(1.0 - 1.0 / p, size=samples) - 1
-    j = n - zeros.astype(np.int64)
-
-    t = np.zeros(samples, dtype=np.int64)  # digit agreement depth with x
-    idx = np.flatnonzero(zeros == 0)
-    if idx.size:
-        lead = rng.integers(1, p, size=idx.size)
-        idx = idx[lead == representative_digits[0]]
-    depth = 1
-    windows = [max(digit_window - 1, 1)]
-    windows += [digit_window * (1 << k) for k in range(max_escalations)]
-    for window in windows:
-        if idx.size == 0:
-            break
-        draw = rng.integers(0, p, size=(idx.size, window))
-        ref = np.zeros(window, dtype=np.int64)
-        for k in range(window):
-            if depth + k < len(representative_digits):
-                ref[k] = representative_digits[depth + k]
-        differs = draw != ref
-        hit = differs.any(axis=1)
-        first = differs.argmax(axis=1)
-        t[idx[hit]] = depth + first[hit]
-        idx = idx[~hit]
-        depth += window
-    if idx.size:
-        raise PrecisionExhausted(
-            f"{idx.size} draws still cancel after {max_escalations} escalations"
+    digits = representative_digits
+    if not digits or not 0 < digits[0] < p or any(not 0 <= d < p for d in digits):
+        raise ParamOutOfRange(
+            f"representative digits must lie in [0, {p}) with a nonzero "
+            f"leading digit, got {representative_digits!r}"
         )
-    return j, n - t
+    budget = max(digit_window - 1, 1) + sum(
+        digit_window << k for k in range(max_escalations)
+    )
+    rng = stream.generator
+    j = n + 1 - rng.geometric(1.0 - 1.0 / p, size=samples)
+    match = np.flatnonzero(j == n)
+    if p > 2:
+        match = match[rng.integers(1, p, size=match.size) == digits[0]]
+    t = rng.geometric(1.0 - 1.0 / p, size=match.size)
+    deep = int(np.count_nonzero(t > budget))
+    if deep:
+        raise PrecisionExhausted(
+            f"{deep} draws agree with the representative beyond the "
+            f"{budget}-digit budget"
+        )
+    e = np.full(samples, n, dtype=np.int64)
+    e[match] = n - t
+    return j, e

@@ -190,21 +190,46 @@ def mc_ialpha_eval(
 ):
     """Monte Carlo estimate of the operator value at |x| = p**N.
 
-    Draws y from the Haar measure on the ball p**N, fixes the representative
-    x = p**(-N) (the operator value depends on |x| only, so the choice is
-    immaterial), and averages p**N * C * (|x-y|**(alpha-1) - |y|**(alpha-1))
-    * f(|y|).  Returns (estimate, standard error).  Draws whose digits fully
-    cancel against the representative are retried at doubled digit precision;
-    the sampler error propagates after three escalations.
+    Draws y from the Haar measure on the ball p**N and averages
+    p**N * C * (|x-y|**(alpha-1) - |y|**(alpha-1)) * f(|y|) over the draws,
+    for the representative x whose digits are ``representative_digits`` (the
+    operator value depends on |x| only, so the choice is immaterial).  Each
+    draw's (|y|, |x-y|) = (p**j, p**e) comes from the depth law of
+    :func:`~padic_ialpha.core.sample_kernel_exponents` with
+    ``digit_precision`` as its digit window; a draw that agrees with x
+    beyond the digit budget raises :class:`PrecisionExhausted`.
+
+    By ultrametricity e = N or j = N, so a draw's term depends on e - j
+    alone.  The terms are tabulated once per occurring cell at working
+    precision, and the sample mean and standard deviation are read from
+    the cell counts.  Returns (estimate, standard error).  Raises
+    :class:`OverflowError` before drawing when C * p**(N alpha), the scale
+    of the kernel terms, does not fit a double, and after drawing when a
+    term does not.
     """
     if samples < 10_000:
         raise ParamOutOfRange("at least 10^4 samples are required")
     if digit_precision < 8:
         raise ParamOutOfRange("digit_precision must be at least 8")
-    C = float(prefactor(ctx, alpha))
+    alpha = ctx.real(alpha)
+    C = prefactor(ctx, alpha)
     if N is ZERO:
         return 0.0, 0.0
     N = _require_finite(N, "radius exponent")
+
+    def double(x) -> float:
+        try:
+            v = float(x)
+        except OverflowError:  # a huge Fraction
+            v = math.inf
+        if not math.isfinite(v):
+            raise OverflowError(f"estimate overflows a double at x_exp={N}")
+        return v
+
+    with ctx.workprec():
+        scale = C * ctx.p_pow(N)
+        top = ctx.p_pow((alpha - 1) * N)  # the largest kernel power, at e = N
+        double(scale * top)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     j, e = sample_kernel_exponents(
         ctx,
@@ -214,16 +239,24 @@ def mc_ialpha_eval(
         digit_window=digit_precision,
         representative_digits=representative_digits,
     )
-    p = float(ctx.prime)
-    a1 = float(alpha) - 1.0
-    j_min = int(j.min())
-    values = np.array(
-        [float(eval_sphere(f, jj, ctx)) for jj in range(j_min, N + 1)],
-        dtype=np.float64,
-    )
-    fv = values[j - j_min]
-    kernel = np.power(p, a1 * e) - np.power(p, a1 * j)
-    vals = (C * p**N) * kernel * fv
-    estimate = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples))
-    return estimate, stderr
+    cells = e - j  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
+    low = int(cells.min())
+    counts = np.bincount(cells - low)
+    with ctx.workprec():
+        f_N = eval_sphere(f, N, ctx)
+
+        def term(d):
+            if d > 0:
+                inner = ctx.p_pow((alpha - 1) * (N - d))
+                return scale * (top - inner) * eval_sphere(f, N - d, ctx)
+            return scale * (ctx.p_pow((alpha - 1) * (N + d)) - top) * f_N
+
+        values = np.array(
+            [double(term(low + i)) if c else 0.0 for i, c in enumerate(counts)]
+        )
+    # sums over values scaled by a power of two near their largest cannot overflow
+    size = 2.0 ** math.frexp(float(np.abs(values).max()))[1]
+    unit = values / size
+    mean = float(counts @ unit) / samples
+    spread = float(counts @ (unit - mean) ** 2)
+    return size * mean, size * math.sqrt(spread / (samples - 1) / samples)

@@ -92,6 +92,17 @@ class TestGenBinomial:
         assert gen_binomial(3, 5) == 0
         assert gen_binomial(3.0, 5) == 0.0
 
+    def test_context_converts_float_gamma(self, exact2, ctx2):
+        # a float gamma enters the context arithmetic as its exact double
+        got = gen_binomial(2.5, 2, exact2)
+        assert isinstance(got, Fraction) and got == Fraction(15, 8)
+        assert gen_binomial(0.1, 3, NumericContext(3, exact=True)) == (
+            Fraction(0.1) * (Fraction(0.1) - 1) * (Fraction(0.1) - 2) / 6
+        )
+        with mp.workprec(ctx2.precision_bits):
+            want = mp.mpf(0.1) * (mp.mpf(0.1) - 1) * (mp.mpf(0.1) - 2) / 6
+        assert gen_binomial(0.1, 3, ctx2) == want
+
     @given(
         gamma=st.fractions(
             min_value=-10, max_value=10, max_denominator=16

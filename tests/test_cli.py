@@ -1,8 +1,10 @@
 """Command-line interface: schemas, determinism, table round trips, exit codes."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from padic_ialpha import (
     MissingTail,
@@ -285,6 +287,26 @@ class TestTheoremCommands:
         header = out.splitlines()[0]
         cfg = json.loads(header[len("# config "):])
         assert cfg["spread"] < 10
+
+    def test_theorem2_reference_at_working_precision(self, capsys):
+        # the reference p**(x(alpha-1)) is formed at the exact double of
+        # alpha, not in float64: each column is within one rounding of a
+        # 1024-bit value
+        status, out, _ = run_capture(
+            capsys,
+            ["theorem2", "--p", "3", "--alpha", "1.7", "--beta", "1.3",
+             "--ladder", "5:30:5"],
+        )
+        assert status == 0
+        with mp.workprec(1024):
+            a1 = mp.mpf(Fraction(1.7).numerator) / Fraction(1.7).denominator - 1
+            for line in out.strip().splitlines()[2:]:
+                x, computed, reference, abs_err, ratio = line.split(",")
+                want = mp.power(3, int(x) * a1)
+                got = mp.mpf(float(ratio)) * want
+                assert abs(float(reference) - want) <= 2.0**-53 * want
+                assert abs(float(computed) - got) <= 2.0**-53 * got
+                assert abs(float(abs_err) - (got - want)) <= 2.0**-53 * (got - want)
 
     def test_theorem4_printed_flag(self, capsys):
         base = ["theorem4", "--p", "2", "--alpha", "2", "--gamma", "0",

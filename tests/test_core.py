@@ -1,4 +1,4 @@
-"""Closed-form integrals, numeric context plumbing and digit arithmetic."""
+"""Closed-form integrals, numeric context plumbing, digit arithmetic and the depth sampler."""
 
 import math
 from fractions import Fraction
@@ -10,29 +10,26 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from padic_ialpha import (
-    EXACT_ZERO,
     ZERO,
     AlphaOutOfRange,
     LogBase,
     NumericContext,
     NumericModeError,
-    PadicApprox,
     ParamOutOfRange,
     PrecisionExhausted,
     RandomStream,
     b_coefficient,
     ball_power_integral,
-    haar_sample_ball,
     lemma_decay_check,
     omega,
     omega_tilde,
-    padic_sub_abs,
     prefactor,
     smallball_kernel_integral,
     sphere_measure,
     unit_kernel_integral,
 )
 from padic_ialpha.core import sample_kernel_exponents
+from digit_oracle import EXACT_ZERO, PadicApprox, haar_sample_ball, padic_sub_abs
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +359,105 @@ class TestHaarSampling:
         with pytest.raises(PrecisionExhausted):
             sample_kernel_exponents(
                 ctx2, 0, 100_000, RandomStream(3), digit_window=8, max_escalations=0
+            )
+
+
+# ---------------------------------------------------------------------------
+# Depth law against literal digits
+# ---------------------------------------------------------------------------
+
+def _chi2_999(df: int) -> float:
+    """0.999 quantile of chi-square with df degrees (Wilson-Hilferty)."""
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + 3.0902 * math.sqrt(h)) ** 3
+
+
+def _cells(j, e, cut):
+    """Cell e - j of each draw, |e - j| > cut pooled into the two end cells.
+
+    By ultrametricity e = n or j = n, so e - j fixes the pair (j, e).
+    """
+    d = np.asarray(e, dtype=np.int64) - np.asarray(j, dtype=np.int64)
+    return np.clip(d, -cut, cut) + cut
+
+
+def _depth_law(p, cut):
+    """Cell probabilities of the closed-form (j, e) law, as in _cells."""
+    probs = [(1 - 1 / p) * float(p) ** -abs(d) for d in range(-cut, cut + 1)]
+    probs[cut] = (p - 2) / p
+    probs[0] = probs[-1] = float(p) ** -cut  # P(depth >= cut)
+    return np.array(probs)
+
+
+class TestDepthLaw:
+    @pytest.mark.parametrize("p, n, rep, seed", [
+        (2, 0, (1,), 31),
+        (3, 2, (2, 0, 1), 32),
+        (5, -1, (3,), 33),
+        (5, 1, (1, 4, 4, 0, 2), 34),
+    ])
+    def test_sampler_matches_digit_oracle(self, p, n, rep, seed):
+        # two-sample chi-square over the (j, e) cells: literal Haar digits
+        # subtracted from the representative against the depth-law sampler
+        ctx = NumericContext(p)
+        width = 24
+        x = PadicApprox(p, -n, rep + (0,) * (width - len(rep)))
+        stream = RandomStream(seed)
+        ys = [haar_sample_ball(ctx, n, width, stream) for _ in range(20_000)]
+        oj = [y.abs_exponent for y in ys]
+        oe = [padic_sub_abs(x, y) for y in ys]
+        j, e = sample_kernel_exponents(
+            ctx, n, 10**6, RandomStream(seed + 100), representative_digits=rep
+        )
+        assert j.max() <= n and e.max() <= n
+        # pool the cells the oracle expects fewer than 5 draws in
+        cut = int(math.log(20_000 * (1 - 1 / p) / 5, p))
+        a = np.bincount(_cells(oj, oe, cut), minlength=2 * cut + 1)
+        b = np.bincount(_cells(j, e, cut), minlength=2 * cut + 1)
+        keep = (a + b) > 0
+        a, b = a[keep], b[keep]
+        n1, n2 = a.sum(), b.sum()
+        chi2 = float(
+            ((math.sqrt(n2 / n1) * a - math.sqrt(n1 / n2) * b) ** 2 / (a + b)).sum()
+        )
+        assert chi2 < _chi2_999(keep.sum() - 1)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_sampler_matches_closed_form(self, p):
+        # the documented law itself, over 10^6 draws
+        cut = {2: 14, 3: 9, 5: 6}[p]
+        j, e = sample_kernel_exponents(NumericContext(p), 4, 10**6, RandomStream(40 + p))
+        observed = np.bincount(_cells(j, e, cut), minlength=2 * cut + 1)
+        expected = 10**6 * _depth_law(p, cut)
+        keep = expected > 0
+        chi2 = float(((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum())
+        assert observed[~keep].sum() == 0
+        assert chi2 < _chi2_999(keep.sum() - 1)
+
+    def test_digit_budget_is_a_depth_bound(self, ctx2):
+        # the budget max(w - 1, 1) + sum_{k<m} w 2**k caps the depth t = n - e;
+        # the draws themselves do not depend on it
+        _, e = sample_kernel_exponents(ctx2, 0, 10**5, RandomStream(3))
+        deepest = int(-e.min())
+        assert deepest == 17
+        for w, m in [(1, 4), (1, 5), (2, 2), (8, 1), (9, 1), (17, 0), (18, 0), (16, 3)]:
+            budget = max(w - 1, 1) + sum(w * 2**k for k in range(m))
+            if budget >= deepest:
+                _, e2 = sample_kernel_exponents(
+                    ctx2, 0, 10**5, RandomStream(3), digit_window=w, max_escalations=m
+                )
+                assert (e2 == e).all()
+            else:
+                with pytest.raises(PrecisionExhausted):
+                    sample_kernel_exponents(
+                        ctx2, 0, 10**5, RandomStream(3), digit_window=w, max_escalations=m
+                    )
+
+    @pytest.mark.parametrize("rep", [(3,), (0, 1), (1, 2), (), (1, -1)], ids=repr)
+    def test_invalid_representative_digits_rejected(self, ctx2, rep):
+        with pytest.raises(ParamOutOfRange):
+            sample_kernel_exponents(
+                ctx2, 0, 200_000, RandomStream(1), representative_digits=rep
             )
 
 

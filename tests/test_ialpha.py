@@ -309,3 +309,26 @@ class TestMonteCarlo:
 
     def test_zero_radius(self, ctx2):
         assert mc_ialpha_eval(Monomial(1.0), ZERO, 2.0, 50_000, 84, ctx2) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("rep", [(3,), (0, 1), (1, 2)], ids=repr)
+    def test_invalid_representative_digits_rejected(self, ctx2, rep):
+        # a leading digit that can never match would silently put every
+        # draw at |x - y| = |x|
+        with pytest.raises(ParamOutOfRange):
+            mc_ialpha_eval(
+                Monomial(1.0), 0, 2.0, 50_000, 85, ctx2, representative_digits=rep
+            )
+
+    @pytest.mark.parametrize("f, N", [(Indicator(0), 400), (Monomial(1.0), 300)])
+    def test_overflow_raises(self, ctx2, f, N):
+        # C p**(N alpha) or a term beyond a double: an error naming the
+        # estimate and the radius, never (nan, nan) or inf
+        with pytest.raises(ArithmeticError, match=f"estimate.*x_exp={N}"):
+            mc_ialpha_eval(f, N, 3.0, 10_000, 86, ctx2)
+
+    def test_large_finite_scale_is_estimated(self, ctx2):
+        # terms near 1e248, whose squares overflow a double, still give a
+        # finite, honest estimate and error
+        est, se = mc_ialpha_eval(Monomial(-0.5), 330, 3.0, 200_000, 87, ctx2)
+        exact = float(ialpha_eval(Monomial(-0.5), 330, 3.0, ctx2).value)
+        assert math.isfinite(se) and abs(est - exact) < 4 * se
