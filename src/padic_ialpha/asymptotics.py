@@ -17,6 +17,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from numbers import Rational
+
+from mpmath import mp
 
 from .core import (
     AlphaOutOfRange,
@@ -263,9 +266,13 @@ class AsymptoticPrediction:
     power_applies_to_logs: bool = True
 
     def __post_init__(self):
-        exps = [float(e) for e, _ in self.log_terms]
+        exps = [e for e, _ in self.log_terms]
         for x, y in zip(exps, exps[1:]):
-            if abs((x - y) - 1.0) > 1e-9:
+            if isinstance(x, Rational) and isinstance(y, Rational):
+                step = x - y
+            else:
+                step = mp.fsub(x, y, exact=True)
+            if step != 1:
                 raise ParamOutOfRange("log exponents must descend by exactly 1")
 
     def evaluate(self, x_exp, ctx: NumericContext, f: RadialFunction | None = None):
@@ -391,14 +398,14 @@ def predict_infinity_beta1(
     x_exp = _require_finite(x_exp, "x_exp")
     if x_exp < 2:
         raise ParamOutOfRange("large-radius predictions need x_exp >= 2")
-    declared = outer_expansion(f)
+    declared = outer_expansion(f, ctx)
     if declared is None:
         raise _tail_mismatch(a, gamma)
     d_beta, d_gamma, d_coeffs = declared
-    if abs(float(d_beta) - 1.0) > 1e-9 or abs(float(d_gamma) - float(gamma)) > 1e-9:
+    if d_beta != 1 or d_gamma != ctx.real(gamma):
         raise _tail_mismatch(a, gamma)
-    padded = list(d_coeffs) + [0.0] * max(0, len(a) - len(d_coeffs))
-    if any(abs(float(x) - float(y)) > 1e-9 for x, y in zip(padded, a)):
+    padded = list(d_coeffs) + [0] * max(0, len(a) - len(d_coeffs))
+    if any(x != ctx.real(y) for x, y in zip(padded, a)):
         raise _tail_mismatch(a, gamma)
     pred = build_infinity_beta1_prediction(
         a, gamma, order, alpha, ctx, printed_form=printed_form

@@ -33,7 +33,6 @@ from .radial import (
     LogPower,
     Monomial,
     OuterTail,
-    PowerRun,
     PowerTail,
     RadialFunction,
     Table,
@@ -151,26 +150,29 @@ def _tail_from_json(data):
 
 
 def dump_table(f: RadialFunction, path: str, ctx: NumericContext, j_range) -> None:
-    """Write a profile to the v1 table format over an exponent range."""
-    if isinstance(f, Table):
-        j_lo, j_hi = f.j_lo, f.j_hi
-        inner = f.inner_tail
-        outer = f.outer_tail
-    else:
-        j_lo, j_hi = min(j_range), max(j_range)
-        runs = sphere_segments(f, j_hi, ctx)
-        inner = ZeroTail()
-        if runs and isinstance(runs[-1], PowerRun) and runs[-1].lo is None:
-            inner = PowerTail(runs[-1].coeff, runs[-1].degree)
-            j_lo = min(j_lo, runs[-1].hi)
-        elif runs:
-            j_lo = min(j_lo, runs[-1].lo - 1)
-        declared = outer_expansion(f)
-        outer = None
-        if declared is not None:
-            beta, gamma, coeffs = declared
-            if 0 <= float(beta) <= 1:
-                outer = OuterTail(beta, gamma, tuple(coeffs))
+    """Write a profile to the v1 table format over an exponent range.
+
+    The rows cover the range, widened until the tails describe the rest:
+    the one power run that reaches the origin (none: a zero tail; several:
+    :class:`ParamOutOfRange`) and the declared outer expansion when its
+    beta lies in [0, 1] (otherwise the table ends at the last row).
+    """
+    j_lo, j_hi = min(j_range), max(j_range)
+    outer = outer_expansion(f, ctx)
+    if outer is not None and 0 <= outer[0] <= 1:
+        outer, runs = OuterTail(*outer), sphere_segments(f, math.inf, ctx)
+        j_hi = max([j_hi] + [r.lo - 1 if r.hi == math.inf else r.hi for r in runs])
+    else:  # the rows end the table
+        outer, runs = None, sphere_segments(f, j_hi, ctx)
+    origin = [r for r in runs if r.lo is None]
+    if len(origin) > 1:
+        raise ParamOutOfRange(
+            "the profile is a sum of several powers near the origin; "
+            "no inner tail describes it"
+        )
+    inner = PowerTail(origin[0].coeff, origin[0].degree) if origin else ZeroTail()
+    j_lo = min([j_lo] + [r.lo for r in runs if r.lo is not None]
+               + [r.hi + 1 for r in origin])
     preamble: dict = {"p": ctx.prime, "inner_tail": _tail_to_json(inner)}
     if outer is not None:
         preamble["outer_tail"] = {
@@ -186,7 +188,7 @@ def dump_table(f: RadialFunction, path: str, ctx: NumericContext, j_range) -> No
 
 
 def _tail_to_json(tail):
-    if tail is None or isinstance(tail, ZeroTail):
+    if isinstance(tail, ZeroTail):
         return {"kind": "zero"}
     return {"kind": "power", "a": float(tail.coeff), "M": float(tail.degree)}
 
@@ -342,11 +344,9 @@ def _profile(args, ctx) -> RadialFunction:
 
 
 def _log_power_combo(beta: float, gamma: float, coeffs: list[float]) -> RadialFunction:
-    if len(coeffs) == 1:
-        f = LogPower(beta, gamma)
-        return f if coeffs[0] == 1 else LinearCombo(((coeffs[0], f),))
-    terms = tuple((c, LogPower(beta, gamma - n)) for n, c in enumerate(coeffs))
-    return LinearCombo(terms)
+    return LinearCombo(
+        tuple((c, LogPower(beta, gamma - n)) for n, c in enumerate(coeffs))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ BallExponent = "int | _RadiusZero"
 def _require_finite(n, what: str = "exponent") -> int:
     if n is ZERO:
         raise ParamOutOfRange(f"{what} must be finite, got ZERO")
-    if not isinstance(n, (int, np.integer)):
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise ParamOutOfRange(f"{what} must be an integer, got {n!r}")
     return int(n)
 

@@ -30,12 +30,7 @@ from .core import (
     sample_kernel_exponents,
     unit_kernel_integral,
 )
-from .radial import (
-    LinearCombo,
-    RadialFunction,
-    SphereSum,
-    eval_sphere,
-)
+from .radial import RadialFunction, SphereSum, _sphere_parts, eval_sphere
 
 __all__ = [
     "OperatorValue",
@@ -65,15 +60,15 @@ class OperatorValue:
 def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorValue:
     """Operator value at |x| = p**N for a radial profile.
 
-    The inner spheres j < N are summed by :class:`SphereSum`: closed
+    The inner spheres j < N are summed by one :class:`SphereSum`: closed
     geometric series wherever the profile is exactly c * p**(j*d), explicit
     running-power terms for table values and log-power runs.  Log-power runs
     that decay toward the origin are summed from N - 1 downward and stop
     once their certified remainder is below rel_tol of what was summed.
     The sphere |y| = |x| enters through the unit-sphere kernel integral.
     The bound adds that remainder to a rounding bound on the magnitudes
-    summed before cancellation.  N = ZERO integrates over the single point
-    0 and returns exactly 0.
+    summed before cancellation, run by run on |y| = |x| as well.  N = ZERO
+    integrates over the single point 0 and returns exactly 0.
     """
     alpha = ctx.real(alpha)
     C = prefactor(ctx, alpha)  # validates alpha
@@ -82,27 +77,15 @@ def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorVal
         return OperatorValue(zero, zero, ZERO)
     N = _require_finite(N, "radius exponent")
 
-    if isinstance(f, LinearCombo):
-        with ctx.workprec():
-            value = ctx.real(0)
-            bound = ctx.real(0)
-            cuts = [N]
-            for c, g in f.terms:
-                part = ialpha_eval(g, N, alpha, ctx)
-                value += ctx.real(c) * part.value
-                bound += abs(ctx.real(c)) * part.truncation_bound
-                if part.j_cut is not ZERO:
-                    cuts.append(part.j_cut)
-            return OperatorValue(value, bound, min(cuts))
-
     with ctx.workprec():
         inner = SphereSum(f, N - 1, ctx, alpha)
         unit = ctx.real(1) - ctx.p_pow(-1)
         ball = inner.K * ctx.p_pow(N)  # p**(N alpha)
-        f_N = eval_sphere(f, N, ctx)
+        parts = _sphere_parts(f, N, ctx)
+        f_N, size_N = sum(parts), sum(abs(x) for x in parts)
         U = unit_kernel_integral(ctx, alpha)
         bracket = unit * inner.total + f_N * ball * (U - unit)
-        magnitude = unit * inner.magnitude + abs(f_N) * ball * (U + unit)
+        magnitude = unit * inner.magnitude + size_N * ball * (U + unit)
         bound = abs(C) * (
             magnitude * ctx.rounding_eps() * (inner.explicit + 16)
             + unit * inner.remainder

@@ -5,15 +5,21 @@ forms below carry enough tail information (a power model toward the origin,
 an optional log-power model toward infinity) for every downstream sphere sum
 to be truncated with a computed, not estimated, remainder.
 
-Sphere sums see a profile as runs of exponents (:func:`sphere_segments`).
-Wherever the profile is exactly c * p**(j*d) the run is summed as a
-geometric series in closed form; only tabulated values and log-power runs
-are summed sphere by sphere, with running powers, from the top down.
+:func:`sphere_segments` turns any profile into one normal form, a list of
+runs whose values add: power runs c * p**(j*d), tabulated value runs and
+log-power runs.  A linear combination is the merged run list of its terms.
+It is the only code that reads a profile's form; point values, the limit at
+the origin, the declared expansions and every sphere sum read the runs.
+Power runs are summed as geometric series in closed form; only tabulated
+values and log-power runs are summed sphere by sphere, with running powers,
+from the top down.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Union
 
 from mpmath import mp
@@ -137,6 +143,9 @@ class Indicator:
 
     n: int
 
+    def __post_init__(self):
+        _require_finite(self.n, "indicator radius exponent")
+
 
 @dataclass(frozen=True)
 class Table:
@@ -153,6 +162,7 @@ class Table:
     outer_tail: OuterTail | None = None
 
     def __post_init__(self):
+        _require_finite(self.j_lo, "table start exponent")
         if len(self.values) == 0:
             raise ParamOutOfRange("a table needs at least one value")
         object.__setattr__(self, "values", tuple(self.values))
@@ -188,122 +198,41 @@ RadialFunction = Union[Monomial, LogPower, Indicator, Table, LinearCombo]
 
 
 # ---------------------------------------------------------------------------
-# Point evaluation
-# ---------------------------------------------------------------------------
-
-def eval_sphere(f: RadialFunction, j, ctx: NumericContext):
-    """Value of the profile on the sphere |x| = p**j (j = ZERO: limit at 0)."""
-    with ctx.workprec():
-        if j is ZERO:
-            return _value_at_origin(f, ctx)
-        j = _require_finite(j, "sphere exponent")
-        if isinstance(f, Monomial):
-            return ctx.p_pow(ctx.real(f.degree) * j)
-        if isinstance(f, LogPower):
-            if j <= 0:
-                return ctx.real(1) if float(f.gamma) == 0 else ctx.real(0)
-            return _log_power_value(ctx, j, f.beta, f.gamma)
-        if isinstance(f, Indicator):
-            return ctx.real(1) if j <= f.n else ctx.real(0)
-        if isinstance(f, Table):
-            if f.j_lo <= j <= f.j_hi:
-                return ctx.real(f.values[j - f.j_lo])
-            if j < f.j_lo:
-                return _inner_tail_value(f.inner_tail, j, ctx)
-            return _outer_tail_value(f.outer_tail, j, ctx)
-        if isinstance(f, LinearCombo):
-            total = ctx.real(0)
-            for c, g in f.terms:
-                total += ctx.real(c) * eval_sphere(g, j, ctx)
-            return total
-    raise TypeError(f"not a radial function: {f!r}")
-
-
-def _value_at_origin(f: RadialFunction, ctx: NumericContext):
-    if isinstance(f, Monomial):
-        d = float(f.degree)
-        if d > 0:
-            return ctx.real(0)
-        if d == 0:
-            return ctx.real(1)
-        raise UndefinedAtZero("negative-degree monomial has no limit at 0")
-    if isinstance(f, LogPower):
-        return ctx.real(1) if float(f.gamma) == 0 else ctx.real(0)
-    if isinstance(f, Indicator):
-        return ctx.real(1)
-    if isinstance(f, Table):
-        tail = f.inner_tail
-        if tail is None:
-            raise MissingTail("table has no inner tail")
-        if isinstance(tail, ZeroTail):
-            return ctx.real(0)
-        d = float(tail.degree)
-        if d > 0:
-            return ctx.real(0)
-        if d == 0:
-            return ctx.real(tail.coeff)
-        raise UndefinedAtZero("negative-degree inner tail has no limit at 0")
-    if isinstance(f, LinearCombo):
-        total = ctx.real(0)
-        for c, g in f.terms:
-            total += ctx.real(c) * _value_at_origin(g, ctx)
-        return total
-    raise TypeError(f"not a radial function: {f!r}")
-
-
-def _log_power_value(ctx: NumericContext, j: int, beta, gamma):
-    value = ctx.p_pow(-ctx.real(beta) * j)
-    if float(gamma) != 0:
-        value = value * general_power(ctx, j * ctx.log_unit(), gamma)
-    return value
-
-
-def _inner_tail_value(tail, j: int, ctx: NumericContext):
-    if tail is None:
-        raise MissingTail(f"no inner tail declared below the table range (j={j})")
-    if isinstance(tail, ZeroTail):
-        return ctx.real(0)
-    return ctx.real(tail.coeff) * ctx.p_pow(ctx.real(tail.degree) * j)
-
-
-def _outer_tail_value(tail, j: int, ctx: NumericContext):
-    if tail is None:
-        raise MissingTail(f"no outer tail declared above the table range (j={j})")
-    log_r = j * ctx.log_unit()
-    gamma = ctx.real(tail.gamma)
-    value = ctx.real(0)
-    for k, a in enumerate(tail.coeffs):
-        value += ctx.real(a) * general_power(ctx, log_r, gamma - k)
-    return ctx.p_pow(-ctx.real(tail.beta) * j) * value
-
-
-# ---------------------------------------------------------------------------
-# Sphere segments
+# Sphere runs: the one normal form of a profile
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class PowerRun:
     """f(p**j) = coeff * p**(j*degree) exactly for lo <= j <= hi.
 
-    ``lo=None`` means the run reaches down to the origin.
+    ``lo=None`` means the run reaches down to the origin, ``hi=math.inf``
+    that it reaches out to infinity.
     """
 
     lo: int | None
-    hi: int
+    hi: int | float
     coeff: object
     degree: object
+
+    def at(self, j: int, ctx: NumericContext) -> list:
+        """The parts that add up to f(p**j) on a sphere the run covers."""
+        return [self.coeff * ctx.p_pow(self.degree * j) if self.degree else self.coeff]
 
 
 @dataclass(frozen=True)
 class ValueRun:
-    """Tabulated values f(p**(lo + i)) = values[i]."""
+    """f(p**(lo + i)) = coeff * values[i], each value converted when read."""
 
     lo: int
     values: tuple
+    coeff: object
 
     @property
     def hi(self) -> int:
         return self.lo + len(self.values) - 1
+
+    def at(self, j: int, ctx: NumericContext) -> list:
+        return [self.coeff * ctx.real(self.values[j - self.lo])]
 
 
 @dataclass(frozen=True)
@@ -311,32 +240,91 @@ class LogRun:
     """f(p**j) = p**(-j*beta) * sum_k coeffs[k] * (j*L)**(gamma-k), lo <= j <= hi."""
 
     lo: int
-    hi: int
+    hi: int | float
     beta: object
     gamma: object
     coeffs: tuple
 
+    def at(self, j: int, ctx: NumericContext) -> list:
+        (terms,) = _log_terms(self, (j,), ctx.log_unit(), ctx)
+        s = ctx.p_pow(-self.beta * j)
+        return [s * t for t in terms]
 
-def sphere_segments(f: RadialFunction, top: int, ctx: NumericContext) -> list:
-    """The profile on the spheres j <= top as runs, highest first.
 
-    Runs on which the profile vanishes are left out.  Every scalar is in
-    the context arithmetic, so exponents built from it (degree + 1,
-    degree + alpha, ...) never round through float64.
+def _log_terms(run: LogRun, js, L, ctx: NumericContext):
+    """Per j in js, coeffs[k] * (j*L)**(gamma-k): one power, then products by j*L."""
+    low = run.gamma - (len(run.coeffs) - 1)
+    for j in js:
+        x = j * L
+        y = general_power(ctx, x, low) if low != 0 else 1
+        terms = [run.coeffs[-1] * y]
+        for a in run.coeffs[-2::-1]:
+            y = y * x
+            terms.append(a * y)
+        yield terms[::-1]
+
+
+def _scaled(run, c):
+    if isinstance(run, LogRun):
+        return replace(run, coeffs=tuple(c * a for a in run.coeffs))
+    return replace(run, coeff=c * run.coeff)
+
+
+def _merged(a, b):
+    """a + b as one run when both have the same span and form, else None."""
+    if type(a) is not type(b) or (a.lo, a.hi) != (b.lo, b.hi):
+        return None
+    if isinstance(a, PowerRun) and a.degree == b.degree:
+        return replace(a, coeff=a.coeff + b.coeff)
+    if isinstance(a, LogRun):
+        form = _log_sum((a.beta, a.gamma, a.coeffs), (b.beta, b.gamma, b.coeffs))
+        return None if form is None else LogRun(a.lo, a.hi, *form)
+    return None
+
+
+def _log_sum(u, v):
+    """The sum of two log-power forms (beta, gamma, coeffs) as one form.
+
+    None unless the betas are equal and the gammas differ by an integer;
+    the coefficients align on the larger gamma, as in :class:`OuterTail`.
+    """
+    (b1, g1, a1), (b2, g2, a2) = sorted((u, v), key=lambda form: -form[1])
+    shift = g1 - g2
+    if b1 != b2 or shift != int(shift):
+        return None
+    shift = int(shift)
+    coeffs = list(a1) + [a1[0] * 0] * max(0, shift + len(a2) - len(a1))
+    for k, a in enumerate(a2):
+        coeffs[shift + k] += a
+    return b1, g1, tuple(coeffs)
+
+
+def sphere_segments(f: RadialFunction, top, ctx: NumericContext) -> list:
+    """The profile on the spheres j <= top as runs whose values add.
+
+    ``top`` may be ``math.inf`` (every sphere; runs that reach infinity end
+    at inf) or ``-math.inf`` (only the runs that reach the origin).  Runs
+    on which the profile vanishes are left out.  A :class:`LinearCombo`
+    scales each term's runs by its coefficient and merges runs of the same
+    span: power runs of equal degree, and log-power runs of equal beta
+    whose gammas differ by an integer.  Every scalar is exact: a context
+    scalar, or the integers 1 and 0 for a unit coefficient and a constant,
+    so exponents built from it (degree + 1, degree + alpha, ...) never
+    round through float64.  Raises :class:`MissingTail` where a table
+    declares no tail.
     """
     real = ctx.real
-    one = real(1)
     if isinstance(f, Monomial):
-        return [PowerRun(None, top, one, real(f.degree))]
+        return [PowerRun(None, top, 1, real(f.degree))]
     if isinstance(f, Indicator):
-        return [PowerRun(None, min(f.n, top), one, real(0))]
+        return [PowerRun(None, min(f.n, top), 1, 0)]
     if isinstance(f, LogPower):
-        if float(f.gamma) != 0:
+        if f.gamma != 0:
             if top < 1:
                 return []
-            return [LogRun(1, top, real(f.beta), real(f.gamma), (one,))]
-        runs = [PowerRun(1, top, one, -real(f.beta))] if top >= 1 else []
-        return runs + [PowerRun(None, min(top, 0), one, real(0))]
+            return [LogRun(1, top, real(f.beta), real(f.gamma), (1,))]
+        runs = [PowerRun(1, top, 1, -real(f.beta))] if top >= 1 else []
+        return runs + [PowerRun(None, min(top, 0), 1, 0)]
     if isinstance(f, Table):
         inner, outer = f.inner_tail, f.outer_tail
         if inner is None:
@@ -352,13 +340,63 @@ def sphere_segments(f: RadialFunction, top: int, ctx: NumericContext) -> list:
                 LogRun(f.j_hi + 1, top, real(outer.beta), real(outer.gamma), coeffs)
             )
         if top >= f.j_lo:
-            values = f.values[: top - f.j_lo + 1]
-            runs.append(ValueRun(f.j_lo, tuple(real(v) for v in values)))
+            values = f.values if top >= f.j_hi else f.values[: top - f.j_lo + 1]
+            runs.append(ValueRun(f.j_lo, values, 1))
         if isinstance(inner, PowerTail):
             hi = min(top, f.j_lo - 1)
             runs.append(PowerRun(None, hi, real(inner.coeff), real(inner.degree)))
         return runs
-    raise TypeError(f"no sphere segments for {f!r}")
+    if isinstance(f, LinearCombo):
+        runs = []
+        with ctx.workprec():
+            for c, g in f.terms:
+                for run in sphere_segments(g, top, ctx):
+                    run = _scaled(run, real(c))
+                    for i, old in enumerate(runs):
+                        merged = _merged(old, run)
+                        if merged is not None:
+                            runs[i] = merged
+                            break
+                    else:
+                        runs.append(run)
+        return runs
+    raise TypeError(f"not a radial function: {f!r}")
+
+
+def _whole_line(f: RadialFunction, ctx: NumericContext):
+    """The runs on every sphere, or None when a table declares no tail."""
+    try:
+        return sphere_segments(f, math.inf, ctx)
+    except MissingTail:
+        return None
+
+
+# ---------------------------------------------------------------------------
+# Point evaluation
+# ---------------------------------------------------------------------------
+
+def eval_sphere(f: RadialFunction, j, ctx: NumericContext):
+    """Value of the profile on the sphere |x| = p**j (j = ZERO: limit at 0).
+
+    It is the sum of the values of the runs that cover j.
+    """
+    with ctx.workprec():
+        return ctx.real(sum(_sphere_parts(f, j, ctx)))
+
+
+def _sphere_parts(f: RadialFunction, j, ctx: NumericContext) -> list:
+    """The parts of f(p**j) over the runs that cover j, at working precision.
+
+    Rounding errors in f(p**j) scale with the sum of their sizes.
+    """
+    if j is ZERO:
+        runs = sphere_segments(f, -math.inf, ctx)
+        if any(run.degree < 0 for run in runs):
+            raise UndefinedAtZero("a negative-degree power has no limit at 0")
+        return [run.coeff for run in runs if run.degree == 0]
+    j = _require_finite(j, "sphere exponent")
+    runs = sphere_segments(f, j, ctx)
+    return [x for run in runs if run.hi == j for x in run.at(j, ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +433,8 @@ class SphereSum:
     The Haar factor 1 - 1/p is left to the caller.  Ball integrals take
     w = 1.  The operator at |x| = p**N takes top = N - 1 and the kernel
     frozen on each inner sphere, w(j) = K * (1 - q**(N-j)) with
-    K = p**(N(alpha-1)) and q = p**(-(alpha-1)).
+    K = p**(N(alpha-1)) and q = p**(-(alpha-1)).  Every run of the profile
+    is summed once, so a linear combination walks its spheres once.
 
     ``total`` is the sum; ``magnitude`` bounds the size of what was added
     before any cancellation, which is what rounding errors scale with;
@@ -437,10 +476,11 @@ class SphereSum:
     def _add_explicit(self, hi: int, steps):
         """Sum the spheres hi, hi - 1, ... that ``steps`` yields.
 
-        ``steps`` yields (f(p**j) * p**j, rest) per sphere, where rest is
-        None or bounds the run's terms below j divided by K.  The sum stops
-        once K * rest falls below rel_tol of everything summed so far, and
-        K * rest joins the remainder.
+        ``steps`` yields (f(p**j) * p**j, size, rest) per sphere, where size
+        is the sum of the absolute values of the parts of the first entry,
+        and rest is None or bounds the run's terms below j divided by K.
+        The sum stops once K * rest falls below rel_tol of everything summed
+        so far, and K * rest joins the remainder.
         """
         ctx, K = self.ctx, self.K
         if self.a1 is None:
@@ -452,13 +492,13 @@ class SphereSum:
         above = self.abs_total / K
         run_sum = run_size = run_abs = ctx.real(0)
         j = hi
-        for u, rest in steps:
+        for u, size, rest in steps:
             term = u * (one - Q)
             run_sum += term
-            run_size += abs(u)
+            run_size += size
             run_abs += abs(term)
             self.explicit += 1
-            self.low = j
+            self.low = min(self.low, j)
             if rest is not None and rest < tol * (above + run_abs):
                 self.remainder += K * rest
                 break
@@ -470,16 +510,20 @@ class SphereSum:
 
 
 def _value_steps(ctx: NumericContext, run: ValueRun):
-    """(f(p**j) * p**j, None) for j = hi down to lo, p**j a running power."""
-    pj = ctx.p_pow(run.hi)
+    """(f(p**j) * p**j, its size, None) for j = hi down to lo.
+
+    coeff * p**j is a running power.
+    """
+    pj = run.coeff * ctx.p_pow(run.hi)
     down = 1 / ctx.real(ctx.prime)
     for v in reversed(run.values):
-        yield v * pj, None
+        u = ctx.real(v) * pj
+        yield u, abs(u), None
         pj *= down
 
 
 def _log_steps(ctx: NumericContext, run: LogRun):
-    """(f(p**j) * p**j, rest_j) for j = hi down to lo.
+    """(f(p**j) * p**j, its size, rest_j) for j = hi down to lo.
 
     f(p**j) * p**j = s_j * sum_k a_k (jL)**(gamma-k) with s_j = p**(j(1-beta))
     a running power.  When 1 - beta > 0 and lo >= 1 the run decays
@@ -502,21 +546,16 @@ def _log_steps(ctx: NumericContext, run: LogRun):
             for k, a in enumerate(coeffs)
             if gamma - k < 0
         )
-    for j in range(run.hi, run.lo - 1, -1):
-        logs = [
-            general_power(ctx, j * L, gamma - k) if gamma != k else 1
-            for k in range(len(coeffs))
-        ]
-        u = s * sum(a * x for a, x in zip(coeffs, logs))
+    rising = [k for k in range(len(coeffs)) if gamma - k >= 0]
+    js = range(run.hi, run.lo - 1, -1)
+    for j, terms in zip(js, _log_terms(run, js, L, ctx)):
+        u = s * sum(terms)
+        sizes = [abs(t) for t in terms]
+        size = abs(u) if len(terms) == 1 else s * sum(sizes)
         rest = None
         if truncate and j > run.lo:
-            growing = sum(
-                abs(a) * x
-                for k, (a, x) in enumerate(zip(coeffs, logs))
-                if gamma - k >= 0
-            )
-            rest = (growing + falling) * s * rho
-        yield u, rest
+            rest = (sum(sizes[k] for k in rising) + falling) * s * rho
+        yield u, size, rest
         s *= down
 
 
@@ -533,11 +572,6 @@ def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):
         return ctx.real(0)
     n = _require_finite(n)
     with ctx.workprec():
-        if isinstance(f, LinearCombo):
-            total = ctx.real(0)
-            for c, g in f.terms:
-                total += ctx.real(c) * cumulative_ball_integral(g, n, ctx)
-            return total
         return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(f, n, ctx).total
 
 
@@ -545,59 +579,40 @@ def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):
 # Declared expansions (used to match profiles against predictions)
 # ---------------------------------------------------------------------------
 
-def origin_expansion(f: RadialFunction):
+def origin_expansion(f: RadialFunction, ctx: NumericContext):
     """Declared origin-side monomial expansion (coeffs, degrees), or None.
 
-    Only pure monomials and linear combinations of monomials expose one;
-    tabulated profiles must be given their expansion explicitly.
+    A profile declares one when it is a sum of powers on every sphere, that
+    is when each of its runs is a power run from the origin to infinity
+    (monomials and their combinations, equal degrees merged).  Degrees
+    ascend.  Tabulated profiles must be given their expansion explicitly.
     """
-    if isinstance(f, Monomial):
-        return (1.0,), (f.degree,)
-    if isinstance(f, LinearCombo):
-        pairs = []
-        for c, g in f.terms:
-            if not isinstance(g, Monomial):
-                return None
-            pairs.append((float(g.degree), float(c)))
-        pairs.sort()
-        degrees = tuple(d for d, _ in pairs)
-        if any(x >= y for x, y in zip(degrees, degrees[1:])):
-            return None
-        return tuple(c for _, c in pairs), degrees
-    return None
+    runs = _whole_line(f, ctx)
+    if runs is None or not all(
+        isinstance(r, PowerRun) and r.lo is None and r.hi == math.inf for r in runs
+    ):
+        return None
+    runs.sort(key=lambda r: r.degree)
+    return tuple(r.coeff for r in runs), tuple(r.degree for r in runs)
 
 
-def outer_expansion(f: RadialFunction):
+def outer_expansion(f: RadialFunction, ctx: NumericContext):
     """Declared large-radius expansion (beta, gamma, coeffs), or None.
 
-    The coefficient list aligns with log powers gamma, gamma-1, ... as in
-    :class:`OuterTail`.
+    Read from the runs that reach infinity: each must start at a finite
+    sphere, and together they must form one log-power form (a power run of
+    degree -beta is its log power 0).  The coefficient list aligns with log
+    powers gamma, gamma-1, ... as in :class:`OuterTail`.  Every entry is
+    exact: a context scalar, or the integer 1 for a unit coefficient.
     """
-    if isinstance(f, LogPower):
-        return f.beta, f.gamma, (1.0,)
-    if isinstance(f, Table):
-        if f.outer_tail is None:
-            return None
-        return f.outer_tail.beta, f.outer_tail.gamma, f.outer_tail.coeffs
-    if isinstance(f, LinearCombo):
-        parts = []
-        for c, g in f.terms:
-            if not isinstance(g, LogPower):
-                return None
-            parts.append((float(c), float(g.beta), float(g.gamma)))
-        betas = {b for _, b, _ in parts}
-        if len(betas) != 1:
-            return None
-        beta = betas.pop()
-        gamma = max(g for _, _, g in parts)
-        coeffs: dict[int, float] = {}
-        for c, _, g in parts:
-            offset = gamma - g
-            if abs(offset - round(offset)) > 1e-9:
-                return None
-            coeffs[round(offset)] = coeffs.get(round(offset), 0.0) + c
-        out = [0.0] * (max(coeffs) + 1)
-        for k, c in coeffs.items():
-            out[k] = c
-        return beta, gamma, tuple(out)
-    return None
+    far = [r for r in _whole_line(f, ctx) or () if r.hi == math.inf]
+    if not far or any(r.lo is None for r in far):
+        return None
+    with ctx.workprec():
+        forms = [
+            (r.beta, r.gamma, r.coeffs)
+            if isinstance(r, LogRun)
+            else (-r.degree, ctx.real(0), (r.coeff,))
+            for r in far
+        ]
+        return reduce(lambda u, v: u and _log_sum(u, v), forms)

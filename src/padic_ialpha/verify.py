@@ -26,16 +26,15 @@ from .core import (
 )
 from .ialpha import ialpha_eval, smallball_kernel_integral
 from .radial import (
-    Indicator,
-    LinearCombo,
     LogPower,
-    Monomial,
-    PowerTail,
+    LogRun,
+    PowerRun,
     RadialFunction,
-    Table,
+    _whole_line,
     cumulative_ball_integral,
     origin_expansion,
     outer_expansion,
+    sphere_segments,
 )
 
 __all__ = [
@@ -110,7 +109,7 @@ def _scan_origin(f, order, ladder, alpha, ctx, coeffs, scales):
     if ladder[-1] > -1:
         raise HypothesisMismatch("origin-side scans need negative exponents")
     if coeffs is None or scales is None:
-        declared = origin_expansion(f)
+        declared = origin_expansion(f, ctx)
         if declared is None:
             raise HypothesisMismatch(
                 "profile declares no origin expansion; pass coeffs and scales"
@@ -148,7 +147,7 @@ def _scan_origin(f, order, ladder, alpha, ctx, coeffs, scales):
 def _scan_infinity(f, order, ladder, alpha, ctx, coeffs, beta, gamma):
     if ladder[0] < 2:
         raise HypothesisMismatch("large-radius scans need exponents >= 2")
-    declared = outer_expansion(f)
+    declared = outer_expansion(f, ctx)
     if coeffs is None or beta is None or gamma is None:
         if declared is None:
             raise HypothesisMismatch(
@@ -188,7 +187,7 @@ def _scan_infinity(f, order, ladder, alpha, ctx, coeffs, beta, gamma):
 def _scan_critical(f, order, ladder, alpha, ctx, coeffs, gamma, printed_form):
     if ladder[0] < 2:
         raise HypothesisMismatch("large-radius scans need exponents >= 2")
-    declared = outer_expansion(f)
+    declared = outer_expansion(f, ctx)
     if coeffs is None or gamma is None:
         if declared is None:
             raise HypothesisMismatch(
@@ -197,7 +196,7 @@ def _scan_critical(f, order, ladder, alpha, ctx, coeffs, gamma, printed_form):
         beta_d, gamma_d, coeffs_d = declared
         gamma = gamma_d if gamma is None else gamma
         coeffs = coeffs_d if coeffs is None else coeffs
-    if declared is not None and abs(float(declared[0]) - 1.0) > 1e-9:
+    if declared is not None and declared[0] != 1:
         raise HypothesisMismatch("critical-decay scans need outer beta = 1")
     a, g = ctx.real(alpha), ctx.real(gamma)
     rows = []
@@ -254,7 +253,7 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     if not ladder:
         raise ParamOutOfRange("ladder must be nonempty")
     a = ctx.real(alpha)
-    positive, decay = _two_sided_profile(f)
+    positive, decay = _two_sided_profile(f, ctx)
     if not positive:
         raise HypothesisMismatch(
             "profile is not bounded between positive constants near the origin"
@@ -273,39 +272,29 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     return min(ratios), max(ratios), rows
 
 
-def _two_sided_profile(f: RadialFunction):
-    """(bounded below by a positive constant near 0, outer decay exponent)."""
-    if isinstance(f, Indicator):
-        return f.n >= 0, math.inf
-    if isinstance(f, LogPower):
-        if float(f.gamma) == 0:
-            return True, float(f.beta)
-        return False, float(f.beta)
-    if isinstance(f, Monomial):
-        return float(f.degree) == 0, -float(f.degree)
-    if isinstance(f, Table):
-        tail = f.inner_tail
-        near0 = (
-            isinstance(tail, PowerTail)
-            and float(tail.degree) == 0
-            and float(tail.coeff) > 0
-        )
-        # a declared OuterTail decays at most like |x|**(-1), which cannot
-        # certify the required strictly-faster-than-1 outer hypothesis
-        return near0, 1.0 if f.outer_tail is not None else 0.0
-    if isinstance(f, LinearCombo):
-        if not f.terms:
-            return False, math.inf
-        positive_somewhere = False
-        decay = math.inf
-        for c, g in f.terms:
-            if float(c) <= 0:
-                return False, 0.0
-            pos, d = _two_sided_profile(g)
-            positive_somewhere = positive_somewhere or pos
-            decay = min(decay, d)
-        return positive_somewhere, decay
-    return False, 0.0
+def _two_sided_profile(f: RadialFunction, ctx: NumericContext):
+    """(bounded between positive constants on |x| <= 1, outer decay exponent).
+
+    Read from the runs: on the spheres j <= 0 the profile must be one
+    positive constant run, and it decays like its slowest run that reaches
+    infinity (none: decay inf; no declared outer tail: decay 0).
+    """
+    runs = _whole_line(f, ctx)
+    if runs is None:
+        return False, 0
+    unit = sphere_segments(f, 0, ctx)
+    positive = (
+        len(unit) == 1
+        and isinstance(unit[0], PowerRun)
+        and (unit[0].lo, unit[0].hi, unit[0].degree) == (None, 0, 0)
+        and unit[0].coeff > 0
+    )
+    decay = min(
+        (r.beta if isinstance(r, LogRun) else -r.degree
+         for r in runs if r.hi == math.inf),
+        default=math.inf,
+    )
+    return positive, decay
 
 
 # ---------------------------------------------------------------------------

@@ -405,6 +405,18 @@ class TestPredictInfinityCritical:
         with pytest.raises(TailMismatch):
             predict_infinity_beta1([1.0], 2.0, 0, 8, LogPower(1.0, 0.0), 2.0, ctx2)
 
+    def test_declared_tail_is_compared_exactly(self, ctx2):
+        # a tolerance of 1e-9 would accept each of these
+        f = LogPower(1.0, 1.0)
+        with pytest.raises(TailMismatch):
+            predict_infinity_beta1([1.0 + 1e-12], 1.0, 0, 8, f, 2.0, ctx2)
+        with pytest.raises(TailMismatch):
+            predict_infinity_beta1([1.0], 1.0 + 1e-12, 0, 8, f, 2.0, ctx2)
+        with pytest.raises(TailMismatch):
+            predict_infinity_beta1([1.0], 1.0, 0, 8, LogPower(1.0 + 1e-12, 1.0),
+                                   2.0, ctx2)
+        predict_infinity_beta1([1.0], 1.0, 0, 8, f, 2.0, ctx2)
+
     def test_printed_variant_differs_by_power_factor_on_logs(self, ctx2):
         f = LogPower(1.0, 0.0)
         x, alpha = 12, 2.0
@@ -462,6 +474,18 @@ class TestAsymptoticPrediction:
     def test_log_exponent_spacing_enforced(self):
         with pytest.raises(ParamOutOfRange):
             AsymptoticPrediction(1.0, 1.0, ((2.0, 1.0), (0.5, 1.0)))
+
+    def test_log_exponent_spacing_is_exact(self, ctx2):
+        # 2.3 - 1.3 is 1 - 2**-52 at the exact doubles
+        with pytest.raises(ParamOutOfRange):
+            AsymptoticPrediction(1.0, 1.0, ((2.3, 1.0), (1.3, 1.0)))
+        with pytest.raises(ParamOutOfRange):
+            AsymptoticPrediction(1.0, 1.0, ((2.0, 1.0), (1.0 + 1e-12, 1.0)))
+        g = ctx2.real(2.3)
+        with ctx2.workprec():
+            AsymptoticPrediction(1.0, 1.0, ((g, 1.0), (g - 1, 1.0), (g - 2, 1.0)))
+        third = Fraction(1, 3)
+        AsymptoticPrediction(1, 1, ((third + 1, 1), (third, 1)))
 
     def test_evaluate_requires_profile_for_cumulative(self, ctx2):
         pred = AsymptoticPrediction(1.0, 1.0, ((0.0, 1.0),), extra_cumulative=True)

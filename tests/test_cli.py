@@ -9,6 +9,7 @@ from mpmath import mp
 from padic_ialpha import (
     MissingTail,
     NumericContext,
+    OuterTail,
     ParseError,
     PowerTail,
     Table,
@@ -117,6 +118,44 @@ class TestTableFormat:
         assert loaded.inner_tail == PowerTail(1.0, 1.0)
         assert loaded.j_lo == -3 and loaded.j_hi == 3
         assert loaded.values[loaded.j_hi - loaded.j_lo] == 8.0
+
+    def test_cli_dump_of_a_single_power_combo(self, tmp_path, capsys):
+        # equal scales merge into one power run: 3 * |y|**0.5
+        path = tmp_path / "combo.tab"
+        status, _, _ = run_capture(
+            capsys,
+            ["eval", "--p", "2", "--alpha", "2", "--coeffs", "1,2",
+             "--scales", "0.5,0.5", "--ladder", "0:2:1", "--dump-table", str(path)],
+        )
+        assert status == 0
+        loaded = load_table(str(path), expected_prime=2)
+        assert loaded.inner_tail == PowerTail(3.0, 0.5)
+        assert loaded.outer_tail is None
+        assert (loaded.j_lo, loaded.j_hi) == (0, 2)
+        with mp.workprec(256):
+            assert loaded.values == tuple(float(3 * mp.sqrt(2) ** j) for j in range(3))
+
+    def test_cli_dump_of_several_powers_is_refused(self, tmp_path, capsys):
+        # no single inner tail describes 1 * |y|**0.5 + 2 * |y|
+        path = tmp_path / "combo.tab"
+        status, out, err = run_capture(
+            capsys,
+            ["eval", "--p", "2", "--alpha", "2", "--coeffs", "1,2",
+             "--scales", "0.5,1", "--ladder", "0:2:1", "--dump-table", str(path)],
+        )
+        assert status == 2
+        assert out == ""
+        assert "inner tail" in err
+
+    def test_table_dump_keeps_the_whole_table(self, tmp_path, ctx2):
+        original = Table.from_values(
+            {-1: 0.25, 0: 0.5, 1: 0.125, 2: 1.5},
+            PowerTail(1.0, 1.0),
+            OuterTail(0.5, 2.0, (1.0, -0.25)),
+        )
+        path = tmp_path / "outer.tab"
+        dump_table(original, str(path), ctx2, [0, 0])
+        assert load_table(str(path), expected_prime=2) == original
 
     def test_minimal_valid_file(self, tmp_path):
         path = tmp_path / "ok.tab"

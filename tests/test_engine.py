@@ -1,5 +1,7 @@
 """The sphere-sum engine against literal sphere sums (tests/sphere_oracle.py)."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from padic_ialpha import (
     cumulative_ball_integral,
     ialpha_eval,
 )
+from padic_ialpha.radial import SphereSum
 from sphere_oracle import oracle_ball, oracle_ialpha
 
 VALUES = (0.75, 1.25, 0.5, 2.0, 1.5, 0.875)
@@ -41,6 +44,11 @@ FLOAT_CASES = [
     ("logp-b3", LogPower(3.0, 0.0), 9, 2.3, 2),
     ("logp-g2", LogPower(0.5, 2.0), 250, 2.3, 2),
     ("logp-g0.5", LogPower(1.0, 0.5), 40, 1.4, 3),
+    ("combo-mixed", LinearCombo((
+        (0.5, Monomial(0.5)), (-0.7, Indicator(1)), (0.3, LogPower(0.5, 2.0)),
+        (1.25, Table(-4, VALUES, PowerTail(0.9, 0.25),
+                     OuterTail(0.5, 0.25, (0.01, 5.0)))),
+    )), 60, 2.3, 2),
 ]
 
 # (id, profile, N, alpha, p), every exponent an integer; logs base p
@@ -55,6 +63,11 @@ EXACT_CASES = [
     ("logp-b1", LogPower(1, 0), 7, 2, 2),
     ("logp-b3", LogPower(3, 0), 5, 2, 3),
     ("logp-g2", LogPower(0, 2), 6, 3, 2),
+    ("combo-mixed", LinearCombo((
+        (2, Monomial(1)), (-3, Indicator(0)), (1, LogPower(0, 2)),
+        (Fraction(1, 2), Table(-3, (1, 3, 2, 5), PowerTail(2, 1),
+                               OuterTail(1, 2, (1, -1)))),
+    )), 6, 3, 2),
 ]
 
 
@@ -100,6 +113,23 @@ def test_exact_power_model_sums_no_sphere(ctx2):
 def test_only_table_values_are_explicit(ctx2):
     tab = Table(-4, VALUES, PowerTail(1.3, 0.7))
     assert ialpha_eval(tab, 1, 2.0, ctx2).j_cut == -4
+
+
+def test_combo_cut_is_its_lowest_explicit_sphere(ctx2):
+    # the table's values are summed before the truncated log run
+    tab = Table(-4, VALUES, PowerTail(1.3, 0.7), OuterTail(0.5, 1.0, (1.0,)))
+    combo = LinearCombo(((1.0, tab), (1.0, LogPower(0.5, 2.0))))
+    assert ialpha_eval(combo, 300, 2.0, ctx2).j_cut == -4
+
+
+def test_combo_walks_its_spheres_once(ctx2):
+    # the gamma = 2, 1 log runs merge into one; the gamma = 0 term is a power
+    # run, summed in closed form
+    combo = LinearCombo(tuple(
+        (c, LogPower(1, 2 - n)) for n, c in enumerate((1.0, -0.5, 0.25))
+    ))
+    alone = SphereSum(LogPower(1, 2), 599, ctx2, 2.0).explicit
+    assert SphereSum(combo, 599, ctx2, 2.0).explicit == alone == 599
 
 
 def test_near_critical_alpha_keeps_double_accuracy(ctx2):

@@ -28,6 +28,7 @@ from padic_ialpha import (
     origin_expansion,
     outer_expansion,
 )
+from padic_ialpha.radial import _sphere_parts, sphere_segments
 
 
 class TestEvalSphere:
@@ -128,6 +129,16 @@ class TestParameterValidation:
             with pytest.raises(ParamOutOfRange):
                 Table(0, (1.0, x), ZeroTail())
 
+    def test_indicator_exponent(self):
+        for x in self.BAD + (2.5, Fraction(1, 2)):
+            with pytest.raises(ParamOutOfRange):
+                Indicator(x)
+
+    def test_table_start_exponent(self):
+        for x in self.BAD + (0.5,):
+            with pytest.raises(ParamOutOfRange):
+                Table(x, (1.0,), ZeroTail())
+
     def test_linear_combo_coefficients(self):
         for x in self.BAD:
             with pytest.raises(ParamOutOfRange):
@@ -201,29 +212,118 @@ class TestCumulativeBallIntegral:
 
 
 class TestDeclaredExpansions:
-    def test_origin_expansion_monomial(self):
-        assert origin_expansion(Monomial(1.5)) == ((1.0,), (1.5,))
+    def test_origin_expansion_monomial(self, ctx2):
+        assert origin_expansion(Monomial(1.5), ctx2) == ((1.0,), (1.5,))
 
-    def test_origin_expansion_combo_sorted(self):
+    def test_origin_expansion_combo_sorted(self, ctx2):
         f = LinearCombo(((2.0, Monomial(2.0)), (1.0, Monomial(1.0))))
-        coeffs, degrees = origin_expansion(f)
+        coeffs, degrees = origin_expansion(f, ctx2)
         assert degrees == (1.0, 2.0)
         assert coeffs == (1.0, 2.0)
 
-    def test_origin_expansion_none_for_table(self):
-        assert origin_expansion(Table.from_values({0: 1.0}, ZeroTail())) is None
+    def test_origin_expansion_none_for_table(self, ctx2):
+        assert origin_expansion(Table.from_values({0: 1.0}, ZeroTail()), ctx2) is None
 
-    def test_outer_expansion_log_power(self):
-        assert outer_expansion(LogPower(0.5, 2.0)) == (0.5, 2.0, (1.0,))
+    def test_outer_expansion_log_power(self, ctx2):
+        assert outer_expansion(LogPower(0.5, 2.0), ctx2) == (0.5, 2.0, (1.0,))
 
-    def test_outer_expansion_combo(self):
+    def test_outer_expansion_combo(self, ctx2):
         f = LinearCombo(
             ((1.0, LogPower(1.0, 2.0)), (-0.5, LogPower(1.0, 1.0)))
         )
-        beta, gamma, coeffs = outer_expansion(f)
+        beta, gamma, coeffs = outer_expansion(f, ctx2)
         assert beta == 1.0 and gamma == 2.0
         assert coeffs == (1.0, -0.5)
 
-    def test_outer_expansion_mixed_betas_rejected(self):
+    def test_outer_expansion_mixed_betas_rejected(self, ctx2):
         f = LinearCombo(((1.0, LogPower(1.0, 1.0)), (1.0, LogPower(0.5, 1.0))))
-        assert outer_expansion(f) is None
+        assert outer_expansion(f, ctx2) is None
+
+    def test_outer_expansion_sums_coefficients_in_the_context(self, ctx2):
+        # float64 gives 0.30000000000000004, which is not 0.1 + 0.2 exactly
+        f = LinearCombo(((0.1, LogPower(0.5, 2)), (0.2, LogPower(0.5, 2))))
+        beta, gamma, coeffs = outer_expansion(f, ctx2)
+        with ctx2.workprec():
+            assert coeffs == (ctx2.real(0.1) + ctx2.real(0.2),)
+        assert coeffs[0] != 0.1 + 0.2
+
+    def test_outer_expansion_keeps_an_exact_beta(self):
+        ctx = NumericContext(2, exact=True, log_base="base_p")
+        beta, gamma, coeffs = outer_expansion(LogPower(Fraction(1, 3), 2), ctx)
+        assert beta == Fraction(1, 3) and isinstance(beta, Fraction)
+        assert (gamma, coeffs) == (2, (1,))
+
+    def test_outer_expansion_joins_the_power_run_of_gamma_zero(self, ctx2):
+        # the gamma = 0 term of an integer-gamma combination is a power run
+        f = LinearCombo(tuple(
+            (c, LogPower(1.0, 2.0 - n)) for n, c in enumerate((1.0, 0.5, 0.25))
+        ))
+        assert outer_expansion(f, ctx2) == (1.0, 2.0, (1.0, 0.5, 0.25))
+
+    def test_equal_degree_monomials_merge(self, ctx2):
+        # equal degrees merge into one power run, which declares an expansion
+        f = LinearCombo(((2.0, Monomial(1.0)), (1.0, Monomial(1.0))))
+        assert origin_expansion(f, ctx2) == ((3.0,), (1.0,))
+
+    def test_outer_expansion_reads_the_runs_at_infinity(self, ctx2):
+        # only runs that reach infinity count: an Indicator has none, and a
+        # table's outer run of the same beta joins the series
+        f = LinearCombo(((1.0, LogPower(0.5, 2.0)), (3.0, Indicator(4))))
+        assert outer_expansion(f, ctx2) == (0.5, 2.0, (1.0,))
+        assert origin_expansion(f, ctx2) is None
+        tab = Table(0, (1.0,), ZeroTail(), OuterTail(0.5, 1.0, (1.0,)))
+        g = LinearCombo(((1.0, LogPower(0.5, 2.0)), (2.0, tab)))
+        assert outer_expansion(g, ctx2) == (0.5, 2.0, (1.0, 2.0))
+
+    def test_no_expansion_without_the_tails(self, ctx2):
+        outer = OuterTail(0.5, 1.0, (1.0,))
+        assert outer_expansion(Table.from_values({0: 1.0}, ZeroTail()), ctx2) is None
+        assert outer_expansion(Table.from_values({0: 1.0}, None, outer), ctx2) is None
+        assert outer_expansion(Monomial(-0.5), ctx2) is None
+        assert origin_expansion(Indicator(3), ctx2) is None
+
+
+class TestRuns:
+    def test_combo_merges_runs_of_one_span(self, ctx2):
+        f = LinearCombo((
+            (1.0, LogPower(0.5, 2.5)), (2.0, LogPower(0.5, 1.5)),
+            (3.0, Monomial(1.0)), (4.0, Monomial(1.0)), (5.0, Indicator(2)),
+        ))
+        runs = sphere_segments(f, 10, ctx2)
+        assert [type(r).__name__ for r in runs] == ["LogRun", "PowerRun", "PowerRun"]
+        log, mono, ind = runs
+        assert (log.lo, log.hi, log.gamma, log.coeffs) == (1, 10, 2.5, (1.0, 2.0))
+        assert (mono.lo, mono.hi, mono.coeff, mono.degree) == (None, 10, 7.0, 1.0)
+        assert (ind.hi, ind.coeff) == (2, 5.0)
+
+    def test_gammas_off_an_integer_do_not_merge(self, ctx2):
+        f = LinearCombo(((1.0, LogPower(0.5, 2.5)), (1.0, LogPower(0.5, 1.0))))
+        assert len(sphere_segments(f, 10, ctx2)) == 2
+
+    def test_gammas_are_compared_exactly(self, ctx2):
+        # the doubles 1.3 and 0.3 differ by 1 + 5.6e-17, which a tolerance
+        # would take for 1; 1.3 - 1 is exact
+        apart = LinearCombo(((1.0, LogPower(0.5, 1.3)), (1.0, LogPower(0.5, 0.3))))
+        assert outer_expansion(apart, ctx2) is None
+        shifted = LinearCombo(
+            ((1.0, LogPower(0.5, 1.3)), (1.0, LogPower(0.5, 1.3 - 1)))
+        )
+        assert outer_expansion(shifted, ctx2) == (0.5, 1.3, (1.0, 1.0))
+
+    def test_point_value_sums_the_covering_runs(self, exact2):
+        f = LinearCombo(((2, Monomial(1)), (-1, Indicator(0)), (3, Monomial(1))))
+        assert eval_sphere(f, -1, exact2) == Fraction(5, 2) - 1
+        assert eval_sphere(f, 2, exact2) == 20
+        assert eval_sphere(f, ZERO, exact2) == -1
+
+    def test_sphere_size_adds_over_runs(self, ctx2):
+        # the two runs cancel at j = 4; their sizes, what rounding scales
+        # with, still add
+        f = LinearCombo(((1.0, LogPower(0.5, 0.0)), (-1.0, Monomial(-0.5))))
+        parts = _sphere_parts(f, 4, ctx2)
+        assert (sum(parts), sum(abs(x) for x in parts)) == (0, 0.5)
+
+    def test_table_values_stay_as_given(self, ctx2):
+        tab = Table(0, (0.1, 0.2), ZeroTail())
+        (run,) = sphere_segments(tab, 1, ctx2)
+        assert run.values is tab.values

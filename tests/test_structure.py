@@ -1,0 +1,68 @@
+"""Structure of the package: one place reads a profile's form."""
+
+import ast
+from pathlib import Path
+
+import padic_ialpha
+
+PROFILE_CLASSES = {"Monomial", "LogPower", "Indicator", "Table", "LinearCombo"}
+
+
+def _class_names(node) -> set:
+    """Names in the second argument of isinstance: a name, attribute or tuple."""
+    if isinstance(node, ast.Tuple):
+        return set().union(*(_class_names(e) for e in node.elts))
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    return set()
+
+
+def profile_type_checks(source: str):
+    """(enclosing function, classes) of every isinstance check on a profile class."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            hit = _class_names(node.args[1]) & PROFILE_CLASSES
+            if hit:
+                found.append((function, sorted(hit)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_only_sphere_segments_reads_the_profile_type():
+    src = Path(padic_ialpha.__file__).parent
+    files = sorted(src.glob("*.py"))
+    assert files
+    stray = {}
+    for path in files:
+        for function, classes in profile_type_checks(path.read_text()):
+            if function != "sphere_segments":
+                stray.setdefault(path.name, []).append((function, classes))
+    assert stray == {}
+
+
+def test_scan_sees_every_form_of_check():
+    source = (
+        "def f(x):\n"
+        "    return isinstance(x, (int, radial.Table)) or isinstance(x, Monomial)\n"
+        "def sphere_segments(x):\n"
+        "    return isinstance(x, LinearCombo)\n"
+        "isinstance(y, LogPower)\n"
+    )
+    assert profile_type_checks(source) == [
+        ("f", ["Table"]), ("f", ["Monomial"]),
+        ("sphere_segments", ["LinearCombo"]), (None, ["LogPower"]),
+    ]

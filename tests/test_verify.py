@@ -199,6 +199,18 @@ class TestRatioBound:
         assert d5 == pytest.approx(5 * d1, rel=1e-12)
         assert d5 / c5 == pytest.approx(d1 / c1, rel=1e-12)
 
+    def test_combination_judged_by_its_runs(self, ctx2):
+        # judged by its runs, not its coefficients: this one is 0.5 on
+        # |y| <= 1 and 2**(-2j) outside
+        f = LinearCombo(((1.0, LogPower(2.0, 0.0)), (-0.5, Indicator(0))))
+        c, d, rows = ratio_bound_check(f, range(5, 21, 5), 2.0, ctx2)
+        assert 0 < c <= d < math.inf
+        with pytest.raises(HypothesisMismatch):
+            ratio_bound_check(
+                LinearCombo(((1.0, LogPower(2.0, 0.0)), (-1.0, Indicator(0)))),
+                [5], 2.0, ctx2,
+            )
+
     def test_hypothesis_mismatches(self, ctx2):
         with pytest.raises(HypothesisMismatch):
             ratio_bound_check(LogPower(0.5, 0.0), [5, 10], 2.0, ctx2)  # slow decay
