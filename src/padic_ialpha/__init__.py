@@ -34,7 +34,6 @@ from .core import (
     NumericModeError,
     ParamOutOfRange,
     ParseError,
-    PrecisionExhausted,
     QOutOfRange,
     RandomStream,
     TailMismatch,

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from numbers import Rational
 
 from mpmath import mp
@@ -404,8 +405,7 @@ def predict_infinity_beta1(
     d_beta, d_gamma, d_coeffs = declared
     if d_beta != 1 or d_gamma != ctx.real(gamma):
         raise _tail_mismatch(a, gamma)
-    padded = list(d_coeffs) + [0] * max(0, len(a) - len(d_coeffs))
-    if any(x != ctx.real(y) for x, y in zip(padded, a)):
+    if any(x != ctx.real(y) for x, y in zip_longest(d_coeffs, a, fillvalue=0)):
         raise _tail_mismatch(a, gamma)
     pred = build_infinity_beta1_prediction(
         a, gamma, order, alpha, ctx, printed_form=printed_form

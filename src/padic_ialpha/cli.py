@@ -21,7 +21,6 @@ from .core import (
     NumericContext,
     ParamOutOfRange,
     ParseError,
-    PrecisionExhausted,
     RandomStream,
     prefactor,
     unit_kernel_integral,
@@ -604,7 +603,7 @@ def run(argv=None) -> int:
         return 2
     try:
         _DISPATCH[args.subcommand](args, ctx, config)
-    except (PrecisionExhausted, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "NumericModeError",
     "ParamOutOfRange",
     "ParseError",
-    "PrecisionExhausted",
     "QOutOfRange",
     "RandomStream",
     "TailMismatch",
@@ -91,14 +90,6 @@ class TailMismatch(ValueError):
 
 class HypothesisMismatch(ValueError):
     """The profile does not satisfy the hypotheses of the requested check."""
-
-
-class PrecisionExhausted(ArithmeticError):
-    """A Haar draw agreed with its reference point beyond the digit budget.
-
-    Never downgraded to a silent zero: the caller resamples or widens the
-    budget.
-    """
 
 
 class NumericModeError(ValueError):
@@ -171,9 +162,12 @@ BallExponent = "int | _RadiusZero"
 def _require_finite(n, what: str = "exponent") -> int:
     if n is ZERO:
         raise ParamOutOfRange(f"{what} must be finite, got ZERO")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ParamOutOfRange(f"{what} must be an integer, got {n!r}")
-    return int(n)
+    if not isinstance(n, bool):
+        try:
+            return operator.index(n)
+        except TypeError:
+            pass
+    raise ParamOutOfRange(f"{what} must be an integer, got {n!r}")
 
 
 def _require_real(x, what: str = "parameter"):
@@ -309,16 +303,17 @@ class NumericContext:
 
 
 def _as_exact_int(exponent) -> int:
-    if isinstance(exponent, (int, np.integer)):
-        return int(exponent)
     if isinstance(exponent, Fraction) and exponent.denominator == 1:
         return int(exponent)
     if isinstance(exponent, float) and exponent.is_integer():
         return int(exponent)
-    raise NumericModeError(
-        f"exponent {exponent!r} is not an integer; exact-rational mode "
-        "cannot represent this power"
-    )
+    try:
+        return operator.index(exponent)
+    except TypeError:
+        raise NumericModeError(
+            f"exponent {exponent!r} is not an integer; exact-rational mode "
+            "cannot represent this power"
+        ) from None
 
 
 def general_power(ctx: NumericContext, base, exponent):
@@ -405,6 +400,8 @@ class RandomStream:
     """Splittable randomness source; each stream is owned by one caller."""
 
     def __init__(self, seed):
+        import numpy as np  # only the Monte Carlo path needs numpy
+
         if isinstance(seed, np.random.SeedSequence):
             self._seq = seed
         else:
@@ -416,19 +413,10 @@ class RandomStream:
         return [RandomStream(child) for child in self._seq.spawn(n)]
 
 
-def sample_kernel_exponents(
-    ctx: NumericContext,
-    n,
-    samples: int,
-    stream: RandomStream,
-    digit_window: int = 16,
-    max_escalations: int = 3,
-    representative_digits: tuple[int, ...] = (1,),
-):
+def sample_kernel_exponents(ctx: NumericContext, n, samples: int, stream: RandomStream):
     """Haar draws y in the ball |y| <= p**n, paired with distances to a sphere point.
 
-    For the representative x with |x| = p**n whose digit string is
-    ``representative_digits``, returns integer arrays (j, e) with
+    For any x with |x| = p**n, returns integer arrays (j, e) with
     |y_i| = p**j[i] and |x - y_i| = p**e[i], one entry per draw.  No digits
     are drawn: Haar digits are i.i.d. uniform, so by ultrametricity the
     pair follows the depth law
@@ -437,40 +425,22 @@ def sample_kernel_exponents(
     * P(j = e = n) = (p - 2) / p (the leading digits differ);
     * P(j = n, e = n - t) = (1 - 1/p) p**(-t) for t >= 1,
 
-    where t is the number of leading digits y shares with x.  j comes from
-    one geometric draw; on the sphere j = n the leading digit matches x's
-    with probability 1/(p - 1) (always at p = 2), and a match draws its
-    depth t from a second geometric.  The law does not depend on which
-    representative is chosen.
-
-    ``digit_window`` and ``max_escalations`` set the digit budget
-    max(digit_window - 1, 1) + sum_{k < max_escalations} digit_window * 2**k;
-    a draw whose depth t exceeds it (y agrees with x on the leading digit
-    and on every budgeted digit after it) raises :class:`PrecisionExhausted`.
+    where t is the number of leading digits y shares with x.  The law does
+    not depend on which point x of the sphere is chosen.  j comes from one
+    geometric draw; on the sphere j = n the leading digit matches x's with
+    probability 1/(p - 1) (always at p = 2), and a match draws its depth t
+    from a second geometric.
     """
+    import numpy as np
+
     n = _require_finite(n)
     p = ctx.prime
-    digits = representative_digits
-    if not digits or not 0 < digits[0] < p or any(not 0 <= d < p for d in digits):
-        raise ParamOutOfRange(
-            f"representative digits must lie in [0, {p}) with a nonzero "
-            f"leading digit, got {representative_digits!r}"
-        )
-    budget = max(digit_window - 1, 1) + sum(
-        digit_window << k for k in range(max_escalations)
-    )
     rng = stream.generator
     j = n + 1 - rng.geometric(1.0 - 1.0 / p, size=samples)
     match = np.flatnonzero(j == n)
     if p > 2:
-        match = match[rng.integers(1, p, size=match.size) == digits[0]]
+        match = match[rng.integers(1, p, size=match.size) == 1]  # x's leading digit
     t = rng.geometric(1.0 - 1.0 / p, size=match.size)
-    deep = int(np.count_nonzero(t > budget))
-    if deep:
-        raise PrecisionExhausted(
-            f"{deep} draws agree with the representative beyond the "
-            f"{budget}-digit budget"
-        )
     e = np.full(samples, n, dtype=np.int64)
     e[match] = n - t
     return j, e

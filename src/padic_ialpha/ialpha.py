@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .asymptotics import b_coefficient, phi_sum
 from .core import (
     ZERO,
@@ -162,25 +160,15 @@ def smallball_kernel_integral(k: int, beta, R: int, alpha, ctx: NumericContext):
 # ---------------------------------------------------------------------------
 
 def mc_ialpha_eval(
-    f: RadialFunction,
-    N,
-    alpha,
-    samples: int,
-    seed,
-    ctx: NumericContext,
-    digit_precision: int = 16,
-    representative_digits: tuple[int, ...] = (1,),
+    f: RadialFunction, N, alpha, samples: int, seed, ctx: NumericContext
 ):
     """Monte Carlo estimate of the operator value at |x| = p**N.
 
     Draws y from the Haar measure on the ball p**N and averages
-    p**N * C * (|x-y|**(alpha-1) - |y|**(alpha-1)) * f(|y|) over the draws,
-    for the representative x whose digits are ``representative_digits`` (the
-    operator value depends on |x| only, so the choice is immaterial).  Each
-    draw's (|y|, |x-y|) = (p**j, p**e) comes from the depth law of
-    :func:`~padic_ialpha.core.sample_kernel_exponents` with
-    ``digit_precision`` as its digit window; a draw that agrees with x
-    beyond the digit budget raises :class:`PrecisionExhausted`.
+    p**N * C * (|x-y|**(alpha-1) - |y|**(alpha-1)) * f(|y|) over the draws.
+    Each draw's (|y|, |x-y|) = (p**j, p**e) comes from the depth law of
+    :func:`~padic_ialpha.core.sample_kernel_exponents`, which does not
+    depend on the point x chosen on the sphere |x| = p**N.
 
     By ultrametricity e = N or j = N, so a draw's term depends on e - j
     alone.  The terms are tabulated once per occurring cell at working
@@ -190,10 +178,10 @@ def mc_ialpha_eval(
     of the kernel terms, does not fit a double, and after drawing when a
     term does not.
     """
+    import numpy as np  # only the Monte Carlo path needs numpy
+
     if samples < 10_000:
         raise ParamOutOfRange("at least 10^4 samples are required")
-    if digit_precision < 8:
-        raise ParamOutOfRange("digit_precision must be at least 8")
     alpha = ctx.real(alpha)
     C = prefactor(ctx, alpha)
     if N is ZERO:
@@ -214,14 +202,7 @@ def mc_ialpha_eval(
         top = ctx.p_pow((alpha - 1) * N)  # the largest kernel power, at e = N
         double(scale * top)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    j, e = sample_kernel_exponents(
-        ctx,
-        N,
-        samples,
-        stream,
-        digit_window=digit_precision,
-        representative_digits=representative_digits,
-    )
+    j, e = sample_kernel_exponents(ctx, N, samples, stream)
     cells = e - j  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
     low = int(cells.min())
     counts = np.bincount(cells - low)

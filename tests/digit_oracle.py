@@ -14,11 +14,14 @@ from dataclasses import dataclass
 from padic_ialpha import (
     NumericContext,
     ParamOutOfRange,
-    PrecisionExhausted,
     RandomStream,
     UndefinedAtZero,
 )
 from padic_ialpha.core import _is_prime, _require_finite
+
+
+class TotalCancellation(ArithmeticError):
+    """Every available digit of x - y cancelled, so |x - y| is unknown."""
 
 
 class _ExactZero:
@@ -105,7 +108,7 @@ class PadicApprox:
 def padic_sub_abs(x: PadicApprox, y: PadicApprox) -> int:
     """Exponent e with |x - y| = p**e, by digitwise subtraction with borrow.
 
-    Raises :class:`PrecisionExhausted` when every available digit cancels;
+    Raises :class:`TotalCancellation` when every available digit cancels;
     distinct inputs are never reported as an exact zero.
     """
     if x.prime != y.prime:
@@ -113,7 +116,7 @@ def padic_sub_abs(x: PadicApprox, y: PadicApprox) -> int:
     if x.digit_precision != y.digit_precision:
         raise ParamOutOfRange("operands must share digit precision")
     if x.is_zero and y.is_zero:
-        raise PrecisionExhausted("both operands are the exact zero")
+        raise TotalCancellation("both operands are the exact zero")
     if x.is_zero:
         return y.abs_exponent
     if y.is_zero:
@@ -132,7 +135,7 @@ def padic_sub_abs(x: PadicApprox, y: PadicApprox) -> int:
             borrow = 0
         if d != 0:
             return -(x.valuation + i)
-    raise PrecisionExhausted(
+    raise TotalCancellation(
         f"all {x.digit_precision} digits cancelled; resample or deepen precision"
     )
 

@@ -31,6 +31,7 @@ from padic_ialpha import (
     predict_infinity_beta1,
     predict_origin,
     prefactor,
+    residual_scan,
     series_B,
     unit_kernel_integral,
 )
@@ -416,6 +417,15 @@ class TestPredictInfinityCritical:
             predict_infinity_beta1([1.0], 1.0, 0, 8, LogPower(1.0 + 1e-12, 1.0),
                                    2.0, ctx2)
         predict_infinity_beta1([1.0], 1.0, 0, 8, f, 2.0, ctx2)
+
+    def test_declared_tail_longer_than_coeffs_is_compared(self, ctx2):
+        # the tail declares (1, 5); coeffs=[1] omits the 5 and must not pass
+        f = LinearCombo(((1.0, LogPower(1, 2)), (5.0, LogPower(1, 1))))
+        with pytest.raises(TailMismatch):
+            predict_infinity_beta1([1.0], 2.0, 0, 8, f, 2.0, ctx2)
+        with pytest.raises(TailMismatch):
+            residual_scan("T4", f, 0, [8], 2.0, ctx2, coeffs=[1.0])
+        predict_infinity_beta1([1.0, 5.0, 0.0], 2.0, 0, 8, f, 2.0, ctx2)
 
     def test_printed_variant_differs_by_power_factor_on_logs(self, ctx2):
         f = LogPower(1.0, 0.0)

@@ -287,10 +287,9 @@ class TestExitCodes:
 
     def test_numeric_error_maps_to_three(self, capsys, monkeypatch):
         import padic_ialpha.cli as cli_mod
-        from padic_ialpha import PrecisionExhausted
 
         def explode(*args, **kwargs):
-            raise PrecisionExhausted("digits cancelled after escalation")
+            raise ArithmeticError("estimate lost every digit")
 
         monkeypatch.setattr(cli_mod, "mc_ialpha_eval", explode)
         status, _, err = run_capture(

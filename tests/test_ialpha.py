@@ -285,18 +285,6 @@ class TestMonteCarlo:
         with pytest.raises(ParamOutOfRange):
             mc_ialpha_eval(Monomial(1.0), 0, 2.0, 100, 80, ctx2)
 
-    def test_representative_choice_is_immaterial(self, ctx2):
-        # the operator value is radial: two different points on the same
-        # sphere give statistically identical estimates
-        a, sa = mc_ialpha_eval(
-            Monomial(1.0), 0, 2.0, 50_000, 81, ctx2, representative_digits=(1,)
-        )
-        b, sb = mc_ialpha_eval(
-            Monomial(1.0), 0, 2.0, 50_000, 82, ctx2,
-            representative_digits=(1, 1, 0, 1),
-        )
-        assert abs(a - b) < 4 * math.hypot(sa, sb)
-
     def test_tabulated_profile_round_trip(self, ctx2):
         # MC also certifies table-backed profiles
         tab = Table.from_values(
@@ -309,15 +297,6 @@ class TestMonteCarlo:
 
     def test_zero_radius(self, ctx2):
         assert mc_ialpha_eval(Monomial(1.0), ZERO, 2.0, 50_000, 84, ctx2) == (0.0, 0.0)
-
-    @pytest.mark.parametrize("rep", [(3,), (0, 1), (1, 2)], ids=repr)
-    def test_invalid_representative_digits_rejected(self, ctx2, rep):
-        # a leading digit that can never match would silently put every
-        # draw at |x - y| = |x|
-        with pytest.raises(ParamOutOfRange):
-            mc_ialpha_eval(
-                Monomial(1.0), 0, 2.0, 50_000, 85, ctx2, representative_digits=rep
-            )
 
     @pytest.mark.parametrize("f, N", [(Indicator(0), 400), (Monomial(1.0), 300)])
     def test_overflow_raises(self, ctx2, f, N):

@@ -1,6 +1,10 @@
-"""Structure of the package: one place reads a profile's form."""
+"""Structure of the package: one place reads a profile's form, and numpy
+loads only with the Monte Carlo path."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import padic_ialpha
@@ -66,3 +70,14 @@ def test_scan_sees_every_form_of_check():
         ("f", ["Table"]), ("f", ["Monomial"]),
         ("sphere_segments", ["LinearCombo"]), (None, ["LogPower"]),
     ]
+
+
+def test_import_does_not_load_numpy():
+    src = Path(padic_ialpha.__file__).resolve().parent.parent
+    probe = 'import sys, padic_ialpha, padic_ialpha.cli; print("numpy" in sys.modules)'
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
