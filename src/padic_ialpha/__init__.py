@@ -10,7 +10,6 @@ oracle that draws the sizes |y| and |x - y| from their ultrametric law.
 """
 
 from .asymptotics import (
-    AsymptoticPrediction,
     b_coefficient,
     gen_binomial,
     omega,

@@ -14,13 +14,9 @@ tests compare these closed forms against live in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from numbers import Rational
-
-from mpmath import mp
 
 from .core import (
     AlphaOutOfRange,
@@ -38,7 +34,6 @@ from .core import (
 from .radial import RadialFunction, cumulative_ball_integral, outer_expansion
 
 __all__ = [
-    "AsymptoticPrediction",
     "b_coefficient",
     "build_infinity_beta1_prediction",
     "build_infinity_prediction",
@@ -247,65 +242,36 @@ def _neg_log_power(ctx: NumericContext, k: int):
 # Truncated-expansion predictions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    """A truncated expansion ready for evaluation at a radius p**x_exp.
+def _log_sum(a, g, order: int, kind: str, alpha, ctx: NumericContext, beta=None):
+    """x_exp -> sum_{n<=order} B_n (x_exp L)**(g - n), with B_n formed once.
 
-    Evaluates to prefactor * p**(x_exp*power_exponent) * (log sum), where the
-    log sum runs over (log_exponent, coefficient) pairs with exponents
-    descending by one.  ``extra_cumulative`` adds the cumulative ball
-    integral of the profile inside the bracket; ``power_applies_to_logs``
-    distinguishes the recentred critical-decay form (power factor multiplies
-    the whole bracket) from its printed variant (power factor on the
-    integral only), kept for comparison.
+    The returned function is called inside ``ctx.workprec()``.
     """
+    if g < 0:
+        raise ParamOutOfRange("gamma must be nonnegative")
+    B = series_B(a, g, order, kind, alpha, ctx, beta=beta)
+    with ctx.workprec():
+        terms = [(g - n, B[n]) for n in range(order + 1)]
 
-    prefactor: object
-    power_exponent: object
-    log_terms: tuple
-    extra_cumulative: bool = False
-    power_applies_to_logs: bool = True
+    def logs(x_exp):
+        log_r = x_exp * ctx.log_unit()
+        if log_r <= 0 and any(e != int(e) for e, _ in terms):
+            raise LogDomain(
+                f"non-integer log powers need log radius > 0, got x_exp={x_exp}"
+            )
+        return sum(
+            coeff if e == 0 else coeff * general_power(ctx, log_r, e)
+            for e, coeff in terms
+        )
 
-    def __post_init__(self):
-        exps = [e for e, _ in self.log_terms]
-        for x, y in zip(exps, exps[1:]):
-            if isinstance(x, Rational) and isinstance(y, Rational):
-                step = x - y
-            else:
-                step = mp.fsub(x, y, exact=True)
-            if step != 1:
-                raise ParamOutOfRange("log exponents must descend by exactly 1")
-
-    def evaluate(self, x_exp, ctx: NumericContext, f: RadialFunction | None = None):
-        """Value of the truncated expansion at |x| = p**x_exp."""
-        x_exp = _require_finite(x_exp, "x_exp")
-        with ctx.workprec():
-            power = ctx.p_pow(ctx.real(self.power_exponent) * x_exp)
-            terms = [(ctx.real(e), ctx.real(c)) for e, c in self.log_terms]
-            logs = ctx.real(0)
-            if terms:
-                log_r = x_exp * ctx.log_unit()
-                if log_r <= 0 and any(e != int(e) for e, _ in terms):
-                    raise LogDomain(
-                        f"non-integer log powers need log radius > 0, got x_exp={x_exp}"
-                    )
-                for e, coeff in terms:
-                    if e == 0:
-                        logs += coeff
-                    else:
-                        logs += coeff * general_power(ctx, log_r, e)
-            if not self.extra_cumulative:
-                return self.prefactor * power * logs
-            if f is None:
-                raise ParamOutOfRange("this prediction needs the profile f")
-            cumulative = cumulative_ball_integral(f, x_exp, ctx)
-            if self.power_applies_to_logs:
-                return self.prefactor * power * (cumulative + logs)
-            return self.prefactor * (power * cumulative + logs)
+    return logs
 
 
 def build_origin_prediction(a, scales, order: int, alpha, ctx: NumericContext):
-    """Per-scale predictions whose sum is the origin-side truncation."""
+    """The origin-side truncation as a function of x_exp.
+
+    C sum_{n<=order} a_n b(M_n) p**(x_exp (M_n + alpha)).
+    """
     if order < 0:
         raise ParamOutOfRange("at least one expansion term is required")
     if len(a) != len(scales) or len(a) < order + 1:
@@ -313,14 +279,19 @@ def build_origin_prediction(a, scales, order: int, alpha, ctx: NumericContext):
     ms = [ctx.real(m) for m in scales]
     if any(m <= 0 for m in ms) or any(x >= y for x, y in zip(ms, ms[1:])):
         raise ParamOutOfRange("scales must be strictly increasing and positive")
-    C = prefactor(ctx, alpha)
     alpha = ctx.real(alpha)
-    preds = []
     with ctx.workprec():
-        for n in range(order + 1):
-            coeff = ctx.real(a[n]) * b_coefficient(ms[n], alpha, ctx)
-            preds.append(AsymptoticPrediction(C, ms[n] + alpha, ((0, coeff),)))
-    return tuple(preds)
+        C = prefactor(ctx, alpha)
+        terms = [
+            (ms[n] + alpha, ctx.real(a[n]) * b_coefficient(ms[n], alpha, ctx))
+            for n in range(order + 1)
+        ]
+
+    def at(x_exp):
+        with ctx.workprec():
+            return sum(C * ctx.p_pow(power * x_exp) * coeff for power, coeff in terms)
+
+    return at
 
 
 def predict_origin(a, scales, order: int, x_exp, alpha, ctx: NumericContext):
@@ -329,26 +300,24 @@ def predict_origin(a, scales, order: int, x_exp, alpha, ctx: NumericContext):
     Exact (within rounding) for profiles that are finite sums of the listed
     monomials.
     """
-    preds = build_origin_prediction(a, scales, order, alpha, ctx)
     x_exp = _require_finite(x_exp, "x_exp")
+    return build_origin_prediction(a, scales, order, alpha, ctx)(x_exp)
+
+
+def build_infinity_prediction(a, beta, gamma, order: int, alpha, ctx: NumericContext):
+    """The beta < 1 large-radius truncation as a function of x_exp.
+
+    C p**(x_exp (alpha - beta)) sum_{n<=order} B_n (x_exp L)**(gamma - n).
+    """
+    logs = _log_sum(a, ctx.real(gamma), order, "omega", alpha, ctx, beta=beta)
     with ctx.workprec():
-        total = ctx.real(0)
-        for pred in preds:
-            total += pred.evaluate(x_exp, ctx)
-        return total
+        C, power = prefactor(ctx, alpha), ctx.real(alpha) - ctx.real(beta)
 
+    def at(x_exp):
+        with ctx.workprec():
+            return C * ctx.p_pow(power * x_exp) * logs(x_exp)
 
-def build_infinity_prediction(
-    a, beta, gamma, order: int, alpha, ctx: NumericContext
-) -> AsymptoticPrediction:
-    """Large-radius log-power prediction for outer decay beta < 1."""
-    g = ctx.real(gamma)
-    if g < 0:
-        raise ParamOutOfRange("gamma must be nonnegative")
-    B = series_B(a, g, order, "omega", alpha, ctx, beta=beta)
-    terms = tuple((g - n, B[n]) for n in range(order + 1))
-    C = prefactor(ctx, alpha)
-    return AsymptoticPrediction(C, ctx.real(alpha) - ctx.real(beta), terms)
+    return at
 
 
 def predict_infinity(a, beta, gamma, order: int, x_exp, alpha, ctx: NumericContext):
@@ -356,33 +325,42 @@ def predict_infinity(a, beta, gamma, order: int, x_exp, alpha, ctx: NumericConte
     x_exp = _require_finite(x_exp, "x_exp")
     if x_exp < 2:
         raise ParamOutOfRange("large-radius predictions need x_exp >= 2")
-    return build_infinity_prediction(a, beta, gamma, order, alpha, ctx).evaluate(
-        x_exp, ctx
-    )
+    return build_infinity_prediction(a, beta, gamma, order, alpha, ctx)(x_exp)
 
 
 def build_infinity_beta1_prediction(
-    a, gamma, order: int, alpha, ctx: NumericContext, printed_form: bool = False
-) -> AsymptoticPrediction:
-    """Large-radius prediction for critical outer decay beta = 1.
+    a, gamma, order: int, f: RadialFunction, alpha, ctx: NumericContext,
+    printed_form: bool = False,
+):
+    """The critical-decay (beta = 1) truncation of f as a function of x_exp.
 
-    The power factor p**(x(alpha-1)) multiplies the whole bracket (cumulative
-    integral plus log sum); ``printed_form=True`` evaluates the variant that
-    leaves the log sum un-multiplied, kept for comparison.
+    C P (G + log sum), with P = p**(x_exp (alpha - 1)) and G the cumulative
+    ball integral of f; ``printed_form=True`` evaluates the variant
+    C (P G + log sum) that leaves the log sum un-multiplied, kept for
+    comparison.  f must declare the outer tail beta = 1 with exactly these
+    gamma and coefficients.
     """
     g = ctx.real(gamma)
-    if g < 0:
-        raise ParamOutOfRange("gamma must be nonnegative")
-    B = series_B(a, g, order, "omega_tilde", alpha, ctx)
-    terms = tuple((g - n, B[n]) for n in range(order + 1))
-    C = prefactor(ctx, alpha)
-    return AsymptoticPrediction(
-        C,
-        ctx.real(alpha) - 1,
-        terms,
-        extra_cumulative=True,
-        power_applies_to_logs=not printed_form,
-    )
+    d_beta, d_gamma, d_coeffs = outer_expansion(f, ctx) or (None, None, ())
+    if d_beta != 1 or d_gamma != g or any(
+        x != ctx.real(y) for x, y in zip_longest(d_coeffs, a, fillvalue=0)
+    ):
+        raise TailMismatch(
+            f"profile's declared outer tail does not match coeffs={list(a)}, "
+            f"gamma={gamma}, beta=1"
+        )
+    logs = _log_sum(a, g, order, "omega_tilde", alpha, ctx)
+    with ctx.workprec():
+        C, power = prefactor(ctx, alpha), ctx.real(alpha) - 1
+
+    def at(x_exp):
+        with ctx.workprec():
+            P, G = ctx.p_pow(power * x_exp), cumulative_ball_integral(f, x_exp, ctx)
+            if printed_form:
+                return C * (P * G + logs(x_exp))
+            return C * P * (G + logs(x_exp))
+
+    return at
 
 
 def predict_infinity_beta1(
@@ -399,22 +377,6 @@ def predict_infinity_beta1(
     x_exp = _require_finite(x_exp, "x_exp")
     if x_exp < 2:
         raise ParamOutOfRange("large-radius predictions need x_exp >= 2")
-    declared = outer_expansion(f, ctx)
-    if declared is None:
-        raise _tail_mismatch(a, gamma)
-    d_beta, d_gamma, d_coeffs = declared
-    if d_beta != 1 or d_gamma != ctx.real(gamma):
-        raise _tail_mismatch(a, gamma)
-    if any(x != ctx.real(y) for x, y in zip_longest(d_coeffs, a, fillvalue=0)):
-        raise _tail_mismatch(a, gamma)
-    pred = build_infinity_beta1_prediction(
-        a, gamma, order, alpha, ctx, printed_form=printed_form
-    )
-    return pred.evaluate(x_exp, ctx, f=f)
-
-
-def _tail_mismatch(a, gamma) -> TailMismatch:
-    return TailMismatch(
-        f"profile's declared outer tail does not match coeffs={list(a)}, "
-        f"gamma={gamma}, beta=1"
-    )
+    return build_infinity_beta1_prediction(
+        a, gamma, order, f, alpha, ctx, printed_form=printed_form
+    )(x_exp)

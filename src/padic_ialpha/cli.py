@@ -35,6 +35,7 @@ from .radial import (
     PowerTail,
     RadialFunction,
     Table,
+    ValueRun,
     ZeroTail,
     eval_sphere,
     outer_expansion,
@@ -154,15 +155,24 @@ def dump_table(f: RadialFunction, path: str, ctx: NumericContext, j_range) -> No
     The rows cover the range, widened until the tails describe the rest:
     the one power run that reaches the origin (none: a zero tail; several:
     :class:`ParamOutOfRange`) and the declared outer expansion when its
-    beta lies in [0, 1] (otherwise the table ends at the last row).
+    beta lies in [0, 1].  Otherwise the rows end the table, so they run on
+    to the last tabulated row of the profile.
     """
     j_lo, j_hi = min(j_range), max(j_range)
     outer = outer_expansion(f, ctx)
     if outer is not None and 0 <= outer[0] <= 1:
         outer, runs = OuterTail(*outer), sphere_segments(f, math.inf, ctx)
         j_hi = max([j_hi] + [r.lo - 1 if r.hi == math.inf else r.hi for r in runs])
-    else:  # the rows end the table
+    else:
         outer, runs = None, sphere_segments(f, j_hi, ctx)
+        while True:
+            try:
+                above = sphere_segments(f, j_hi + 1, ctx)
+            except MissingTail:  # a table without an outer tail ends here
+                break
+            if not any(isinstance(r, ValueRun) and r.hi > j_hi for r in above):
+                break
+            runs, j_hi = above, j_hi + 1
     origin = [r for r in runs if r.lo is None]
     if len(origin) > 1:
         raise ParamOutOfRange(

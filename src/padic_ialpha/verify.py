@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 from .asymptotics import (
-    predict_infinity,
-    predict_infinity_beta1,
-    predict_origin,
+    build_infinity_beta1_prediction,
+    build_infinity_prediction,
+    build_origin_prediction,
 )
 from .core import (
     HypothesisMismatch,
@@ -89,25 +89,42 @@ def residual_scan(
     profile's declared tails.  Each residual is normalised by the first
     omitted term of the evaluated expansion.
     """
-    ladder = sorted(_require_finite(x, "ladder entry") for x in ladder)
-    if not ladder:
-        raise ParamOutOfRange("ladder must be nonempty")
+    ladder = _ladder(ladder)
+    a = ctx.real(alpha)
     if theorem == "T1":
-        return _scan_origin(f, order, ladder, alpha, ctx, coeffs, scales)
-    if theorem == "T3":
-        return _scan_infinity(f, order, ladder, alpha, ctx, coeffs, beta, gamma)
-    if theorem == "T4":
-        return _scan_critical(
-            f, order, ladder, alpha, ctx, coeffs, gamma, printed_form
+        if ladder[-1] > -1:
+            raise HypothesisMismatch("origin-side scans need negative exponents")
+        terms = _origin(f, order, a, ctx, coeffs, scales)
+    elif theorem not in ("T3", "T4"):
+        raise HypothesisMismatch(
+            f"no residual expansion for {theorem!r}; T2 is ratio_bound_check"
         )
-    raise HypothesisMismatch(
-        f"no residual expansion for {theorem!r}; T2 is ratio_bound_check"
-    )
+    elif ladder[0] < 2:
+        raise HypothesisMismatch("large-radius scans need exponents >= 2")
+    elif theorem == "T3":
+        terms = _infinity(f, order, a, ctx, coeffs, beta, gamma)
+    else:
+        terms = _critical(f, order, a, ctx, coeffs, gamma, printed_form)
+    params, expansion, omitted = terms
+    rows = []
+    with ctx.workprec():
+        for x in ladder:
+            computed = ialpha_eval(f, x, a, ctx).value
+            predicted = expansion(x)
+            err = abs(computed - predicted)
+            rows.append(
+                ResidualRow(x, float(computed), float(predicted), float(err),
+                            float(err / omitted(x)))
+            )
+    params = {"alpha": alpha, "p": ctx.prime, **params}
+    return ResidualReport(theorem, order, tuple(rows), params)
 
 
-def _scan_origin(f, order, ladder, alpha, ctx, coeffs, scales):
-    if ladder[-1] > -1:
-        raise HypothesisMismatch("origin-side scans need negative exponents")
+# Each theorem resolves its parameters (declared or given) and returns
+# (params, expansion, omitted): the expansion and the scale of its first
+# omitted term, both as functions of the radius exponent.
+
+def _origin(f, order, a, ctx, coeffs, scales):
     if coeffs is None or scales is None:
         declared = origin_expansion(f, ctx)
         if declared is None:
@@ -117,38 +134,22 @@ def _scan_origin(f, order, ladder, alpha, ctx, coeffs, scales):
         coeffs, scales = declared
     if len(coeffs) != len(scales) or len(coeffs) < order + 1:
         raise HypothesisMismatch("need len(coeffs) == len(scales) >= order + 1")
-    # scale of the first omitted term; the last listed scale + 1 stands in
-    # when the expansion is exhausted (exact finite expansions)
-    a = ctx.real(alpha)
-    if len(scales) > order + 1:
-        next_scale = ctx.real(scales[order + 1])
-    else:
-        next_scale = ctx.real(scales[order]) + 1
-    rows = []
+    expansion = build_origin_prediction(coeffs, scales, order, a, ctx)
+    # the first omitted term is p**(x (M + alpha)) at the next listed scale M;
+    # the last listed scale + 1 stands in when the expansion is exhausted
+    # (exact finite expansions)
     with ctx.workprec():
-        for x in ladder:
-            computed = ialpha_eval(f, x, a, ctx).value
-            predicted = predict_origin(coeffs, scales, order, x, a, ctx)
-            err = abs(computed - predicted)
-            scale = ctx.p_pow((next_scale + a) * x)
-            rows.append(
-                ResidualRow(x, float(computed), float(predicted), float(err),
-                            float(err / scale))
-            )
-    params = {
-        "alpha": alpha,
-        "p": ctx.prime,
-        "coeffs": list(coeffs),
-        "scales": list(scales),
-    }
-    return ResidualReport("T1", order, tuple(rows), params)
+        if len(scales) > order + 1:
+            power = ctx.real(scales[order + 1]) + a
+        else:
+            power = ctx.real(scales[order]) + 1 + a
+    params = {"coeffs": list(coeffs), "scales": list(scales)}
+    return params, expansion, lambda x: ctx.p_pow(power * x)
 
 
-def _scan_infinity(f, order, ladder, alpha, ctx, coeffs, beta, gamma):
-    if ladder[0] < 2:
-        raise HypothesisMismatch("large-radius scans need exponents >= 2")
-    declared = outer_expansion(f, ctx)
+def _infinity(f, order, a, ctx, coeffs, beta, gamma):
     if coeffs is None or beta is None or gamma is None:
+        declared = outer_expansion(f, ctx)
         if declared is None:
             raise HypothesisMismatch(
                 "profile declares no outer expansion; pass coeffs, beta, gamma"
@@ -160,77 +161,56 @@ def _scan_infinity(f, order, ladder, alpha, ctx, coeffs, beta, gamma):
     b = ctx.real(beta)
     if not 0 <= b < 1:
         raise HypothesisMismatch(f"outer decay beta={beta} is not in [0, 1)")
-    a, g = ctx.real(alpha), ctx.real(gamma)
-    rows = []
+    g = ctx.real(gamma)
+    expansion = build_infinity_prediction(coeffs, b, g, order, a, ctx)
     with ctx.workprec():
-        for x in ladder:
-            computed = ialpha_eval(f, x, a, ctx).value
-            predicted = predict_infinity(coeffs, b, g, order, x, a, ctx)
-            err = abs(computed - predicted)
-            scale = ctx.p_pow((a - b) * x) * _log_power_scale(
-                ctx, x, g - (order + 1)
-            )
-            rows.append(
-                ResidualRow(x, float(computed), float(predicted), float(err),
-                            float(err / scale))
-            )
-    params = {
-        "alpha": alpha,
-        "p": ctx.prime,
-        "beta": beta,
-        "gamma": gamma,
-        "coeffs": list(coeffs),
-    }
-    return ResidualReport("T3", order, tuple(rows), params)
+        omitted = _omitted_log_term(ctx, a - b, g - (order + 1))
+    params = {"beta": beta, "gamma": gamma, "coeffs": list(coeffs)}
+    return params, expansion, omitted
 
 
-def _scan_critical(f, order, ladder, alpha, ctx, coeffs, gamma, printed_form):
-    if ladder[0] < 2:
-        raise HypothesisMismatch("large-radius scans need exponents >= 2")
+def _critical(f, order, a, ctx, coeffs, gamma, printed_form):
     declared = outer_expansion(f, ctx)
     if coeffs is None or gamma is None:
         if declared is None:
             raise HypothesisMismatch(
                 "profile declares no outer expansion; pass coeffs and gamma"
             )
-        beta_d, gamma_d, coeffs_d = declared
+        _, gamma_d, coeffs_d = declared
         gamma = gamma_d if gamma is None else gamma
         coeffs = coeffs_d if coeffs is None else coeffs
     if declared is not None and declared[0] != 1:
         raise HypothesisMismatch("critical-decay scans need outer beta = 1")
-    a, g = ctx.real(alpha), ctx.real(gamma)
-    rows = []
+    g = ctx.real(gamma)
+    expansion = build_infinity_beta1_prediction(
+        coeffs, g, order, f, a, ctx, printed_form=printed_form
+    )
+    # the printed variant carries no radius power on its log sum
     with ctx.workprec():
-        for x in ladder:
-            computed = ialpha_eval(f, x, a, ctx).value
-            predicted = predict_infinity_beta1(
-                coeffs, g, order, x, f, a, ctx, printed_form=printed_form
-            )
-            err = abs(computed - predicted)
-            # first omitted term of the form actually evaluated: the printed
-            # variant carries no radius power on its log sum
-            scale = _log_power_scale(ctx, x, g - (order + 1))
-            if not printed_form:
-                scale = scale * ctx.p_pow((a - 1) * x)
-            rows.append(
-                ResidualRow(x, float(computed), float(predicted), float(err),
-                            float(err / scale))
-            )
+        power = 0 if printed_form else a - 1
+        omitted = _omitted_log_term(ctx, power, g - (order + 1))
     params = {
-        "alpha": alpha,
-        "p": ctx.prime,
         "beta": 1.0,
         "gamma": gamma,
         "coeffs": list(coeffs),
         "printed_form": printed_form,
     }
-    return ResidualReport("T4", order, tuple(rows), params)
+    return params, expansion, omitted
 
 
-def _log_power_scale(ctx, x_exp, exponent):
-    if exponent == 0:
-        return ctx.real(1)
-    return abs(general_power(ctx, x_exp * ctx.log_unit(), exponent))
+def _omitted_log_term(ctx, power, log_power):
+    """x -> p**(x power) |x L|**log_power, the size of the first omitted term."""
+    return lambda x: ctx.p_pow(power * x) * abs(
+        general_power(ctx, x * ctx.log_unit(), log_power)
+    )
+
+
+def _ladder(ladder) -> list:
+    """The ladder's exponents, each an integer, in increasing order."""
+    ladder = sorted(_require_finite(x, "ladder entry") for x in ladder)
+    if not ladder:
+        raise ParamOutOfRange("ladder must be nonempty")
+    return ladder
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +229,7 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     and decay strictly faster than |x|**(-1) at infinity, judged from its
     declared form and tails.
     """
-    ladder = sorted(_require_finite(x, "ladder entry") for x in ladder)
-    if not ladder:
-        raise ParamOutOfRange("ladder must be nonempty")
+    ladder = _ladder(ladder)
     a = ctx.real(alpha)
     positive, decay = _two_sided_profile(f, ctx)
     if not positive:
@@ -311,9 +289,7 @@ def lemma_decay_check(which: str, params: dict, ladder, ctx: NumericContext):
     "L2": rows K(p**R) * p**(R(1-beta-eps)) for the small-ball kernel
     integral; the rows must stay bounded.  Params: k, beta, eps, alpha.
     """
-    ladder = sorted(_require_finite(x, "ladder entry") for x in ladder)
-    if not ladder:
-        raise ParamOutOfRange("ladder must be nonempty")
+    ladder = _ladder(ladder)
     if which == "L1":
         lam = ctx.real(params["lam"])
         lam_prime = ctx.real(params["lam_prime"])

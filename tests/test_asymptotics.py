@@ -11,7 +11,6 @@ from mpmath import mp
 
 from padic_ialpha import (
     AlphaOutOfRange,
-    AsymptoticPrediction,
     BetaOutOfRange,
     LinearCombo,
     LogPower,
@@ -479,25 +478,3 @@ class TestFloatParameters:
             for got, want in pairs:
                 assert abs(got - want) <= 1e-60 * abs(want)
 
-
-class TestAsymptoticPrediction:
-    def test_log_exponent_spacing_enforced(self):
-        with pytest.raises(ParamOutOfRange):
-            AsymptoticPrediction(1.0, 1.0, ((2.0, 1.0), (0.5, 1.0)))
-
-    def test_log_exponent_spacing_is_exact(self, ctx2):
-        # 2.3 - 1.3 is 1 - 2**-52 at the exact doubles
-        with pytest.raises(ParamOutOfRange):
-            AsymptoticPrediction(1.0, 1.0, ((2.3, 1.0), (1.3, 1.0)))
-        with pytest.raises(ParamOutOfRange):
-            AsymptoticPrediction(1.0, 1.0, ((2.0, 1.0), (1.0 + 1e-12, 1.0)))
-        g = ctx2.real(2.3)
-        with ctx2.workprec():
-            AsymptoticPrediction(1.0, 1.0, ((g, 1.0), (g - 1, 1.0), (g - 2, 1.0)))
-        third = Fraction(1, 3)
-        AsymptoticPrediction(1, 1, ((third + 1, 1), (third, 1)))
-
-    def test_evaluate_requires_profile_for_cumulative(self, ctx2):
-        pred = AsymptoticPrediction(1.0, 1.0, ((0.0, 1.0),), extra_cumulative=True)
-        with pytest.raises(ParamOutOfRange):
-            pred.evaluate(4, ctx2)

@@ -14,6 +14,7 @@ from padic_ialpha import (
     PowerTail,
     Table,
     b_coefficient,
+    ialpha_eval,
     prefactor,
 )
 from padic_ialpha.cli import dump_table, load_table, run
@@ -156,6 +157,18 @@ class TestTableFormat:
         path = tmp_path / "outer.tab"
         dump_table(original, str(path), ctx2, [0, 0])
         assert load_table(str(path), expected_prime=2) == original
+
+    def test_table_without_outer_tail_keeps_every_row(self, tmp_path, ctx2):
+        # a dump over a narrower range used to drop the rows above it, and
+        # the reloaded table then had no value at N = 3 and N = 4
+        original = Table(0, (1.0, 2.0, 3.0, 4.0, 5.0), PowerTail(1.0, 0.0))
+        path = tmp_path / "short.tab"
+        dump_table(original, str(path), ctx2, [1, 2])
+        loaded = load_table(str(path), expected_prime=2)
+        assert loaded == original
+        for N in (3, 4):
+            assert ialpha_eval(loaded, N, 2.0, ctx2).value == ialpha_eval(
+                original, N, 2.0, ctx2).value
 
     def test_minimal_valid_file(self, tmp_path):
         path = tmp_path / "ok.tab"

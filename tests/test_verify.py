@@ -17,10 +17,14 @@ from padic_ialpha import (
     Table,
     ialpha_eval,
     lemma_decay_check,
+    predict_infinity,
+    predict_infinity_beta1,
+    predict_origin,
     prefactor,
     ratio_bound_check,
     residual_scan,
 )
+from padic_ialpha import asymptotics
 
 
 def alternating_ratio_table(ctx, j_lo=-60, j_hi=0):
@@ -75,6 +79,12 @@ class TestOriginScan:
         # next_scale + alpha rounded in float64 made this 2.2e-4 at x = -40
         rep = residual_scan("T1", Monomial(0.3), 0, [-40, -28, -16, -4], 2.1, ctx2)
         assert max(r.normalized_err for r in rep.rows) <= 1e-50
+
+    def test_exact_mode_needs_no_log_base(self, exact2):
+        # the origin expansion carries no log powers, so the natural-log
+        # convention (irrational in exact mode) is never asked for
+        rep = residual_scan("T1", Monomial(1), 0, [-8, -4], 2, exact2)
+        assert all(r.abs_err == 0 for r in rep.rows)
 
     def test_zero_profile_rows_vanish(self, ctx2):
         rep = residual_scan(
@@ -262,6 +272,60 @@ class TestLemmaDecay:
                               [1], ctx2)
         with pytest.raises(ParamOutOfRange):
             lemma_decay_check("L9", {}, [1], ctx2)
+
+
+class TestBuildOnce:
+    """A scan builds its expansion once and evaluates it on every rung."""
+
+    def count_calls(self, monkeypatch, name):
+        calls = []
+        original = getattr(asymptotics, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("theorem, f, ladder", [
+        ("T3", LogPower(0.5, 2.0), range(12, 61, 4)),
+        ("T4", LogPower(1.0, 2.0), range(4, 41, 4)),
+    ])
+    def test_one_series_B_call_per_scan(self, monkeypatch, ctx2, theorem, f, ladder):
+        calls = self.count_calls(monkeypatch, "series_B")
+        residual_scan(theorem, f, 2, ladder, 2.0, ctx2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_one_b_coefficient_call_per_origin_term(self, monkeypatch, ctx2, order):
+        calls = self.count_calls(monkeypatch, "b_coefficient")
+        f = alternating_ratio_table(ctx2)
+        coeffs = [(-1.0) ** n for n in range(5)]
+        scales = [float(n + 1) for n in range(5)]
+        residual_scan("T1", f, order, range(-24, -5, 2), 2.0, ctx2,
+                      coeffs=coeffs, scales=scales)
+        assert len(calls) == order + 1
+
+    def test_scan_rows_match_the_per_radius_predictors(self, ctx3):
+        alpha = 1.7
+        rep = residual_scan("T1", Monomial(0.3), 0, [-30, -12, -5], alpha, ctx3)
+        for r in rep.rows:
+            want = predict_origin(rep.params["coeffs"], rep.params["scales"], 0,
+                                  r.x_exp, alpha, ctx3)
+            assert r.predicted == float(want)
+        rep = residual_scan("T3", LogPower(0.3, 1.7), 2, [4, 9, 20], alpha, ctx3)
+        for r in rep.rows:
+            want = predict_infinity([1], 0.3, 1.7, 2, r.x_exp, alpha, ctx3)
+            assert r.predicted == float(want)
+        f = LogPower(1.0, 1.7)
+        for printed in (False, True):
+            rep = residual_scan("T4", f, 1, [4, 9, 20], alpha, ctx3,
+                                printed_form=printed)
+            for r in rep.rows:
+                want = predict_infinity_beta1([1], 1.7, 1, r.x_exp, f, alpha, ctx3,
+                                              printed_form=printed)
+                assert r.predicted == float(want)
 
 
 def test_reports_sorted_by_exponent(ctx2):
