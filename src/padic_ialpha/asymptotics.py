@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import zip_longest
 
 from .core import (
@@ -85,7 +85,7 @@ def _poly_derivative(coeffs: tuple) -> tuple:
     return tuple(i * c for i, c in enumerate(coeffs))[1:] or (Fraction(0),)
 
 
-@lru_cache(maxsize=None)
+@cache
 def _phi_numerator(k: int) -> tuple:
     """Numerator polynomial of Phi_k(q) = N_k(q) / (1 - q)**(k + 1).
 

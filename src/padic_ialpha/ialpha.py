@@ -4,9 +4,11 @@ For a radial profile f and |x| = p**N the operator value decomposes exactly
 over spheres: strictly inner spheres (|y| < |x|) see the constant kernel
 p**(N(alpha-1)) - p**(j(alpha-1)) by the ultrametric inequality, while the
 sphere |y| = |x| contributes through the unit-sphere kernel integral.
-Wherever the profile is exactly c * p**(j*d) the inner spheres form two
-geometric series, summed in closed form; only table values and log-power
-runs are summed sphere by sphere (:class:`~padic_ialpha.radial.SphereSum`).
+Wherever the profile is exactly c * p**(j*d), or a log-power term
+(jL)**m p**(-j*beta) with m a nonnegative integer, the inner spheres form
+two series summed in closed form; only table values and the other
+log-power terms are summed sphere by sphere
+(:class:`~padic_ialpha.radial.SphereSum`).
 A Haar-measure Monte Carlo estimator provides an independent cross-check.
 """
 
@@ -28,7 +30,14 @@ from .core import (
     sample_kernel_exponents,
     unit_kernel_integral,
 )
-from .radial import RadialFunction, SphereSum, _sphere_parts, eval_sphere
+from .radial import (
+    RadialFunction,
+    SphereSum,
+    _parts_at,
+    _runs_below,
+    eval_sphere,
+    sphere_segments,
+)
 
 __all__ = [
     "OperatorValue",
@@ -58,12 +67,14 @@ class OperatorValue:
 def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorValue:
     """Operator value at |x| = p**N for a radial profile.
 
-    The inner spheres j < N are summed by one :class:`SphereSum`: closed
-    geometric series wherever the profile is exactly c * p**(j*d), explicit
-    running-power terms for table values and log-power runs.  Log-power runs
-    that decay toward the origin are summed from N - 1 downward and stop
-    once their certified remainder is below rel_tol of what was summed.
-    The sphere |y| = |x| enters through the unit-sphere kernel integral.
+    The profile's runs are built once, on j <= N.  The inner spheres j < N
+    are summed by one :class:`SphereSum`: closed forms wherever the profile
+    is exactly c * p**(j*d) and for the log-power terms whose log power is a
+    nonnegative integer, explicit running-power terms for table values and
+    the other log-power terms.  Those that decay toward the origin are
+    summed from N - 1 downward and stop once their certified remainder is
+    below rel_tol of what was summed.  The sphere |y| = |x| enters through
+    the unit-sphere kernel integral.
     The bound adds that remainder to a rounding bound on the magnitudes
     summed before cancellation, run by run on |y| = |x| as well.  N = ZERO
     integrates over the single point 0 and returns exactly 0.
@@ -76,10 +87,11 @@ def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorVal
     N = _require_finite(N, "radius exponent")
 
     with ctx.workprec():
-        inner = SphereSum(f, N - 1, ctx, alpha)
+        runs = sphere_segments(f, N, ctx)
+        inner = SphereSum(_runs_below(runs, N, ctx), N - 1, ctx, alpha)
         unit = ctx.real(1) - ctx.p_pow(-1)
         ball = inner.K * ctx.p_pow(N)  # p**(N alpha)
-        parts = _sphere_parts(f, N, ctx)
+        parts = _parts_at(runs, N, ctx)
         f_N, size_N = sum(parts), sum(abs(x) for x in parts)
         U = unit_kernel_integral(ctx, alpha)
         bracket = unit * inner.total + f_N * ball * (U - unit)

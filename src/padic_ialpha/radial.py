@@ -10,15 +10,20 @@ runs whose values add: power runs c * p**(j*d), tabulated value runs and
 log-power runs.  A linear combination is the merged run list of its terms.
 It is the only code that reads a profile's form; point values, the limit at
 the origin, the declared expansions and every sphere sum read the runs.
-Power runs are summed as geometric series in closed form; only tabulated
-values and log-power runs are summed sphere by sphere, with running powers,
-from the top down.
+Power runs, and each term of a log-power run whose log power is a
+nonnegative integer, are summed in closed form: sum_j j**m p**(j*rate) is
+a geometric series for m = 0, Faulhaber's polynomial at rate 0, and a
+binomial sum of the series kernels Phi_t otherwise.  Only tabulated
+values and the log-power terms without that form (non-integer or negative
+log powers, and the spheres j <= 0) are summed sphere by sphere, with
+running powers, from the top down.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from functools import reduce
 from typing import Union
 
@@ -351,16 +356,44 @@ def sphere_segments(f: RadialFunction, top, ctx: NumericContext) -> list:
         with ctx.workprec():
             for c, g in f.terms:
                 for run in sphere_segments(g, top, ctx):
-                    run = _scaled(run, real(c))
-                    for i, old in enumerate(runs):
-                        merged = _merged(old, run)
-                        if merged is not None:
-                            runs[i] = merged
-                            break
-                    else:
-                        runs.append(run)
+                    _add_run(runs, _scaled(run, real(c)))
         return runs
     raise TypeError(f"not a radial function: {f!r}")
+
+
+def _add_run(runs: list, run):
+    """Merge run into the first run of runs with its span and form, or append it."""
+    for i, old in enumerate(runs):
+        merged = _merged(old, run)
+        if merged is not None:
+            runs[i] = merged
+            return
+    runs.append(run)
+
+
+def _runs_below(runs: list, top: int, ctx: NumericContext) -> list:
+    """The runs on j <= top cut to j < top: ``sphere_segments(f, top - 1)``.
+
+    Runs that end at top lose that sphere, and runs whose spans become
+    equal merge as :func:`sphere_segments` merges them.
+    """
+    below = []
+    with ctx.workprec():
+        for run in runs:
+            if run.hi == top:
+                if run.lo == top:
+                    continue
+                if isinstance(run, ValueRun):
+                    run = replace(run, values=run.values[:-1])
+                else:
+                    run = replace(run, hi=top - 1)
+            _add_run(below, run)
+    return below
+
+
+def _parts_at(runs: list, j: int, ctx: NumericContext) -> list:
+    """The parts of f(p**j) over the runs on j' <= j that reach j."""
+    return [x for run in runs if run.hi == j for x in run.at(j, ctx)]
 
 
 def _whole_line(f: RadialFunction, ctx: NumericContext):
@@ -395,8 +428,7 @@ def _sphere_parts(f: RadialFunction, j, ctx: NumericContext) -> list:
             raise UndefinedAtZero("a negative-degree power has no limit at 0")
         return [run.coeff for run in runs if run.degree == 0]
     j = _require_finite(j, "sphere exponent")
-    runs = sphere_segments(f, j, ctx)
-    return [x for run in runs if run.hi == j for x in run.at(j, ctx)]
+    return _parts_at(sphere_segments(f, j, ctx), j, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -410,31 +442,95 @@ def _one_minus_p_pow(ctx: NumericContext, x):
     return -mp.expm1(x * mp.log(ctx.prime))
 
 
-def _geometric(ctx: NumericContext, rate, lo, hi: int):
-    """Sum of p**(j*rate) over lo <= j <= hi; lo = None runs to -inf (rate > 0)."""
+def _faulhaber(m: int, n: int) -> Fraction:
+    """Sum of j**m over 1 <= j <= n, exactly (DLMF 24.4.7).
+
+    (1/(m+1)) sum_k C(m+1, k) B_k n**(m+1-k) with B_1 = +1/2; a polynomial
+    in n, so the difference of two values sums any range of j.
+    """
+    total = Fraction(0)
+    for k in range(m + 1):
+        b = Fraction(*mp.bernfrac(k))
+        total += math.comb(m + 1, k) * (-b if k == 1 else b) * n ** (m + 1 - k)
+    return total / (m + 1)
+
+
+def _power_sum(ctx: NumericContext, m: int, rate, lo, hi: int):
+    """(S, size): S = sum of j**m p**(j*rate) over lo <= j <= hi, in closed form.
+
+    ``lo = None`` runs to -inf (m = 0 and rate > 0 only).  ``size`` is the
+    sum of the absolute values of the terms the closed form adds.
+
+    * m = 0 is a geometric series, formed through expm1.
+    * rate = 0 is Faulhaber's polynomial, exact before its one rounding.
+    * Otherwise let z = p**rate, w = p**(-|rate|), Phi_0(w) = 1/(1 - w) and
+      Phi_t the series kernel of :func:`~padic_ialpha.asymptotics.phi_sum`.
+      Summing each end's geometric tail with (x -/+ n)**m expanded
+      binomially gives, for rate > 0,
+      S = z**hi G(hi) - z**(lo-1) G(lo-1) with
+      G(x) = sum_t C(m, t) x**(m-t) (-1)**t Phi_t(w); for rate < 0,
+      S = z**lo H(lo) - z**(hi+1) H(hi+1) with
+      H(x) = sum_t C(m, t) x**(m-t) Phi_t(w).
+      Phi_m grows like (1 - w)**-(m+1) while S does not, so near rate 0
+      the two ends cancel; they are formed with
+      (m + 1) * ceil(log2 1/(1 - w)) + 8 guard bits.  ``size`` counts every
+      term of both ends at that precision.
+    """
     if lo is None:
         if rate <= 0:
             raise DivergentInnerSum(
                 f"inner degree {rate - 1} is not integrable at the origin"
             )
-        return ctx.p_pow(rate * hi) / _one_minus_p_pow(ctx, -rate)
+        s = ctx.p_pow(rate * hi) / _one_minus_p_pow(ctx, -rate)
+        return s, s
     if rate == 0:
-        return ctx.real(hi - lo + 1)
-    return (
-        ctx.p_pow(rate * hi)
-        * _one_minus_p_pow(ctx, -rate * (hi - lo + 1))
-        / _one_minus_p_pow(ctx, -rate)
-    )
+        s = ctx.real(_faulhaber(m, hi) - _faulhaber(m, lo - 1))
+        return s, abs(s)
+    if m == 0:
+        s = (
+            ctx.p_pow(rate * hi)
+            * _one_minus_p_pow(ctx, -rate * (hi - lo + 1))
+            / _one_minus_p_pow(ctx, -rate)
+        )
+        return s, s
+    from .asymptotics import phi_sum  # asymptotics imports this module
+
+    if not ctx.exact:
+        gap = -math.log2(_one_minus_p_pow(ctx, -abs(rate)))
+        guard = (m + 1) * max(0, math.ceil(gap)) + 8
+        ctx = replace(ctx, precision_bits=ctx.precision_bits + guard)
+    sign, ends = (-1, (hi, lo - 1)) if rate > 0 else (1, (lo, hi + 1))
+    with ctx.workprec():
+        w = ctx.p_pow(-abs(rate))
+        phis = [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)]
+        sums = []
+        for x in ends:
+            terms = [
+                math.comb(m, t) * sign**t * x ** (m - t) * phis[t]
+                for t in range(m + 1)
+            ]
+            z = ctx.p_pow(rate * x)
+            sums.append((z * sum(terms), z * sum(abs(t) for t in terms)))
+        (a, size_a), (b, size_b) = sums
+        return a - b, size_a + size_b
 
 
 class SphereSum:
     """Sum over the spheres j <= top of f(p**j) * p**j * w(j).
 
+    ``runs`` are the profile's runs on j <= top (:func:`sphere_segments`).
     The Haar factor 1 - 1/p is left to the caller.  Ball integrals take
     w = 1.  The operator at |x| = p**N takes top = N - 1 and the kernel
     frozen on each inner sphere, w(j) = K * (1 - q**(N-j)) with
-    K = p**(N(alpha-1)) and q = p**(-(alpha-1)).  Every run of the profile
-    is summed once, so a linear combination walks its spheres once.
+    K = p**(N(alpha-1)) and q = p**(-(alpha-1)).  A power run c p**(j*d),
+    and each term a (jL)**m p**(-j*beta) of a log-power run with m a
+    nonnegative integer, is summed in closed form (a log-power term on
+    j >= 1, when the run is long enough; see ``_add_log``) as
+    K S(rate) - S(rate + alpha - 1), with S the sum of
+    j**m p**(j*rate), rate = d + 1 or 1 - beta, since K q**(N-j) =
+    p**(j(alpha-1)).  Table values and the remaining log-power terms are
+    summed sphere by sphere.  Every run is summed once, so a linear
+    combination walks its spheres once.
 
     ``total`` is the sum; ``magnitude`` bounds the size of what was added
     before any cancellation, which is what rounding errors scale with;
@@ -443,7 +539,7 @@ class SphereSum:
     and ``low`` is the lowest of them (top + 1 when there is none).
     """
 
-    def __init__(self, f: RadialFunction, top: int, ctx: NumericContext, alpha=None):
+    def __init__(self, runs: list, top: int, ctx: NumericContext, alpha=None):
         self.ctx, self.top = ctx, top
         zero = ctx.real(0)
         if alpha is None:
@@ -453,25 +549,52 @@ class SphereSum:
             self.K = ctx.p_pow(self.a1 * (top + 1))
         self.total = self.magnitude = self.abs_total = self.remainder = zero
         self.explicit, self.low = 0, top + 1
-        for run in sphere_segments(f, top, ctx):
+        for run in runs:
             if isinstance(run, PowerRun):
-                self._add_power(run)
+                self._add_closed(run.coeff, 0, run.degree + 1, run.lo, run.hi)
             elif isinstance(run, ValueRun):
                 self._add_explicit(run.hi, _value_steps(ctx, run))
             else:
-                self._add_explicit(run.hi, _log_steps(ctx, run))
+                self._add_log(run)
 
-    def _add_power(self, run: PowerRun):
-        rate = run.degree + 1
-        g = self.K * _geometric(self.ctx, rate, run.lo, run.hi)
-        if self.a1 is None:
-            part, size = g, g
-        else:
-            g2 = _geometric(self.ctx, rate + self.a1, run.lo, run.hi)
-            part, size = g - g2, g + g2
-        self.total += run.coeff * part
-        self.magnitude += abs(run.coeff) * size
-        self.abs_total += abs(run.coeff * part)
+    def _add_closed(self, c, m: int, rate, lo, hi: int):
+        """Add c * sum of j**m p**(j*rate) w(j) over lo <= j <= hi, in closed form."""
+        s, size = _power_sum(self.ctx, m, rate, lo, hi)
+        part, size = self.K * s, self.K * size
+        if self.a1 is not None:
+            s2, size2 = _power_sum(self.ctx, m, rate + self.a1, lo, hi)
+            part, size = part - s2, size + size2
+        self.total += c * part
+        self.magnitude += abs(c) * size
+        self.abs_total += abs(c * part)
+
+    def _add_log(self, run: LogRun):
+        """Add a log-power run: integer powers (jL)**m, m >= 0, in closed form.
+
+        The closed terms cover the spheres 1 <= j <= hi, when there are at
+        least (gamma + 1)**2 of them: the closed form costs about that many
+        sphere terms (its kernels Phi_1 ... Phi_gamma), and when hi is
+        below gamma its two ends cancel by more than its guard bits cover.
+        What is left is summed sphere by sphere: the whole run when gamma
+        is not an integer or the run is short, the negative powers on
+        j >= 1, and every term on the spheres j <= 0.
+        """
+        ctx, gamma = self.ctx, run.gamma
+        lo = max(run.lo, 1)
+        n = int(gamma) + 1
+        if gamma != n - 1 or n * n > run.hi - lo + 1:
+            self._add_explicit(run.hi, _log_steps(ctx, run))
+            return
+        L = ctx.log_unit()
+        for k, a in enumerate(run.coeffs[:n]):
+            m = n - 1 - k
+            self._add_closed(a * L**m, m, 1 - run.beta, lo, run.hi)
+        if run.coeffs[n:]:
+            rest = replace(run, lo=lo, gamma=-1, coeffs=run.coeffs[n:])
+            self._add_explicit(rest.hi, _log_steps(ctx, rest))
+        if run.lo <= 0:
+            rest = replace(run, hi=0)
+            self._add_explicit(0, _log_steps(ctx, rest))
 
     def _add_explicit(self, hi: int, steps):
         """Sum the spheres hi, hi - 1, ... that ``steps`` yields.
@@ -525,11 +648,14 @@ def _value_steps(ctx: NumericContext, run: ValueRun):
 def _log_steps(ctx: NumericContext, run: LogRun):
     """(f(p**j) * p**j, its size, rest_j) for j = hi down to lo.
 
-    f(p**j) * p**j = s_j * sum_k a_k (jL)**(gamma-k) with s_j = p**(j(1-beta))
-    a running power.  When 1 - beta > 0 and lo >= 1 the run decays
-    downward, and rest_j = E_j * s_j * rho bounds the sum of its terms
-    below j: E_j bounds the log factor on lo <= j' < j, taking each power
-    at j where it grows and at lo where it falls, and
+    It sums what a log-power run has no closed form for: every term when
+    gamma is not an integer or the run is short, the negative log powers,
+    and the spheres j <= 0.  f(p**j) * p**j = s_j * sum_k a_k (jL)**(gamma-k)
+    with s_j = p**(j(1-beta)) a running power.  When 1 - beta > 0 and
+    lo >= 1 the run decays downward, and rest_j = E_j * s_j * rho bounds
+    the sum of its terms below j: E_j bounds the log factor on
+    lo <= j' < j, taking each power at j where it grows and at lo where it
+    falls, and
     rho = p**(-(1-beta)) / (1 - p**(-(1-beta))) sums the geometric decay.
     Exact mode sums every sphere.
     """
@@ -563,16 +689,18 @@ def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):
     """Integral of f over the ball |y| <= p**n via sphere decomposition.
 
     Runs where the profile is exactly c * p**(j*d) (its declared inner model
-    among them) are summed in closed form; table values and log-power runs
-    are summed sphere by sphere.  A log-power run that decays toward the
-    origin is summed from the top and stops once its certified remainder
-    falls below rel_tol of what was summed.
+    among them), and the terms of log-power runs whose log power is a
+    nonnegative integer, are summed in closed form; table values and the
+    other log-power terms are summed sphere by sphere.  Those that decay
+    toward the origin are summed from the top and stop once their
+    certified remainder falls below rel_tol of what was summed.
     """
     if n is ZERO:
         return ctx.real(0)
     n = _require_finite(n)
     with ctx.workprec():
-        return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(f, n, ctx).total
+        runs = sphere_segments(f, n, ctx)
+        return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(runs, n, ctx).total
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from padic_ialpha import (
     cumulative_ball_integral,
     ialpha_eval,
 )
-from padic_ialpha.radial import SphereSum
+from padic_ialpha.radial import SphereSum, sphere_segments
 from sphere_oracle import oracle_ball, oracle_ialpha
 
 VALUES = (0.75, 1.25, 0.5, 2.0, 1.5, 0.875)
@@ -63,11 +63,35 @@ EXACT_CASES = [
     ("logp-b1", LogPower(1, 0), 7, 2, 2),
     ("logp-b3", LogPower(3, 0), 5, 2, 3),
     ("logp-g2", LogPower(0, 2), 6, 3, 2),
+    ("logp-b1-g2", LogPower(1, 2), 10, 2, 2),
+    ("logp-b2-g3", LogPower(2, 3), 17, 3, 3),
+    ("logp-balpha-g1", LogPower(3, 1), 5, 3, 2),
+    ("table-outer-below-1", Table(-3, (1, 3), ZeroTail(), OuterTail(1, 2, (1, -1))),
+     12, 2, 2),
+    ("table-extra-coeffs", Table(0, (1, 3), ZeroTail(), OuterTail(1, 1, (1, 2, 3))),
+     6, 3, 2),
     ("combo-mixed", LinearCombo((
         (2, Monomial(1)), (-3, Indicator(0)), (1, LogPower(0, 2)),
         (Fraction(1, 2), Table(-3, (1, 3, 2, 5), PowerTail(2, 1),
                                OuterTail(1, 2, (1, -1)))),
     )), 6, 3, 2),
+]
+
+
+# profiles whose log-power terms have nonnegative integer powers: beta near
+# the critical rates 1 and alpha = 2.3, a power too high for the run's
+# length, an integer-gamma outer tail that starts below j = 1, and one with
+# more coefficients than gamma + 1
+CLOSED_CASES = [
+    (f"logp-b{beta}-g{gamma}", LogPower(beta, gamma))
+    for beta in (0.5, 1 - 1e-8, 1.0, 1 + 1e-8, 1.5, 2.3)
+    for gamma in (0, 1, 2, 3)
+] + [
+    ("logp-b0.5-g20", LogPower(0.5, 20)),
+    ("table-int-outer-below-1", Table(-6, VALUES[:3], PowerTail(0.9, 0.25),
+                                      OuterTail(0.5, 2.0, (1.0, -0.5)))),
+    ("table-extra-coeffs", Table(-4, VALUES, PowerTail(0.9, 0.25),
+                                 OuterTail(1.0, 1.0, (1.0, 0.5, 0.25)))),
 ]
 
 
@@ -104,9 +128,29 @@ def test_exact_mode_equals_literal_sum(name, f, N, alpha, p):
     assert got == oracle_ball(f, N, p, exact=True, log_base_p=True)[0]
 
 
+@pytest.mark.parametrize("name,f", CLOSED_CASES, ids=_ids(CLOSED_CASES))
+def test_closed_log_powers_within_bound(name, f):
+    # near rate 0 the two ends of the closed form cancel by up to
+    # (1 - p**-|rate|)**-(m+1); its guard bits keep the context's accuracy.
+    # At N = 5 only gamma <= 1 has the (gamma + 1)**2 spheres it needs.
+    # rel_tol at the precision keeps truncated runs as accurate
+    for N in (2, 5, 17, 40):
+        want, slack = oracle_ialpha(f, N, 2.3, 2)
+        for bits in (64, 256):
+            ctx = NumericContext(2, precision_bits=bits, rel_tol=2.0**-bits)
+            ov = ialpha_eval(f, N, 2.3, ctx)
+            with mp.workprec(512):
+                err = abs(mp.mpf(ov.value) - want)
+                assert err <= ov.truncation_bound + slack
+                assert err <= 2 ** (16 - bits) * abs(want)
+
+
 def test_exact_power_model_sums_no_sphere(ctx2):
     for f in (Monomial(-0.9999), Monomial(2.5), Indicator(-3), LogPower(0.25, 0.0)):
         for N in (0, 12):
+            assert ialpha_eval(f, N, 2.0, ctx2).j_cut == N
+    for f in (LogPower(1, 2), LogPower(1.5, 2)):
+        for N in (60, 3000):
             assert ialpha_eval(f, N, 2.0, ctx2).j_cut == N
 
 
@@ -123,13 +167,16 @@ def test_combo_cut_is_its_lowest_explicit_sphere(ctx2):
 
 
 def test_combo_walks_its_spheres_once(ctx2):
-    # the gamma = 2, 1 log runs merge into one; the gamma = 0 term is a power
-    # run, summed in closed form
+    # the gamma = 2.5, 1.5, 0.5 log runs merge into one run, which has no
+    # closed form and does not decay toward the origin at beta = 1
     combo = LinearCombo(tuple(
-        (c, LogPower(1, 2 - n)) for n, c in enumerate((1.0, -0.5, 0.25))
+        (c, LogPower(1, 2.5 - n)) for n, c in enumerate((1.0, -0.5, 0.25))
     ))
-    alone = SphereSum(LogPower(1, 2), 599, ctx2, 2.0).explicit
-    assert SphereSum(combo, 599, ctx2, 2.0).explicit == alone == 599
+
+    def explicit(f):
+        return SphereSum(sphere_segments(f, 599, ctx2), 599, ctx2, 2.0).explicit
+
+    assert explicit(combo) == explicit(LogPower(1, 2.5)) == 599
 
 
 def test_near_critical_alpha_keeps_double_accuracy(ctx2):
@@ -146,8 +193,8 @@ def test_near_critical_alpha_keeps_double_accuracy(ctx2):
 @given(
     alpha=st.floats(1.05, 3.5),
     degree=st.floats(-0.75, 3.0),
-    beta=st.floats(0.0, 3.0),
-    gamma=st.floats(0.0, 3.0),
+    beta=st.one_of(st.floats(0.0, 3.0), st.sampled_from([1 - 1e-8, 1.0, 1 + 1e-8])),
+    gamma=st.one_of(st.floats(0.0, 3.0), st.integers(0, 3)),
     N=st.integers(-8, 24),
     p=st.sampled_from([2, 3, 5]),
 )
