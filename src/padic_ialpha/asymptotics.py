@@ -82,7 +82,7 @@ def gen_binomial(gamma, k: int, ctx: NumericContext | None = None):
 
 
 def _poly_derivative(coeffs: tuple) -> tuple:
-    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (Fraction(0),)
+    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0,)
 
 
 @cache
@@ -90,19 +90,20 @@ def _phi_numerator(k: int) -> tuple:
     """Numerator polynomial of Phi_k(q) = N_k(q) / (1 - q)**(k + 1).
 
     Recurrence N_k(q) = q * ((1 - q) N_{k-1}'(q) + k N_{k-1}(q)) from
-    Phi_k = q d/dq Phi_{k-1}.
+    Phi_k = q d/dq Phi_{k-1}.  The coefficients are Eulerian numbers, kept
+    as Python ints so that a Horner step adds them exactly.
     """
     if k == 0:
-        return (Fraction(0), Fraction(1))
+        return (0, 1)
     prev = _phi_numerator(k - 1)
     deriv = _poly_derivative(prev)
-    combined = [Fraction(0)] * max(len(deriv) + 1, len(prev))
+    combined = [0] * max(len(deriv) + 1, len(prev))
     for i, c in enumerate(deriv):
         combined[i] += c
         combined[i + 1] -= c
     for i, c in enumerate(prev):
         combined[i] += k * c
-    return (Fraction(0), *combined)  # leading q shifts every power up by one
+    return (0, *combined)  # leading q shifts every power up by one
 
 
 def phi_sum(k: int, q, ctx: NumericContext):
@@ -115,7 +116,7 @@ def phi_sum(k: int, q, ctx: NumericContext):
     with ctx.workprec():
         num = ctx.real(0)
         for c in reversed(_phi_numerator(k)):
-            num = num * qv + ctx.real(c)
+            num = num * qv + c
         return num / (ctx.real(1) - qv) ** (k + 1)
 
 

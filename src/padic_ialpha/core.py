@@ -2,7 +2,9 @@
 
 Everything downstream (radial profiles, the operator evaluator, the
 asymptotic coefficient engines) funnels its arithmetic through a
-:class:`NumericContext`.  Two arithmetic backends are supported:
+:class:`NumericContext`.  The depth sampler returns Haar draws as counts
+per (|y|, |x - y|) cell, drawn in O(log_p samples) work with no per-draw
+arrays.  Two arithmetic backends are supported:
 
 * extended-precision binary floats (mpmath, configurable mantissa), the
   default -- sphere sums reach magnitudes like p**(alpha*N) far beyond
@@ -414,33 +416,49 @@ class RandomStream:
 
 
 def sample_kernel_exponents(ctx: NumericContext, n, samples: int, stream: RandomStream):
-    """Haar draws y in the ball |y| <= p**n, paired with distances to a sphere point.
+    """Histogram of Haar draws y in the ball |y| <= p**n over (|y|, |x - y|) cells.
 
-    For any x with |x| = p**n, returns integer arrays (j, e) with
-    |y_i| = p**j[i] and |x - y_i| = p**e[i], one entry per draw.  No digits
-    are drawn: Haar digits are i.i.d. uniform, so by ultrametricity the
-    pair follows the depth law
+    For any x with |x| = p**n, returns equal-length integer arrays
+    (j, e, counts): ``counts[i]`` of the ``samples`` draws have
+    |y| = p**j[i] and |x - y| = p**e[i].  There is one entry per cell, in
+    increasing e - j, from the deepest cell drawn on the sphere |y| = p**n
+    to the deepest drawn inside it, so undrawn cells between them carry a
+    count of 0.  No digits are drawn: Haar digits are i.i.d. uniform, so by
+    ultrametricity each draw follows the depth law
 
     * P(j = n - z, e = n) = (1 - 1/p) p**(-z) for z >= 1;
     * P(j = e = n) = (p - 2) / p (the leading digits differ);
     * P(j = n, e = n - t) = (1 - 1/p) p**(-t) for t >= 1,
 
     where t is the number of leading digits y shares with x.  The law does
-    not depend on which point x of the sphere is chosen.  j comes from one
-    geometric draw; on the sphere j = n the leading digit matches x's with
-    probability 1/(p - 1) (always at p = 2), and a match draws its depth t
-    from a second geometric.
+    not depend on which point x of the sphere is chosen.  One multinomial
+    splits the draws into the three lines, and each depth histogram is a
+    binomial chain: of the m draws of depth >= k, Bin(m, 1 - 1/p) stop at
+    k, which by memorylessness is the law of the histogram of m i.i.d.
+    geometric depths.  The work is O(log_p samples), with no per-draw
+    arrays.
     """
     import numpy as np
 
     n = _require_finite(n)
+    samples = _require_finite(samples, "samples")
+    if not 1 <= samples < 2**63:  # numpy draws counts as int64
+        raise ParamOutOfRange(f"samples must lie in [1, 2**63), got {samples}")
     p = ctx.prime
     rng = stream.generator
-    j = n + 1 - rng.geometric(1.0 - 1.0 / p, size=samples)
-    match = np.flatnonzero(j == n)
-    if p > 2:
-        match = match[rng.integers(1, p, size=match.size) == 1]  # x's leading digit
-    t = rng.geometric(1.0 - 1.0 / p, size=match.size)
-    e = np.full(samples, n, dtype=np.int64)
-    e[match] = n - t
-    return j, e
+    inside, differ, match = rng.multinomial(samples, [1 / p, (p - 2) / p, 1 / p])
+
+    def depths(m):
+        """Counts of depth 1, 2, ... among m draws with P(depth = k) = (1 - 1/p) p**(1 - k)."""
+        counts = []
+        while m:
+            stop = rng.binomial(m, 1.0 - 1.0 / p)
+            counts.append(stop)
+            m -= stop
+        return counts
+
+    on_sphere = depths(match)  # depth t of the cell e = n - t
+    below = depths(inside)  # depth z of the cell j = n - z
+    counts = np.array([*reversed(on_sphere), differ, *below], dtype=np.int64)
+    d = np.arange(-len(on_sphere), len(below) + 1)  # the cell e - j
+    return n - np.maximum(d, 0), n + np.minimum(d, 0), counts

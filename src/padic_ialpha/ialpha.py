@@ -178,12 +178,12 @@ def mc_ialpha_eval(
 
     Draws y from the Haar measure on the ball p**N and averages
     p**N * C * (|x-y|**(alpha-1) - |y|**(alpha-1)) * f(|y|) over the draws.
-    Each draw's (|y|, |x-y|) = (p**j, p**e) comes from the depth law of
-    :func:`~padic_ialpha.core.sample_kernel_exponents`, which does not
-    depend on the point x chosen on the sphere |x| = p**N.
+    The draws arrive as counts per (|y|, |x-y|) = (p**j, p**e) cell from
+    :func:`~padic_ialpha.core.sample_kernel_exponents`, whose depth law
+    does not depend on the point x chosen on the sphere |x| = p**N.
 
     By ultrametricity e = N or j = N, so a draw's term depends on e - j
-    alone.  The terms are tabulated once per occurring cell at working
+    alone.  The term of each cell drawn is formed once at working
     precision, and the sample mean and standard deviation are read from
     the cell counts.  Returns (estimate, standard error).  Raises
     :class:`OverflowError` before drawing when C * p**(N alpha), the scale
@@ -192,6 +192,7 @@ def mc_ialpha_eval(
     """
     import numpy as np  # only the Monte Carlo path needs numpy
 
+    samples = _require_finite(samples, "samples")
     if samples < 10_000:
         raise ParamOutOfRange("at least 10^4 samples are required")
     alpha = ctx.real(alpha)
@@ -214,10 +215,8 @@ def mc_ialpha_eval(
         top = ctx.p_pow((alpha - 1) * N)  # the largest kernel power, at e = N
         double(scale * top)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    j, e = sample_kernel_exponents(ctx, N, samples, stream)
-    cells = e - j  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
-    low = int(cells.min())
-    counts = np.bincount(cells - low)
+    j, e, counts = sample_kernel_exponents(ctx, N, samples, stream)
+    cells = (e - j).tolist()  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
     with ctx.workprec():
         f_N = eval_sphere(f, N, ctx)
 
@@ -228,7 +227,7 @@ def mc_ialpha_eval(
             return scale * (ctx.p_pow((alpha - 1) * (N + d)) - top) * f_N
 
         values = np.array(
-            [double(term(low + i)) if c else 0.0 for i, c in enumerate(counts)]
+            [double(term(d)) if c else 0.0 for d, c in zip(cells, counts)]
         )
     # sums over values scaled by a power of two near their largest cannot overflow
     size = 2.0 ** math.frexp(float(np.abs(values).max()))[1]

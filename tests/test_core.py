@@ -1,6 +1,7 @@
 """Closed-form integrals, numeric context plumbing, digit arithmetic and the depth sampler."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -325,16 +326,17 @@ class TestHaarSampling:
         assert abs(p_hat - 0.5) < 4 * sigma
 
     def test_valuation_law_chi_square(self, ctx2):
-        # batched draws against the geometric valuation law over 10^6 samples
-        j, _ = sample_kernel_exponents(ctx2, 0, 10**6, RandomStream(99))
+        # the cell counts against the geometric valuation law over 10^6 samples
+        j, _, counts = sample_kernel_exponents(ctx2, 0, 10**6, RandomStream(99))
         zeros = -j
-        n = len(zeros)
+        n = int(counts.sum())
+        assert n == 10**6
         chi2 = 0.0
         for z in range(10):
             expected = n * 0.5 ** (z + 1)
-            observed = int((zeros == z).sum())
+            observed = int(counts[zeros == z].sum())
             chi2 += (observed - expected) ** 2 / expected
-        tail = int((zeros >= 10).sum())
+        tail = int(counts[zeros >= 10].sum())
         expected_tail = n * 0.5**10
         chi2 += (tail - expected_tail) ** 2 / expected_tail
         assert chi2 < 31.26  # chi-square 0.999 quantile, 10 degrees of freedom
@@ -342,11 +344,39 @@ class TestHaarSampling:
     def test_mean_abs_matches_closed_form(self):
         # E|y| over the normalised ball p**n equals the ratio of power integrals
         ctx = NumericContext(3)
-        j, _ = sample_kernel_exponents(ctx, 2, 400_000, RandomStream(5))
-        draws = 3.0 ** j.astype(float)
+        j, _, counts = sample_kernel_exponents(ctx, 2, 400_000, RandomStream(5))
+        draws = 3.0 ** j.astype(float)  # each drawn counts[i] times
+        n = int(counts.sum())
+        mean = float(counts @ draws) / n
+        stderr = math.sqrt(float(counts @ (draws - mean) ** 2) / (n - 1) / n)
         target = float(ball_power_integral(ctx, 2, 2) / ball_power_integral(ctx, 1, 2))
-        stderr = draws.std(ddof=1) / math.sqrt(len(draws))
-        assert abs(draws.mean() - target) < 4 * stderr
+        assert abs(mean - target) < 4 * stderr
+
+    @pytest.mark.parametrize(
+        "bad", [True, False, 1e6, 1.5e6 + 0.5, "1000000", ZERO, 0, -5, 2**63], ids=repr
+    )
+    def test_sample_count_must_be_a_positive_int64(self, ctx2, bad):
+        with pytest.raises(ParamOutOfRange):
+            sample_kernel_exponents(ctx2, 0, bad, RandomStream(1))
+
+    def test_sample_count_accepts_numpy_integers(self, ctx2):
+        _, _, counts = sample_kernel_exponents(ctx2, 0, np.int64(10**6), RandomStream(1))
+        assert int(counts.sum()) == 10**6
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_no_per_draw_work(self, p):
+        # the histogram costs O(log_p samples) cells, whatever the sample count
+        ctx = NumericContext(p)
+        j, e, counts = sample_kernel_exponents(ctx, 3, 10**12, RandomStream(60 + p))
+        assert int(counts.sum()) == 10**12
+        assert len(j) == len(e) == len(counts) <= 2 * math.log(10**12, p) + 40
+        tracemalloc.start()
+        try:
+            sample_kernel_exponents(ctx, 3, 10**6, RandomStream(70 + p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_ultrametric_equality_on_distinct_valuations(self, ctx3):
         stream = RandomStream(11)
@@ -415,12 +445,12 @@ class TestDepthLaw:
         ys = [haar_sample_ball(ctx, n, width, stream) for _ in range(20_000)]
         oj = [y.abs_exponent for y in ys]
         oe = [padic_sub_abs(x, y) for y in ys]
-        j, e = sample_kernel_exponents(ctx, n, 10**6, RandomStream(seed + 100))
+        j, e, counts = sample_kernel_exponents(ctx, n, 10**6, RandomStream(seed + 100))
         assert j.max() <= n and e.max() <= n
         # pool the cells the oracle expects fewer than 5 draws in
         cut = int(math.log(20_000 * (1 - 1 / p) / 5, p))
         a = np.bincount(_cells(oj, oe, cut), minlength=2 * cut + 1)
-        b = np.bincount(_cells(j, e, cut), minlength=2 * cut + 1)
+        b = np.bincount(_cells(j, e, cut), weights=counts, minlength=2 * cut + 1)
         keep = (a + b) > 0
         a, b = a[keep], b[keep]
         n1, n2 = a.sum(), b.sum()
@@ -433,8 +463,8 @@ class TestDepthLaw:
     def test_sampler_matches_closed_form(self, p):
         # the documented law itself, over 10^6 draws
         cut = {2: 14, 3: 9, 5: 6}[p]
-        j, e = sample_kernel_exponents(NumericContext(p), 4, 10**6, RandomStream(40 + p))
-        observed = np.bincount(_cells(j, e, cut), minlength=2 * cut + 1)
+        j, e, counts = sample_kernel_exponents(NumericContext(p), 4, 10**6, RandomStream(40 + p))
+        observed = np.bincount(_cells(j, e, cut), weights=counts, minlength=2 * cut + 1)
         expected = 10**6 * _depth_law(p, cut)
         keep = expected > 0
         chi2 = float(((observed[keep] - expected[keep]) ** 2 / expected[keep]).sum())

@@ -286,6 +286,17 @@ class TestMonteCarlo:
         with pytest.raises(ParamOutOfRange):
             mc_ialpha_eval(Monomial(1.0), 0, 2.0, 100, 80, ctx2)
 
+    @pytest.mark.parametrize("samples", [True, 1e6, 1.5e6 + 0.5, "1000000"], ids=repr)
+    def test_sample_count_must_be_an_integer(self, ctx2, samples):
+        with pytest.raises(ParamOutOfRange):
+            mc_ialpha_eval(Monomial(1.0), 0, 2.0, samples, 80, ctx2)
+
+    def test_numpy_sample_count(self, ctx2):
+        import numpy as np
+
+        est, se = mc_ialpha_eval(Monomial(1.0), 0, 2.0, np.int64(10**6), 81, ctx2)
+        assert abs(est - 5 / 28) < 4 * se
+
     def test_tabulated_profile_round_trip(self, ctx2):
         # MC also certifies table-backed profiles
         tab = Table.from_values(
