@@ -157,9 +157,6 @@ class _RadiusZero:
 #: Radius-zero sentinel; ``n is ZERO`` marks the single point x = 0.
 ZERO = _RadiusZero()
 
-#: A ball/sphere radius is p**n for an exact integer n, or ZERO.
-BallExponent = "int | _RadiusZero"
-
 
 def _require_finite(n, what: str = "exponent") -> int:
     if n is ZERO:
@@ -289,12 +286,6 @@ class NumericContext:
             )
         with self.workprec():
             return mp.log(self.prime)
-
-    def log_radius(self, x_exp: int):
-        """log(p**x_exp) under the context convention."""
-        x_exp = _require_finite(x_exp, "x_exp")
-        with self.workprec():
-            return x_exp * self.log_unit()
 
     def rounding_eps(self):
         """Unit used for certified rounding bounds (0 in exact mode)."""

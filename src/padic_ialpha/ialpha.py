@@ -35,7 +35,7 @@ from .radial import (
     SphereSum,
     _parts_at,
     _runs_below,
-    eval_sphere,
+    _values_down,
     sphere_segments,
 )
 
@@ -183,9 +183,12 @@ def mc_ialpha_eval(
     does not depend on the point x chosen on the sphere |x| = p**N.
 
     By ultrametricity e = N or j = N, so a draw's term depends on e - j
-    alone.  The term of each cell drawn is formed once at working
-    precision, and the sample mean and standard deviation are read from
-    the cell counts.  Returns (estimate, standard error).  Raises
+    alone, and the cells drawn are contiguous in e - j.  The profile's runs
+    are built once, on j <= N, and the cells are walked from the sphere
+    outward with running powers at working precision: the kernel power
+    p**((alpha - 1)(N - |e - j|)) and the profile on the spheres N - 1,
+    N - 2, ...  The sample mean and standard deviation are read from the
+    cell counts.  Returns (estimate, standard error).  Raises
     :class:`OverflowError` before drawing when C * p**(N alpha), the scale
     of the kernel terms, does not fit a double, and after drawing when a
     term does not.
@@ -218,17 +221,15 @@ def mc_ialpha_eval(
     j, e, counts = sample_kernel_exponents(ctx, N, samples, stream)
     cells = (e - j).tolist()  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
     with ctx.workprec():
-        f_N = eval_sphere(f, N, ctx)
-
-        def term(d):
-            if d > 0:
-                inner = ctx.p_pow((alpha - 1) * (N - d))
-                return scale * (top - inner) * eval_sphere(f, N - d, ctx)
-            return scale * (ctx.p_pow((alpha - 1) * (N + d)) - top) * f_N
-
-        values = np.array(
-            [double(term(d)) if c else 0.0 for d, c in zip(cells, counts)]
-        )
+        runs = sphere_segments(f, N, ctx)
+        f_N = sum(_parts_at(runs, N, ctx))
+        below = _values_down(runs, N - 1, ctx)  # f(p**j) for j = N - 1, N - 2, ...
+        q, kernel = ctx.p_pow(1 - alpha), [top]  # kernel[k] = p**((alpha - 1)(N - k))
+        while len(kernel) <= max(-cells[0], cells[-1]):
+            kernel.append(kernel[-1] * q)
+        terms = [scale * (kernel[-d] - top) * f_N for d in cells if d <= 0]
+        terms += [scale * (top - kernel[d]) * next(below) for d in cells if d > 0]
+        values = np.array([double(t) if c else 0.0 for t, c in zip(terms, counts)])
     # sums over values scaled by a power of two near their largest cannot overflow
     size = 2.0 ** math.frexp(float(np.abs(values).max()))[1]
     unit = values / size

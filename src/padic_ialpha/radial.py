@@ -685,6 +685,45 @@ def _log_steps(ctx: NumericContext, run: LogRun):
         s *= down
 
 
+def _values_down(runs: list, top: int, ctx: NumericContext):
+    """f(p**j) for j = top, top - 1, ... without end, from a profile's runs.
+
+    Each run is stepped, not re-evaluated: a power run's value is a running
+    power, a value run reads its value, and a log-power run takes one
+    general power per sphere against a running p**(-j*beta).  The parts
+    add in run order, as in :func:`eval_sphere`.
+    """
+    walks = [_run_parts_down(run, top, ctx) for run in runs]
+    while True:
+        yield sum(x for walk in walks for x in next(walk))
+
+
+def _run_parts_down(run, top: int, ctx: NumericContext):
+    """The run's parts of f(p**j) for j = top, top - 1, ..., [] off its span."""
+    j = top
+    while j > run.hi:
+        yield []
+        j -= 1
+    if isinstance(run, LogRun):
+        s, up = ctx.p_pow(-run.beta * j), ctx.p_pow(run.beta)
+        for terms in _log_terms(run, range(j, run.lo - 1, -1), ctx.log_unit(), ctx):
+            yield [s * t for t in terms]
+            s *= up
+    elif isinstance(run, ValueRun):
+        while j >= run.lo:
+            yield [run.coeff * ctx.real(run.values[j - run.lo])]
+            j -= 1
+    else:
+        (x,) = run.at(j, ctx)
+        down = ctx.p_pow(-run.degree) if run.degree else 1
+        while run.lo is None or j >= run.lo:
+            yield [x]
+            x *= down
+            j -= 1
+    while True:
+        yield []
+
+
 def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):
     """Integral of f over the ball |y| <= p**n via sphere decomposition.
 

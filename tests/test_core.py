@@ -378,6 +378,29 @@ class TestHaarSampling:
             tracemalloc.stop()
         assert peak < 2**20
 
+    @pytest.mark.parametrize("p, seed, j, e, counts", [
+        (2, 2026,
+         [1] * 17 + [0, -1, -2, -3, -4, -5, -6, -7, -8, -9, -10, -11, -12],
+         [-15, -14, -13, -12, -11, -10, -9, -8, -7, -6, -5, -4, -3, -2, -1, 0]
+         + [1] * 14,
+         [1, 0, 0, 1, 0, 3, 4, 9, 13, 26, 69, 161, 322, 657, 1235, 2542, 0,
+          2500, 1198, 621, 308, 174, 63, 46, 21, 13, 7, 2, 3, 1]),
+        (3, 2027,
+         [1] * 11 + [0, -1, -2, -3, -4, -5, -6, -7],
+         [-9, -8, -7, -6, -5, -4, -3, -2, -1, 0] + [1] * 9,
+         [1, 0, 1, 0, 16, 24, 95, 231, 756, 2263, 3318, 2192, 711, 276, 71, 33,
+          7, 2, 3]),
+        (5, 2028,
+         [1] * 6 + [0, -1, -2, -3, -4, -5],
+         [-4, -3, -2, -1, 0] + [1] * 7,
+         [1, 16, 74, 318, 1593, 6004, 1614, 307, 62, 10, 0, 1]),
+    ])
+    def test_random_stream_use_is_pinned(self, p, seed, j, e, counts):
+        # a change in how the sampler consumes its stream must edit these
+        # literals: it reshuffles every seeded Monte Carlo estimate
+        got = sample_kernel_exponents(NumericContext(p), 1, 10**4, RandomStream(seed))
+        assert [a.tolist() for a in got] == [j, e, counts]
+
     def test_ultrametric_equality_on_distinct_valuations(self, ctx3):
         stream = RandomStream(11)
         checked = 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from mpmath import mp
+from mc_oracle import mc_reference
 from series_oracle import smallball_direct
 
 from padic_ialpha import (
@@ -16,9 +17,11 @@ from padic_ialpha import (
     LogPower,
     Monomial,
     NumericContext,
+    OuterTail,
     ParamOutOfRange,
     PowerTail,
     Table,
+    ZeroTail,
     ialpha_eval,
     ialpha_monomial_exact,
     mc_ialpha_eval,
@@ -28,6 +31,7 @@ from padic_ialpha import (
     smallball_kernel_integral,
     unit_kernel_integral,
 )
+from padic_ialpha import radial
 
 
 def brute_sphere_sum(f_at, N, alpha, ctx, j_floor):
@@ -323,3 +327,65 @@ class TestMonteCarlo:
         est, se = mc_ialpha_eval(Monomial(-0.5), 330, 3.0, 200_000, 87, ctx2)
         exact = float(ialpha_eval(Monomial(-0.5), 330, 3.0, ctx2).value)
         assert math.isfinite(se) and abs(est - exact) < 4 * se
+
+
+class TestMonteCarloCells:
+    """The run walk of mc_ialpha_eval against per-cell terms (mc_oracle)."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("f, alpha", [
+        (Monomial(0.5), 1.5), (Monomial(1.0), 2.0), (Monomial(2.0), 3.0),
+        (Indicator(0), 1.5), (Indicator(1), 2.0), (Indicator(2), 3.0),
+    ], ids=repr)
+    def test_bench_grid_matches_per_cell_terms(self, p, f, alpha):
+        ctx = NumericContext(p)
+        for N, seed in [(-1, 1), (0, 2), (1, 3), (3, 4)]:
+            args = (f, N, alpha, 10**6, seed, ctx)
+            assert mc_ialpha_eval(*args) == mc_reference(*args)
+
+    @pytest.mark.parametrize("f, N", [
+        (LogPower(0.5, 2.0), 6),
+        (LogPower(0.5, 2.5), 5),
+        (LogPower(1.0, 1.0), 3),
+        (Table.from_values(
+            {j: 2.0**j / (1 + 2.0**j) for j in range(-6, 3)},
+            PowerTail(0.5, 1.0), OuterTail(0.5, 1.0, (1.0, 0.25)),
+        ), 6),
+        (Table.from_values(
+            {j: 1 / (1 + j * j) for j in range(-4, 2)},
+            ZeroTail(), OuterTail(1.0, 0.0, (2.0,)),
+        ), 4),
+        (LinearCombo(((0.3, Indicator(-3)), (0.7, Indicator(-5)))), 0),
+        (LinearCombo(((0.3, Indicator(-3)), (0.5, Monomial(1.0)))), 2),
+        (Monomial(-0.5), -3),
+    ], ids=repr)
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_every_run_form_matches_per_cell_terms(self, f, N, p):
+        ctx = NumericContext(p)
+        for alpha, seed in [(1.5, 5), (2.0, 6), (3.0, 7)]:
+            args = (f, N, alpha, 10**5, seed, ctx)
+            assert mc_ialpha_eval(*args) == mc_reference(*args)
+
+    def test_exact_mode_matches_per_cell_terms(self, exact2):
+        args = (Monomial(1), 2, 2, 10**5, 8, exact2)
+        assert mc_ialpha_eval(*args) == mc_reference(*args)
+
+    def test_power_count_does_not_grow_with_samples(self, monkeypatch, ctx2):
+        calls = []
+        p_pow = NumericContext.p_pow
+
+        def counted(self, exponent):
+            calls.append(exponent)
+            return p_pow(self, exponent)
+
+        def explode(*args):
+            raise AssertionError("mc_ialpha_eval evaluated a sphere afresh")
+
+        monkeypatch.setattr(NumericContext, "p_pow", counted)
+        monkeypatch.setattr(radial, "_sphere_parts", explode)  # under eval_sphere
+        counts = []
+        for samples in (10**4, 10**12):
+            calls.clear()
+            mc_ialpha_eval(Monomial(1), 0, 2.0, samples, 9, ctx2)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 10

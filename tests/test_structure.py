@@ -81,3 +81,21 @@ def test_import_does_not_load_numpy():
         capture_output=True, text=True, check=True, timeout=120,
     )
     assert out.stdout.strip() == "False"
+
+
+def imported_names(source: str) -> set:
+    """Every name bound by an import statement in source."""
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_operator_module_does_not_evaluate_spheres_afresh():
+    # ialpha reads a profile through its runs, built once per value or estimate
+    src = Path(padic_ialpha.__file__).parent / "ialpha.py"
+    names = imported_names(src.read_text())
+    assert "sphere_segments" in names
+    assert "eval_sphere" not in names
