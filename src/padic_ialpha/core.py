@@ -12,6 +12,13 @@ arrays.  Two arithmetic backends are supported:
 * exact rationals (``fractions.Fraction``), available when every exponent
   that occurs is an integer and no natural logarithm enters.  Used as the
   oracle side of regression tests.
+
+Every power of p, ln p and 1 - p**x goes through one small kernel that
+calls mpmath's ``libmp`` layer at the context's precision, passed
+explicitly: it never reads ``mp.prec`` and enters no ``workprec``.  ln p
+comes from a cache keyed by (prime, precision).  Each result is
+bit-for-bit what ``mp.power``, ``mp.log`` and ``mp.expm1`` return at that
+precision; the kernel only skips their dispatch and the repeated ln p.
 """
 
 from __future__ import annotations
@@ -22,8 +29,9 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 
-from mpmath import mp
+from mpmath import libmp, mp
 
 __all__ = [
     "AlphaOutOfRange",
@@ -188,6 +196,72 @@ def _require_real(x, what: str = "parameter"):
 
 
 # ---------------------------------------------------------------------------
+# p-power kernel
+# ---------------------------------------------------------------------------
+
+_RND = libmp.round_nearest  # the rounding of mpmath's default context
+
+
+def _raw(x, prec: int):
+    """x as a raw mpf, converted as ``mp.convert`` converts it at prec bits.
+
+    ints and floats are exact; a Fraction is rounded toward zero, as
+    mpmath rounds it.
+    """
+    if isinstance(x, mp.mpf):
+        return x._mpf_
+    if isinstance(x, int):
+        return libmp.from_int(x)
+    if isinstance(x, float):
+        return libmp.from_float(x)
+    if isinstance(x, Fraction):
+        return libmp.from_rational(x.numerator, x.denominator, prec, libmp.round_down)
+    with mp.workprec(prec):  # other number types: mpmath's own conversion
+        return mp.convert(x)._mpf_
+
+
+@lru_cache(maxsize=256)  # guard bits make a precision per rate; keep the cache bounded
+def _ln(prime: int, prec: int):
+    """ln p as a raw mpf rounded to prec bits, computed once per (prime, prec)."""
+    return libmp.mpf_log(libmp.from_int(prime), prec, _RND)
+
+
+def _expm1(t, prec: int):
+    """exp(t) - 1 for a raw mpf t, rounded to prec bits as ``mp.expm1`` rounds it.
+
+    It follows mpmath's schedule: 10 extra bits, then ``sum_accurately``'s
+    15 more, widened by the measured cancellation until that is below the
+    extra bits; below 2**-(prec + 10) the result is t + t**2/2.
+    """
+    _, man, exp, bc = t
+    if not man:
+        return libmp.fzero
+    wp = prec + 10
+    if exp + bc < -wp:
+        half_square = libmp.mpf_mul(libmp.mpf_pow_int(t, 2, wp, _RND), libmp.fhalf, wp, _RND)
+        return libmp.mpf_pos(libmp.mpf_add(t, half_square, wp, _RND), prec, _RND)
+    extra = 10
+    while True:
+        sp = wp + extra + 5
+        e = libmp.mpf_exp(t, sp, _RND)
+        s = libmp.mpf_add(e, libmp.fnone, sp, _RND)
+        # mpmath's mag, exponent + bit count, of the terms e and -1 and of the sum
+        cancellation = max(e[2] + e[3], 1) - (s[2] + s[3] if s[1] else -math.inf)
+        if cancellation < extra:
+            return libmp.mpf_pos(s, prec, _RND)
+        extra += min(sp, cancellation)
+
+
+def _one_minus_p_pow(ctx: NumericContext, x):
+    """1 - p**x, through expm1 so that no digits cancel when x is near 0."""
+    if ctx.exact:
+        return 1 - ctx.p_pow(x)
+    prec = ctx.precision_bits
+    t = libmp.mpf_mul(_raw(x, prec), _ln(ctx.prime, prec), prec, _RND)
+    return mp.make_mpf(libmp.mpf_neg(_expm1(t, prec)))
+
+
+# ---------------------------------------------------------------------------
 # Numeric context
 # ---------------------------------------------------------------------------
 
@@ -255,7 +329,8 @@ class NumericContext:
         exponent built from it (alpha - 1, M + alpha, ...) is then formed in
         the context arithmetic, never in float64.  Bools, NaN and inf are
         rejected here (:class:`ParamOutOfRange`), before any range check
-        sees them.
+        sees them.  ints and floats convert exactly; a Fraction rounds to
+        the context's precision, whatever ``mp.prec`` is.
         """
         _require_real(x)
         if self.exact:
@@ -264,19 +339,36 @@ class NumericContext:
             raise NumericModeError(f"cannot represent {x!r} exactly")
         if isinstance(x, mp.mpf):
             return x  # converting at working precision would not round it
-        with self.workprec():
-            return mp.convert(x)
+        return mp.make_mpf(_raw(x, self.precision_bits))
 
     def p_pow(self, exponent):
-        """p raised to a (real) exponent in the context arithmetic."""
+        """p raised to a (real) exponent in the context arithmetic.
+
+        Bit-for-bit ``mp.power(p, exponent)`` at the context's precision,
+        formed by the kernel: an integer exponent by repeated squaring, a
+        half-integer through the square root, any other as
+        exp(exponent * ln p) with ln p from the cache.
+        """
         if self.exact:
             e = _as_exact_int(exponent)
             return Fraction(self.prime) ** e
-        with self.workprec():
-            return mp.power(self.prime, mp.convert(exponent))
+        prec = self.precision_bits
+        t = _raw(exponent, prec)
+        sign, man, exp, _ = t
+        p = libmp.from_int(self.prime)
+        if exp >= 0:  # an integer
+            v = libmp.mpf_pow_int(p, (-man if sign else man) << exp, prec, _RND)
+        elif exp == -1:  # a half-integer: mpmath's square-root path
+            v = libmp.mpf_pow(p, t, prec, _RND)
+        else:  # mpf_pow's general branch, minus its mpf_log
+            v = libmp.mpf_exp(libmp.mpf_mul(t, _ln(self.prime, prec + 10)), prec, _RND)
+        return mp.make_mpf(v)
 
     def log_unit(self):
-        """The factor L with log(p**j) = j * L under the chosen convention."""
+        """The factor L with log(p**j) = j * L under the chosen convention.
+
+        The natural log is ln p at the context's precision, from the cache.
+        """
         if self.log_base is LogBase.BASE_P:
             return Fraction(1) if self.exact else mp.mpf(1)
         if self.exact:
@@ -284,15 +376,13 @@ class NumericContext:
                 "natural log of the radius is irrational; use log_base=BASE_P "
                 "for exact-rational work"
             )
-        with self.workprec():
-            return mp.log(self.prime)
+        return mp.make_mpf(_ln(self.prime, self.precision_bits))
 
     def rounding_eps(self):
-        """Unit used for certified rounding bounds (0 in exact mode)."""
+        """Unit 2**(6 - precision_bits) for certified rounding bounds (0 in exact mode)."""
         if self.exact:
             return Fraction(0)
-        with self.workprec():
-            return mp.mpf(2) ** (6 - self.precision_bits)
+        return mp.make_mpf(libmp.from_man_exp(1, 6 - self.precision_bits))
 
 
 def _as_exact_int(exponent) -> int:
@@ -313,21 +403,22 @@ def general_power(ctx: NumericContext, base, exponent):
     """base**exponent in the context arithmetic.
 
     Exact mode accepts only integer exponents, keeping Fractions closed.
+    Otherwise the power is ``mpf_pow`` at the context's precision, passed
+    explicitly.
     """
     if ctx.exact:
         return ctx.real(base) ** _as_exact_int(exponent)
-    with ctx.workprec():
-        b = mp.convert(base)
-        e = mp.convert(exponent)
-        if b < 0 and not mp.isint(e):
-            raise LogDomain(f"non-integer power {exponent} of negative base {base}")
-        if b == 0:
-            if e == 0:
-                return mp.mpf(1)
-            if e < 0:
-                raise LogDomain("negative power of zero")
-            return mp.mpf(0)
-        return mp.power(b, e)
+    prec = ctx.precision_bits
+    b, e = _raw(base, prec), _raw(exponent, prec)
+    if b[0] and e[2] < 0:  # a negative base and a non-integer exponent
+        raise LogDomain(f"non-integer power {exponent} of negative base {base}")
+    if b == libmp.fzero:
+        if e == libmp.fzero:
+            return mp.mpf(1)
+        if e[0]:
+            raise LogDomain("negative power of zero")
+        return mp.mpf(0)
+    return mp.make_mpf(libmp.mpf_pow(b, e, prec, _RND))
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +447,20 @@ def sphere_measure(ctx: NumericContext, n):
         return (ctx.real(1) - ctx.p_pow(-1)) * ctx.p_pow(n)
 
 
+def _prefactor_and_unit(ctx: NumericContext, a):
+    """(C, U) at alpha = a > 1, both from one p**(-a).
+
+    C is :func:`prefactor`, U is :func:`unit_kernel_integral`; the callers
+    check a.  C needs p**(a - 1) != 1 at working precision, which holds
+    whenever a > 1 is a scalar at the context's precision.
+    """
+    with ctx.workprec():
+        one, p = ctx.real(1), ctx.real(ctx.prime)
+        pa = ctx.p_pow(-a)
+        C = (one - pa) / (one - ctx.p_pow(a - 1))
+        return C, (p - 2 + pa) / (p * (one - pa))
+
+
 def unit_kernel_integral(ctx: NumericContext, alpha):
     """Integral of |1 - t|**(alpha-1) over the unit sphere |t| = 1.
 
@@ -364,10 +469,17 @@ def unit_kernel_integral(ctx: NumericContext, alpha):
     a = ctx.real(alpha)
     if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
-    with ctx.workprec():
-        p = ctx.real(ctx.prime)
-        pa = ctx.p_pow(-a)
-        return (p - 2 + pa) / (p * (ctx.real(1) - pa))
+    return _prefactor_and_unit(ctx, a)[1]
+
+
+def _check_prefactor_alpha(ctx: NumericContext, alpha):
+    """alpha as a context scalar; AlphaOutOfRange unless it exceeds 1 by more than rel_tol."""
+    a = ctx.real(alpha)
+    if a - 1 <= ctx.rel_tol:
+        raise AlphaOutOfRange(
+            f"alpha must exceed 1 by more than rel_tol, got {alpha}"
+        )
+    return a
 
 
 def prefactor(ctx: NumericContext, alpha):
@@ -375,14 +487,7 @@ def prefactor(ctx: NumericContext, alpha):
 
     Negative for every alpha > 1 (the denominator changes sign at 1).
     """
-    a = ctx.real(alpha)
-    if a - 1 <= ctx.rel_tol:
-        raise AlphaOutOfRange(
-            f"alpha must exceed 1 by more than rel_tol, got {alpha}"
-        )
-    with ctx.workprec():
-        one = ctx.real(1)
-        return (one - ctx.p_pow(-a)) / (one - ctx.p_pow(a - 1))
+    return _prefactor_and_unit(ctx, _check_prefactor_alpha(ctx, alpha))[0]
 
 
 # ---------------------------------------------------------------------------

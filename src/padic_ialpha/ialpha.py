@@ -25,10 +25,11 @@ from .core import (
     NumericContext,
     ParamOutOfRange,
     RandomStream,
+    _check_prefactor_alpha,
+    _prefactor_and_unit,
     _require_finite,
     prefactor,
     sample_kernel_exponents,
-    unit_kernel_integral,
 )
 from .radial import (
     RadialFunction,
@@ -79,12 +80,12 @@ def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorVal
     summed before cancellation, run by run on |y| = |x| as well.  N = ZERO
     integrates over the single point 0 and returns exactly 0.
     """
-    alpha = ctx.real(alpha)
-    C = prefactor(ctx, alpha)  # validates alpha
+    alpha = _check_prefactor_alpha(ctx, alpha)
     if N is ZERO:
         zero = ctx.real(0)
         return OperatorValue(zero, zero, ZERO)
     N = _require_finite(N, "radius exponent")
+    C, U = _prefactor_and_unit(ctx, alpha)
 
     with ctx.workprec():
         runs = sphere_segments(f, N, ctx)
@@ -93,7 +94,6 @@ def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorVal
         ball = inner.K * ctx.p_pow(N)  # p**(N alpha)
         parts = _parts_at(runs, N, ctx)
         f_N, size_N = sum(parts), sum(abs(x) for x in parts)
-        U = unit_kernel_integral(ctx, alpha)
         bracket = unit * inner.total + f_N * ball * (U - unit)
         magnitude = unit * inner.magnitude + size_N * ball * (U + unit)
         bound = abs(C) * (

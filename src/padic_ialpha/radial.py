@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Union
 
 from mpmath import mp
@@ -36,6 +36,7 @@ from .core import (
     NumericContext,
     ParamOutOfRange,
     UndefinedAtZero,
+    _one_minus_p_pow,
     _require_finite,
     _require_real,
     general_power,
@@ -435,24 +436,26 @@ def _sphere_parts(f: RadialFunction, j, ctx: NumericContext) -> list:
 # The sphere sum shared by ball integrals and operator values
 # ---------------------------------------------------------------------------
 
-def _one_minus_p_pow(ctx: NumericContext, x):
-    """1 - p**x, through expm1 so that no digits cancel when x is near 0."""
-    if ctx.exact:
-        return 1 - ctx.p_pow(x)
-    return -mp.expm1(x * mp.log(ctx.prime))
+@cache
+def _faulhaber_coefficients(m: int) -> tuple:
+    """C(m+1, k) B_k / (m+1) for k = 0 ... m, with B_1 = +1/2, exactly."""
+    coeffs = []
+    for k in range(m + 1):
+        b = Fraction(*mp.bernfrac(k))
+        coeffs.append(math.comb(m + 1, k) * (-b if k == 1 else b) / (m + 1))
+    return tuple(coeffs)
 
 
 def _faulhaber(m: int, n: int) -> Fraction:
     """Sum of j**m over 1 <= j <= n, exactly (DLMF 24.4.7).
 
     (1/(m+1)) sum_k C(m+1, k) B_k n**(m+1-k) with B_1 = +1/2; a polynomial
-    in n, so the difference of two values sums any range of j.
+    in n, so the difference of two values sums any range of j.  Its
+    coefficients are formed once per m.
     """
-    total = Fraction(0)
-    for k in range(m + 1):
-        b = Fraction(*mp.bernfrac(k))
-        total += math.comb(m + 1, k) * (-b if k == 1 else b) * n ** (m + 1 - k)
-    return total / (m + 1)
+    return sum(
+        c * n ** (m + 1 - k) for k, c in enumerate(_faulhaber_coefficients(m))
+    )
 
 
 def _power_sum(ctx: NumericContext, m: int, rate, lo, hi: int):

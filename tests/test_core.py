@@ -1,6 +1,7 @@
 """Closed-form integrals, numeric context plumbing, digit arithmetic and the depth sampler."""
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from padic_ialpha import (
     ZERO,
     AlphaOutOfRange,
     LogBase,
+    LogDomain,
     NumericContext,
     NumericModeError,
     ParamOutOfRange,
@@ -28,7 +30,8 @@ from padic_ialpha import (
     sphere_measure,
     unit_kernel_integral,
 )
-from padic_ialpha.core import _require_finite, sample_kernel_exponents
+from padic_ialpha.core import _require_finite, general_power, sample_kernel_exponents
+from padic_ialpha.radial import _one_minus_p_pow
 from digit_oracle import (
     EXACT_ZERO,
     PadicApprox,
@@ -247,6 +250,98 @@ def test_precision_doubling_is_stable():
         ):
             a, b = fn(lo), fn(hi)
             assert abs(float(a - b)) <= 2.0 ** (-64) * abs(float(b))
+
+
+# ---------------------------------------------------------------------------
+# p-power kernel: bit-identical to mpmath at the context's precision
+# ---------------------------------------------------------------------------
+
+KERNEL_PRIMES = (2, 3, 5, 7, 11)
+KERNEL_PRECS = (64, 80, 256, 300, 1024)
+
+
+def _kernel_exponents(prec: int, rng: random.Random) -> list:
+    """0, ints, half-integers, dyadic and decimal floats, Fractions, foreign mpfs."""
+    xs = [0, 1, -1, 2, -7, 40, -300, 10**5, -(10**5), 0.5, -0.5, 3.5, -7.5]
+    xs += [rng.randrange(-2000, 2000) / 8 for _ in range(4)]  # dyadic
+    xs += [0.1, -0.3, 1.7, -2.9, 1e-12, -1e-20]
+    xs += [round(rng.uniform(-50, 50), 3) for _ in range(4)]  # decimal
+    xs += [Fraction(1, 3), Fraction(-22, 7), Fraction(5, 2), Fraction(-10**30 - 1, 10**30)]
+    with mp.workprec(3 * prec + 17):  # mpfs rounded at another precision
+        xs += [mp.mpf(1) / 3, -mp.mpf(10) / 7, mp.mpf(2) ** -70 + 1, mp.mpf(rng.random()) * 30]
+    with mp.workprec(53):
+        xs += [mp.mpf(1) / 3, -mp.mpf(5) / 2]
+    return xs
+
+
+def _expm1_exponents(prec: int, p: int, rng: random.Random) -> list:
+    """x with |x ln p| from 2**-(prec + 20) up to 40, both signs, and 0."""
+    ks = {-(prec + 20), -(prec + 11), -(prec + 10), -(prec + 9), -1, 0, 4}
+    ks.update(rng.sample(range(-(prec + 20), 5), 12))
+    xs = [0, 1, -1, -3, 0.25, Fraction(-1, 3)]
+    with mp.workprec(prec):
+        top = 40 / mp.log(p)
+        for k in sorted(ks):
+            x = mp.ldexp(1 + mp.mpf(rng.random()), k)
+            xs += [x, -x] if x < top else []
+        xs += [top, -top]
+    return xs
+
+
+def _at_global_precisions(fn):
+    """fn() at the default mp.prec, at 53 and at 2000 bits; asserts they agree."""
+    saved = mp.prec
+    try:
+        got = fn()
+        for prec in (53, 2000):
+            mp.prec = prec
+            assert fn() == got, prec
+    finally:
+        mp.prec = saved
+    return got
+
+
+@pytest.mark.parametrize("prec", KERNEL_PRECS)
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+class TestPowerKernel:
+    def test_p_pow_matches_mp_power(self, p, prec):
+        ctx = NumericContext(p, precision_bits=prec)
+        for x in _kernel_exponents(prec, random.Random(p * 10007 + prec)):
+            got = _at_global_precisions(lambda: ctx.p_pow(x)._mpf_)
+            with mp.workprec(prec):
+                assert got == mp.power(p, x)._mpf_, x
+
+    def test_log_unit_and_rounding_eps_match_mpmath(self, p, prec):
+        ctx = NumericContext(p, precision_bits=prec)
+        log = _at_global_precisions(lambda: ctx.log_unit()._mpf_)
+        eps = _at_global_precisions(lambda: ctx.rounding_eps()._mpf_)
+        with mp.workprec(prec):
+            assert log == mp.log(p)._mpf_
+            assert eps == (mp.mpf(2) ** (6 - prec))._mpf_
+
+    def test_one_minus_p_pow_matches_expm1(self, p, prec):
+        ctx = NumericContext(p, precision_bits=prec)
+        for x in _expm1_exponents(prec, p, random.Random(p * 7919 + prec)):
+            got = _at_global_precisions(lambda: _one_minus_p_pow(ctx, x)._mpf_)
+            with mp.workprec(prec):
+                assert got == (-mp.expm1(x * mp.log(p)))._mpf_, x
+
+    def test_real_and_general_power_match_mpmath(self, p, prec):
+        ctx = NumericContext(p, precision_bits=prec)
+        xs = _kernel_exponents(prec, random.Random(p * 31 + prec))
+        for x in xs:
+            got = _at_global_precisions(lambda: ctx.real(x)._mpf_)
+            with mp.workprec(prec):
+                assert got == mp.convert(x)._mpf_, x
+        for base in (Fraction(p, 3), 0.7 * p, -p, 0):
+            for x in xs[:13]:
+                if base < 0 and x != int(x) or base == 0 and x < 0:
+                    with pytest.raises(LogDomain):
+                        general_power(ctx, base, x)
+                    continue
+                got = _at_global_precisions(lambda: general_power(ctx, base, x)._mpf_)
+                with mp.workprec(prec):
+                    assert got == mp.power(mp.convert(base), x)._mpf_, (base, x)
 
 
 # ---------------------------------------------------------------------------

@@ -39,6 +39,8 @@ F_T4 = LogPower(1, GAMMA_1)
 
 ENTRIES = {
     "ialpha_eval": lambda: ialpha_eval(F_T3, 7, ALPHA, CTX),
+    # an integer log power: the guarded closed form and the expm1 kernel
+    "ialpha_eval_integer_gamma": lambda: ialpha_eval(LogPower(BETA, 2), 40, ALPHA, CTX),
     "ialpha_eval_combo": lambda: ialpha_eval(
         LinearCombo(((0.3, Indicator(2)), (1.1, Monomial(0.7)))), -3, ALPHA, CTX
     ),

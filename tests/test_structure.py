@@ -99,3 +99,42 @@ def test_operator_module_does_not_evaluate_spheres_afresh():
     names = imported_names(src.read_text())
     assert "sphere_segments" in names
     assert "eval_sphere" not in names
+
+
+KERNEL_CALLS = {"power", "expm1", "log", "ln"}
+
+
+def mpmath_kernel_calls(source: str) -> list:
+    """(line, name) of every call mp.power, mp.expm1, mp.log or mp.ln in source."""
+    return [
+        (node.lineno, node.func.attr)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in KERNEL_CALLS
+        and isinstance(node.func.value, (ast.Name, ast.Attribute))
+        and (getattr(node.func.value, "id", None) or node.func.value.attr) == "mp"
+    ]
+
+
+def test_p_powers_go_through_the_core_kernel():
+    # one exponent arithmetic: every p**x, ln p and 1 - p**x is formed by core
+    src = Path(padic_ialpha.__file__).parent
+    stray = {
+        path.name: calls
+        for path in sorted(src.glob("*.py"))
+        if path.name != "core.py" and (calls := mpmath_kernel_calls(path.read_text()))
+    }
+    assert stray == {}
+
+
+def test_kernel_scan_sees_every_form_of_call():
+    source = (
+        "mp.power(ctx.prime, x)\n"
+        "y = -mp.expm1(x * mp.log(ctx.prime))\n"
+        "mpmath.mp.ln(p)\n"
+        "math.log(p); np.power(2, x); mp.exp(x)\n"
+    )
+    assert sorted(mpmath_kernel_calls(source)) == [
+        (1, "power"), (2, "expm1"), (2, "log"), (3, "ln"),
+    ]
