@@ -25,7 +25,7 @@ from .core import (
     prefactor,
     unit_kernel_integral,
 )
-from .ialpha import ialpha_eval, mc_ialpha_eval
+from .ialpha import _Operator, mc_ialpha_eval
 from .radial import (
     Indicator,
     LinearCombo,
@@ -237,6 +237,17 @@ def _parse_reals(raw: str) -> list[float]:
         raise ParamOutOfRange(f"expected comma-separated reals, got {raw!r}") from None
 
 
+_PARSER = None  # built on the first call of run
+
+
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    return _PARSER
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="padic-ialpha",
@@ -422,9 +433,10 @@ def _run_eval(args, ctx, config):
     if f is None:
         raise ParamOutOfRange("eval needs a profile (--monomial/--indicator/--table)")
     ladder = _parse_ladder(args.ladder)
+    op = _Operator(f, args.alpha, ctx)
     rows = []
     for x in ladder:
-        ov = ialpha_eval(f, x, args.alpha, ctx)
+        ov = op.at(x)
         rows.append((x, float(ov.value), float(ov.truncation_bound)))
     if args.dump_table:
         dump_table(f, args.dump_table, ctx, ladder)
@@ -519,12 +531,13 @@ def _run_mc(args, ctx, config):
         raise ParamOutOfRange("mc needs a profile (--monomial/--indicator/--table)")
     ladder = _parse_ladder(args.ladder)
     streams = RandomStream(args.seed).split(len(ladder))
+    op = _Operator(f, args.alpha, ctx)
     rows = []
     for x, stream in zip(ladder, streams):
         estimate, stderr = mc_ialpha_eval(
             f, x, args.alpha, args.samples, stream, ctx
         )
-        exact = float(ialpha_eval(f, x, args.alpha, ctx).value)
+        exact = float(op.at(x).value)
         if stderr > 0:
             z = (estimate - exact) / stderr
         else:
@@ -600,9 +613,8 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = _mend_negative_values(list(argv))
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -447,18 +447,38 @@ def sphere_measure(ctx: NumericContext, n):
         return (ctx.real(1) - ctx.p_pow(-1)) * ctx.p_pow(n)
 
 
+def _prefactor(ctx: NumericContext, a, pa):
+    """C = (1 - pa) / (1 - p**(a - 1)) at alpha = a > 1, with pa = p**(-a).
+
+    Called at working precision; the callers check a.  Raises
+    :class:`AlphaOutOfRange` when p**(a - 1) rounds to 1 at the context's
+    precision, as it does for an a within about 2**-precision_bits of 1
+    given at a higher precision.
+    """
+    gap = 1 - ctx.p_pow(a - 1)
+    if not gap:
+        raise AlphaOutOfRange(
+            f"alpha must exceed 1 by more than {ctx.precision_bits} bits resolve: "
+            "p**(alpha-1) rounds to 1"
+        )
+    return (1 - pa) / gap
+
+
+def _unit(ctx: NumericContext, pa):
+    """U = (p - 2 + pa) / (p * (1 - pa)) with pa = p**(-alpha), at working precision."""
+    p = ctx.prime
+    return (p - 2 + pa) / (p * (1 - pa))
+
+
 def _prefactor_and_unit(ctx: NumericContext, a):
     """(C, U) at alpha = a > 1, both from one p**(-a).
 
     C is :func:`prefactor`, U is :func:`unit_kernel_integral`; the callers
-    check a.  C needs p**(a - 1) != 1 at working precision, which holds
-    whenever a > 1 is a scalar at the context's precision.
+    check a.
     """
     with ctx.workprec():
-        one, p = ctx.real(1), ctx.real(ctx.prime)
         pa = ctx.p_pow(-a)
-        C = (one - pa) / (one - ctx.p_pow(a - 1))
-        return C, (p - 2 + pa) / (p * (one - pa))
+        return _prefactor(ctx, a, pa), _unit(ctx, pa)
 
 
 def unit_kernel_integral(ctx: NumericContext, alpha):
@@ -469,7 +489,8 @@ def unit_kernel_integral(ctx: NumericContext, alpha):
     a = ctx.real(alpha)
     if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
-    return _prefactor_and_unit(ctx, a)[1]
+    with ctx.workprec():
+        return _unit(ctx, ctx.p_pow(-a))
 
 
 def _check_prefactor_alpha(ctx: NumericContext, alpha):
@@ -487,7 +508,9 @@ def prefactor(ctx: NumericContext, alpha):
 
     Negative for every alpha > 1 (the denominator changes sign at 1).
     """
-    return _prefactor_and_unit(ctx, _check_prefactor_alpha(ctx, alpha))[0]
+    a = _check_prefactor_alpha(ctx, alpha)
+    with ctx.workprec():
+        return _prefactor(ctx, a, ctx.p_pow(-a))
 
 
 # ---------------------------------------------------------------------------

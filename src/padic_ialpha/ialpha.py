@@ -8,7 +8,8 @@ Wherever the profile is exactly c * p**(j*d), or a log-power term
 (jL)**m p**(-j*beta) with m a nonnegative integer, the inner spheres form
 two series summed in closed form; only table values and the other
 log-power terms are summed sphere by sphere
-(:class:`~padic_ialpha.radial.SphereSum`).
+(:class:`~padic_ialpha.radial.SphereSum`).  What does not depend on the
+radius is formed once per operator, which a scan makes once.
 A Haar-measure Monte Carlo estimator provides an independent cross-check.
 """
 
@@ -26,6 +27,7 @@ from .core import (
     ParamOutOfRange,
     RandomStream,
     _check_prefactor_alpha,
+    _prefactor,
     _prefactor_and_unit,
     _require_finite,
     prefactor,
@@ -34,6 +36,7 @@ from .core import (
 from .radial import (
     RadialFunction,
     SphereSum,
+    _RateKernels,
     _parts_at,
     _runs_below,
     _values_down,
@@ -80,27 +83,49 @@ def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorVal
     summed before cancellation, run by run on |y| = |x| as well.  N = ZERO
     integrates over the single point 0 and returns exactly 0.
     """
-    alpha = _check_prefactor_alpha(ctx, alpha)
-    if N is ZERO:
-        zero = ctx.real(0)
-        return OperatorValue(zero, zero, ZERO)
-    N = _require_finite(N, "radius exponent")
-    C, U = _prefactor_and_unit(ctx, alpha)
+    return _Operator(f, alpha, ctx).at(N)
 
-    with ctx.workprec():
-        runs = sphere_segments(f, N, ctx)
-        inner = SphereSum(_runs_below(runs, N, ctx), N - 1, ctx, alpha)
-        unit = ctx.real(1) - ctx.p_pow(-1)
-        ball = inner.K * ctx.p_pow(N)  # p**(N alpha)
-        parts = _parts_at(runs, N, ctx)
-        f_N, size_N = sum(parts), sum(abs(x) for x in parts)
-        bracket = unit * inner.total + f_N * ball * (U - unit)
-        magnitude = unit * inner.magnitude + size_N * ball * (U + unit)
-        bound = abs(C) * (
-            magnitude * ctx.rounding_eps() * (inner.explicit + 16)
-            + unit * inner.remainder
-        )
-        return OperatorValue(C * bracket, bound, inner.low)
+
+class _Operator:
+    """The operator on one profile at one alpha in one context, at any radius.
+
+    What does not depend on the radius is formed once, when it is made:
+    alpha's check, the prefactor C, the unit-sphere integral U, and a table
+    of the closed forms' rate kernels, which fills as radii need them
+    (:class:`~padic_ialpha.radial.SphereSum`).  A scan makes one operator
+    and calls :meth:`at` per radius; :func:`ialpha_eval` makes one per
+    value.  The table dies with the operator.
+    """
+
+    def __init__(self, f: RadialFunction, alpha, ctx: NumericContext):
+        self.f, self.ctx = f, ctx
+        self.alpha = _check_prefactor_alpha(ctx, alpha)
+        self.C, self.U = _prefactor_and_unit(ctx, self.alpha)
+        self.kernels = _RateKernels(ctx)
+
+    def at(self, N) -> OperatorValue:
+        """The value at |x| = p**N, as :func:`ialpha_eval` documents it."""
+        ctx, C, U = self.ctx, self.C, self.U
+        if N is ZERO:
+            zero = ctx.real(0)
+            return OperatorValue(zero, zero, ZERO)
+        N = _require_finite(N, "radius exponent")
+        with ctx.workprec():
+            runs = sphere_segments(self.f, N, ctx)
+            inner = SphereSum(
+                _runs_below(runs, N, ctx), N - 1, ctx, self.alpha, self.kernels
+            )
+            unit = 1 - ctx.p_pow(-1)
+            ball = inner.K * ctx.p_pow(N)  # p**(N alpha)
+            parts = _parts_at(runs, N, ctx)
+            f_N, size_N = sum(parts), sum(abs(x) for x in parts)
+            bracket = unit * inner.total + f_N * ball * (U - unit)
+            magnitude = unit * inner.magnitude + size_N * ball * (U + unit)
+            bound = abs(C) * (
+                magnitude * ctx.rounding_eps() * (inner.explicit + 16)
+                + unit * inner.remainder
+            )
+            return OperatorValue(C * bracket, bound, inner.low)
 
 
 def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
@@ -187,22 +212,18 @@ def mc_ialpha_eval(
     are built once, on j <= N, and the cells are walked from the sphere
     outward with running powers at working precision: the kernel power
     p**((alpha - 1)(N - |e - j|)) and the profile on the spheres N - 1,
-    N - 2, ...  The sample mean and standard deviation are read from the
-    cell counts.  Returns (estimate, standard error).  Raises
-    :class:`OverflowError` before drawing when C * p**(N alpha), the scale
-    of the kernel terms, does not fit a double, and after drawing when a
-    term does not.
+    N - 2, ...  A cell no draw fell in forms no term.  The sample mean and
+    standard deviation are read from the cell counts.  Returns (estimate,
+    standard error).  Raises :class:`OverflowError` before drawing when
+    C * p**(N alpha), the scale of the kernel terms, does not fit a double,
+    and after drawing when a term does not.
     """
     import numpy as np  # only the Monte Carlo path needs numpy
 
     samples = _require_finite(samples, "samples")
     if samples < 10_000:
         raise ParamOutOfRange("at least 10^4 samples are required")
-    alpha = ctx.real(alpha)
-    C = prefactor(ctx, alpha)
-    if N is ZERO:
-        return 0.0, 0.0
-    N = _require_finite(N, "radius exponent")
+    alpha = _check_prefactor_alpha(ctx, alpha)
 
     def double(x) -> float:
         try:
@@ -214,22 +235,37 @@ def mc_ialpha_eval(
         return v
 
     with ctx.workprec():
+        C = _prefactor(ctx, alpha, ctx.p_pow(-alpha))
+        if N is ZERO:
+            return 0.0, 0.0
+        N = _require_finite(N, "radius exponent")
         scale = C * ctx.p_pow(N)
         top = ctx.p_pow((alpha - 1) * N)  # the largest kernel power, at e = N
         double(scale * top)
-    stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-    j, e, counts = sample_kernel_exponents(ctx, N, samples, stream)
-    cells = (e - j).tolist()  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
-    with ctx.workprec():
+        stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
+        j, e, counts = sample_kernel_exponents(ctx, N, samples, stream)
+        cells = (e - j).tolist()  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
         runs = sphere_segments(f, N, ctx)
         f_N = sum(_parts_at(runs, N, ctx))
         below = _values_down(runs, N - 1, ctx)  # f(p**j) for j = N - 1, N - 2, ...
         q, kernel = ctx.p_pow(1 - alpha), [top]  # kernel[k] = p**((alpha - 1)(N - k))
         while len(kernel) <= max(-cells[0], cells[-1]):
             kernel.append(kernel[-1] * q)
-        terms = [scale * (kernel[-d] - top) * f_N for d in cells if d <= 0]
-        terms += [scale * (top - kernel[d]) * next(below) for d in cells if d > 0]
-        values = np.array([double(t) if c else 0.0 for t, c in zip(terms, counts)])
+        terms = []
+        for d, count in zip(cells, counts.tolist()):
+            f_j = f_N if d <= 0 else next(below)  # the walk steps on every cell inside
+            if not count:
+                terms.append(0.0)
+            elif d <= 0:
+                terms.append(scale * (kernel[-d] - top) * f_j)
+            else:
+                terms.append(scale * (top - kernel[d]) * f_j)
+    try:  # an mpf too large converts to inf, a Fraction too large raises
+        values = np.array(terms, dtype=float)
+        if not np.isfinite(values).all():
+            raise OverflowError
+    except OverflowError:
+        raise OverflowError(f"estimate overflows a double at x_exp={N}") from None
     # sums over values scaled by a power of two near their largest cannot overflow
     size = 2.0 ** math.frexp(float(np.abs(values).max()))[1]
     unit = values / size

@@ -16,7 +16,10 @@ a geometric series for m = 0, Faulhaber's polynomial at rate 0, and a
 binomial sum of the series kernels Phi_t otherwise.  Only tabulated
 values and the log-power terms without that form (non-integer or negative
 log powers, and the spheres j <= 0) are summed sphere by sphere, with
-running powers, from the top down.
+running powers, from the top down.  What a closed form needs apart from
+its ends (the geometric denominator, the guarded kernels Phi_t) is formed
+once per table of rate kernels; an operator keeps one table for all the
+radii of a scan.
 """
 
 from __future__ import annotations
@@ -376,19 +379,19 @@ def _runs_below(runs: list, top: int, ctx: NumericContext) -> list:
     """The runs on j <= top cut to j < top: ``sphere_segments(f, top - 1)``.
 
     Runs that end at top lose that sphere, and runs whose spans become
-    equal merge as :func:`sphere_segments` merges them.
+    equal merge as :func:`sphere_segments` merges them.  Called at working
+    precision, which the merges round to.
     """
     below = []
-    with ctx.workprec():
-        for run in runs:
-            if run.hi == top:
-                if run.lo == top:
-                    continue
-                if isinstance(run, ValueRun):
-                    run = replace(run, values=run.values[:-1])
-                else:
-                    run = replace(run, hi=top - 1)
-            _add_run(below, run)
+    for run in runs:
+        if run.hi == top:
+            if run.lo == top:
+                continue
+            if isinstance(run, ValueRun):
+                run = replace(run, values=run.values[:-1])
+            else:
+                run = replace(run, hi=top - 1)
+        _add_run(below, run)
     return below
 
 
@@ -458,11 +461,51 @@ def _faulhaber(m: int, n: int) -> Fraction:
     )
 
 
-def _power_sum(ctx: NumericContext, m: int, rate, lo, hi: int):
+def _rate_kernel(ctx: NumericContext, m: int, rate):
+    """The part of sum_j j**m p**(j*rate) that does not depend on its ends.
+
+    Formed at working precision, for rate != 0: the geometric denominator
+    1 - p**(-rate) when m = 0, else (gctx, phis), the guarded context of
+    :func:`_power_sum` and Phi_0(w) ... Phi_m(w) at its precision.
+    """
+    if m == 0:
+        return _one_minus_p_pow(ctx, -rate)
+    from .asymptotics import phi_sum  # asymptotics imports this module
+
+    if not ctx.exact:
+        gap = -math.log2(_one_minus_p_pow(ctx, -abs(rate)))
+        guard = (m + 1) * max(0, math.ceil(gap)) + 8
+        ctx = replace(ctx, precision_bits=ctx.precision_bits + guard)
+    with ctx.workprec():
+        w = ctx.p_pow(-abs(rate))
+        return ctx, [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)]
+
+
+class _RateKernels(dict):
+    """:func:`_rate_kernel` by (m, rate), each formed on first use.
+
+    One table serves every sum that its owner makes in one context: an
+    operator's table serves all the radii of a scan.
+    """
+
+    def __init__(self, ctx: NumericContext):
+        self.ctx = ctx  # dict.__new__ has made the empty table
+
+    def at(self, m: int, rate):
+        """The kernel of (m, rate), formed on the first request."""
+        key = (m, getattr(rate, "_mpf_", rate))  # an mpf's exact value; hashed in C
+        kernel = self.get(key)
+        if kernel is None:
+            kernel = self[key] = _rate_kernel(self.ctx, m, rate)
+        return kernel
+
+
+def _power_sum(kernels: _RateKernels, m: int, rate, lo, hi: int):
     """(S, size): S = sum of j**m p**(j*rate) over lo <= j <= hi, in closed form.
 
     ``lo = None`` runs to -inf (m = 0 and rate > 0 only).  ``size`` is the
-    sum of the absolute values of the terms the closed form adds.
+    sum of the absolute values of the terms the closed form adds.  What
+    does not depend on lo and hi comes from ``kernels``, in their context.
 
     * m = 0 is a geometric series, formed through expm1.
     * rate = 0 is Faulhaber's polynomial, exact before its one rounding.
@@ -479,12 +522,13 @@ def _power_sum(ctx: NumericContext, m: int, rate, lo, hi: int):
       (m + 1) * ceil(log2 1/(1 - w)) + 8 guard bits.  ``size`` counts every
       term of both ends at that precision.
     """
+    ctx = kernels.ctx
     if lo is None:
         if rate <= 0:
             raise DivergentInnerSum(
                 f"inner degree {rate - 1} is not integrable at the origin"
             )
-        s = ctx.p_pow(rate * hi) / _one_minus_p_pow(ctx, -rate)
+        s = ctx.p_pow(rate * hi) / kernels.at(0, rate)
         return s, s
     if rate == 0:
         s = ctx.real(_faulhaber(m, hi) - _faulhaber(m, lo - 1))
@@ -493,19 +537,12 @@ def _power_sum(ctx: NumericContext, m: int, rate, lo, hi: int):
         s = (
             ctx.p_pow(rate * hi)
             * _one_minus_p_pow(ctx, -rate * (hi - lo + 1))
-            / _one_minus_p_pow(ctx, -rate)
+            / kernels.at(0, rate)
         )
         return s, s
-    from .asymptotics import phi_sum  # asymptotics imports this module
-
-    if not ctx.exact:
-        gap = -math.log2(_one_minus_p_pow(ctx, -abs(rate)))
-        guard = (m + 1) * max(0, math.ceil(gap)) + 8
-        ctx = replace(ctx, precision_bits=ctx.precision_bits + guard)
+    ctx, phis = kernels.at(m, rate)
     sign, ends = (-1, (hi, lo - 1)) if rate > 0 else (1, (lo, hi + 1))
     with ctx.workprec():
-        w = ctx.p_pow(-abs(rate))
-        phis = [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)]
         sums = []
         for x in ends:
             terms = [
@@ -533,7 +570,10 @@ class SphereSum:
     j**m p**(j*rate), rate = d + 1 or 1 - beta, since K q**(N-j) =
     p**(j(alpha-1)).  Table values and the remaining log-power terms are
     summed sphere by sphere.  Every run is summed once, so a linear
-    combination walks its spheres once.
+    combination walks its spheres once.  The parts of S that do not depend
+    on the run's ends come from ``kernels`` (:func:`_rate_kernel`), a new
+    table unless the caller passes the one it keeps across sums, as an
+    operator does across the radii of a scan.
 
     ``total`` is the sum; ``magnitude`` bounds the size of what was added
     before any cancellation, which is what rounding errors scale with;
@@ -542,8 +582,10 @@ class SphereSum:
     and ``low`` is the lowest of them (top + 1 when there is none).
     """
 
-    def __init__(self, runs: list, top: int, ctx: NumericContext, alpha=None):
+    def __init__(self, runs: list, top: int, ctx: NumericContext, alpha=None,
+                 kernels: _RateKernels | None = None):
         self.ctx, self.top = ctx, top
+        self.kernels = _RateKernels(ctx) if kernels is None else kernels
         zero = ctx.real(0)
         if alpha is None:
             self.a1, self.K = None, ctx.real(1)
@@ -562,10 +604,10 @@ class SphereSum:
 
     def _add_closed(self, c, m: int, rate, lo, hi: int):
         """Add c * sum of j**m p**(j*rate) w(j) over lo <= j <= hi, in closed form."""
-        s, size = _power_sum(self.ctx, m, rate, lo, hi)
+        s, size = _power_sum(self.kernels, m, rate, lo, hi)
         part, size = self.K * s, self.K * size
         if self.a1 is not None:
-            s2, size2 = _power_sum(self.ctx, m, rate + self.a1, lo, hi)
+            s2, size2 = _power_sum(self.kernels, m, rate + self.a1, lo, hi)
             part, size = part - s2, size + size2
         self.total += c * part
         self.magnitude += abs(c) * size

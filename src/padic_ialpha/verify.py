@@ -5,6 +5,9 @@ expansions over ladders of radii.  o(.) and O(.) statements are made
 assertable on finite data by normalising each residual against the scale of
 the first omitted term of the expansion actually evaluated, so "bounded
 normalized error" is the finite-ladder proxy for the asymptotic claim.
+Each scan makes one operator and evaluates it at every rung, so alpha's
+check, the prefactor (which the expansion shares), the unit-sphere integral
+and the closed forms' rate kernels are formed once per scan.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .core import (
     _require_finite,
     general_power,
 )
-from .ialpha import ialpha_eval, smallball_kernel_integral
+from .ialpha import _Operator, smallball_kernel_integral
 from .radial import (
     LogPower,
     LogRun,
@@ -90,11 +93,11 @@ def residual_scan(
     omitted term of the evaluated expansion.
     """
     ladder = _ladder(ladder)
-    a = ctx.real(alpha)
+    op = _Operator(f, alpha, ctx)
     if theorem == "T1":
         if ladder[-1] > -1:
             raise HypothesisMismatch("origin-side scans need negative exponents")
-        terms = _origin(f, order, a, ctx, coeffs, scales)
+        terms = _origin(f, order, op, coeffs, scales)
     elif theorem not in ("T3", "T4"):
         raise HypothesisMismatch(
             f"no residual expansion for {theorem!r}; T2 is ratio_bound_check"
@@ -102,14 +105,14 @@ def residual_scan(
     elif ladder[0] < 2:
         raise HypothesisMismatch("large-radius scans need exponents >= 2")
     elif theorem == "T3":
-        terms = _infinity(f, order, a, ctx, coeffs, beta, gamma)
+        terms = _infinity(f, order, op, coeffs, beta, gamma)
     else:
-        terms = _critical(f, order, a, ctx, coeffs, gamma, printed_form)
+        terms = _critical(f, order, op, coeffs, gamma, printed_form)
     params, expansion, omitted = terms
     rows = []
     with ctx.workprec():
         for x in ladder:
-            computed = ialpha_eval(f, x, a, ctx).value
+            computed = op.at(x).value
             predicted = expansion(x)
             err = abs(computed - predicted)
             rows.append(
@@ -124,7 +127,8 @@ def residual_scan(
 # (params, expansion, omitted): the expansion and the scale of its first
 # omitted term, both as functions of the radius exponent.
 
-def _origin(f, order, a, ctx, coeffs, scales):
+def _origin(f, order, op, coeffs, scales):
+    a, ctx = op.alpha, op.ctx
     if coeffs is None or scales is None:
         declared = origin_expansion(f, ctx)
         if declared is None:
@@ -134,7 +138,7 @@ def _origin(f, order, a, ctx, coeffs, scales):
         coeffs, scales = declared
     if len(coeffs) != len(scales) or len(coeffs) < order + 1:
         raise HypothesisMismatch("need len(coeffs) == len(scales) >= order + 1")
-    expansion = build_origin_prediction(coeffs, scales, order, a, ctx)
+    expansion = build_origin_prediction(coeffs, scales, order, a, ctx, C=op.C)
     # the first omitted term is p**(x (M + alpha)) at the next listed scale M;
     # the last listed scale + 1 stands in when the expansion is exhausted
     # (exact finite expansions)
@@ -147,7 +151,8 @@ def _origin(f, order, a, ctx, coeffs, scales):
     return params, expansion, lambda x: ctx.p_pow(power * x)
 
 
-def _infinity(f, order, a, ctx, coeffs, beta, gamma):
+def _infinity(f, order, op, coeffs, beta, gamma):
+    a, ctx = op.alpha, op.ctx
     if coeffs is None or beta is None or gamma is None:
         declared = outer_expansion(f, ctx)
         if declared is None:
@@ -162,14 +167,15 @@ def _infinity(f, order, a, ctx, coeffs, beta, gamma):
     if not 0 <= b < 1:
         raise HypothesisMismatch(f"outer decay beta={beta} is not in [0, 1)")
     g = ctx.real(gamma)
-    expansion = build_infinity_prediction(coeffs, b, g, order, a, ctx)
+    expansion = build_infinity_prediction(coeffs, b, g, order, a, ctx, C=op.C)
     with ctx.workprec():
         omitted = _omitted_log_term(ctx, a - b, g - (order + 1))
     params = {"beta": beta, "gamma": gamma, "coeffs": list(coeffs)}
     return params, expansion, omitted
 
 
-def _critical(f, order, a, ctx, coeffs, gamma, printed_form):
+def _critical(f, order, op, coeffs, gamma, printed_form):
+    a, ctx = op.alpha, op.ctx
     declared = outer_expansion(f, ctx)
     if coeffs is None or gamma is None:
         if declared is None:
@@ -183,7 +189,7 @@ def _critical(f, order, a, ctx, coeffs, gamma, printed_form):
         raise HypothesisMismatch("critical-decay scans need outer beta = 1")
     g = ctx.real(gamma)
     expansion = build_infinity_beta1_prediction(
-        coeffs, g, order, f, a, ctx, printed_form=printed_form
+        coeffs, g, order, f, a, ctx, printed_form=printed_form, C=op.C
     )
     # the printed variant carries no radius power on its log sum
     with ctx.workprec():
@@ -230,7 +236,7 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     declared form and tails.
     """
     ladder = _ladder(ladder)
-    a = ctx.real(alpha)
+    op = _Operator(f, alpha, ctx)
     positive, decay = _two_sided_profile(f, ctx)
     if not positive:
         raise HypothesisMismatch(
@@ -243,8 +249,8 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     rows = []
     with ctx.workprec():
         for x in ladder:
-            value = ialpha_eval(f, x, a, ctx).value
-            ratio = abs(value) / ctx.p_pow((a - 1) * x)
+            value = op.at(x).value
+            ratio = abs(value) / ctx.p_pow((op.alpha - 1) * x)
             rows.append((x, float(ratio)))
     ratios = [r for _, r in rows]
     return min(ratios), max(ratios), rows

@@ -1,7 +1,12 @@
 """Command-line interface: schemas, determinism, table round trips, exit codes."""
 
 import json
+import os
+import shlex
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
@@ -17,6 +22,7 @@ from padic_ialpha import (
     ialpha_eval,
     prefactor,
 )
+import padic_ialpha
 from padic_ialpha.cli import dump_table, load_table, run
 
 
@@ -399,3 +405,43 @@ class TestTheoremCommands:
         x, est, se, exact, z = lines[2].split(",")
         assert float(exact) == -5.5
         assert abs(float(z)) < 6
+
+
+def readme_examples() -> list:
+    """The argv of each ``padic-ialpha`` example in README's CLI section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(c)[1:] for c in commands if c.startswith("padic-ialpha ")]
+
+
+class TestParserReuse:
+    def test_readme_examples_in_one_process_match_each_alone(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the parser is built once per process; a run that fails to parse
+        # (exit 2) between the examples must leave it as it was
+        examples = readme_examples()
+        assert {argv[0] for argv in examples} == {
+            "constants", "eval", "theorem1", "theorem2", "theorem3", "theorem4",
+            "lemmas", "mc",
+        }
+        src = Path(padic_ialpha.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        probe = "import sys; from padic_ialpha.cli import run; sys.exit(run(sys.argv[1:]))"
+        (tmp_path / "alone").mkdir()
+        alone = []
+        for argv in examples:
+            out = subprocess.run(
+                [sys.executable, "-c", probe, *argv], cwd=tmp_path / "alone",
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            alone.append((out.returncode, out.stdout))
+        monkeypatch.chdir(tmp_path)
+        together = []
+        for argv in examples:
+            together.append(run_capture(capsys, argv)[:2])
+            status, out, err = run_capture(capsys, [argv[0], "--p", "2", "--bogus"])
+            assert (status, out) == (2, "") and "error:" in err
+        assert [status for status, _ in alone] == [0] * len(examples)
+        assert together == alone

@@ -16,16 +16,21 @@ from padic_ialpha import (
     AlphaOutOfRange,
     LogBase,
     LogDomain,
+    LogPower,
+    Monomial,
     NumericContext,
     NumericModeError,
     ParamOutOfRange,
     RandomStream,
     b_coefficient,
     ball_power_integral,
+    ialpha_eval,
     lemma_decay_check,
+    mc_ialpha_eval,
     omega,
     omega_tilde,
     prefactor,
+    residual_scan,
     smallball_kernel_integral,
     sphere_measure,
     unit_kernel_integral,
@@ -210,6 +215,23 @@ class TestPrefactor:
         for alpha in (math.nan, math.inf, -math.inf, True, "2"):
             with pytest.raises(ParamOutOfRange):
                 prefactor(ctx2, alpha)
+
+    def test_rejects_alpha_that_is_one_at_working_precision(self):
+        # 1 + 1e-25 exceeds 1 by more than rel_tol, but p**(alpha-1) rounds
+        # to 1 at 64 bits, so C's denominator vanishes there
+        ctx = NumericContext(2, precision_bits=64)
+        with mp.workprec(256):
+            alpha = 1 + mp.mpf(10) ** -25
+        with pytest.raises(AlphaOutOfRange):
+            prefactor(ctx, alpha)
+        with pytest.raises(AlphaOutOfRange):
+            ialpha_eval(Monomial(1), 5, alpha, ctx)
+        with pytest.raises(AlphaOutOfRange):
+            residual_scan("T3", LogPower(0.5, 2.0), 0, [4, 8], alpha, ctx)
+        with pytest.raises(AlphaOutOfRange):
+            mc_ialpha_eval(Monomial(1), 5, alpha, 10**4, 1, ctx)
+        # U needs no C: the unit-sphere integral is finite there
+        assert math.isfinite(unit_kernel_integral(ctx, alpha))
 
 
 # every entry takes its real parameters through NumericContext.real, which

@@ -138,3 +138,46 @@ def test_kernel_scan_sees_every_form_of_call():
     assert sorted(mpmath_kernel_calls(source)) == [
         (1, "power"), (2, "expm1"), (2, "log"), (3, "ln"),
     ]
+
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def cached_functions(source: str) -> list:
+    """Names of the functions decorated with functools' cache or lru_cache."""
+    def name(node):
+        if isinstance(node, ast.Call):
+            node = node.func
+        return getattr(node, "attr", None) or getattr(node, "id", None)
+
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(name(d) in CACHE_DECORATORS for d in node.decorator_list)
+    ]
+
+
+def test_only_the_constant_tables_are_cached():
+    # a cache keyed on the inputs would let repeated calls skip work that a
+    # single call pays; what a scan shares lives on its operator and dies
+    # with it
+    src = Path(padic_ialpha.__file__).parent
+    found = {
+        f"{path.stem}.{fn}"
+        for path in sorted(src.glob("*.py"))
+        for fn in cached_functions(path.read_text())
+    }
+    assert found == {
+        "core._ln", "radial._faulhaber_coefficients", "asymptotics._phi_numerator",
+    }
+
+
+def test_cache_scan_sees_every_form_of_decorator():
+    source = (
+        "@cache\ndef a(): pass\n"
+        "@functools.lru_cache(maxsize=8)\ndef b(): pass\n"
+        "@lru_cache\ndef c(): pass\n"
+        "@property\ndef d(self): pass\n"
+    )
+    assert cached_functions(source) == ["a", "b", "c"]

@@ -24,7 +24,7 @@ from padic_ialpha import (
     ratio_bound_check,
     residual_scan,
 )
-from padic_ialpha import asymptotics
+from padic_ialpha import asymptotics, core, ialpha, radial
 
 
 def alternating_ratio_table(ctx, j_lo=-60, j_hi=0):
@@ -326,6 +326,77 @@ class TestBuildOnce:
                 want = predict_infinity_beta1([1], 1.7, 1, r.x_exp, f, alpha, ctx3,
                                               printed_form=printed)
                 assert r.predicted == float(want)
+
+
+class TestOneOperatorPerScan:
+    """A scan evaluates one operator at every rung, as ialpha_eval would."""
+
+    @pytest.mark.parametrize("theorem, f, order, ladder, printed", [
+        ("T1", LinearCombo(((1.0, Monomial(0.3)), (-2.0, Monomial(1.5)))), 1,
+         [-30, -12, -5], False),
+        ("T3", LogPower(0.3, 1.7), 2, [4, 9, 20], False),
+        ("T3", LinearCombo(((1.0, LogPower(0.5, 2.0)), (0.5, LogPower(0.5, 1.0)))),
+         1, [12, 16, 40], False),
+        ("T4", LogPower(1.0, 2.0), 1, [4, 9, 20], False),
+        ("T4", LogPower(1.0, 1.7), 1, [4, 9, 20], True),
+    ])
+    def test_rows_match_per_radius_calls(self, ctx3, theorem, f, order, ladder,
+                                         printed):
+        alpha = 1.7
+        rep = residual_scan(theorem, f, order, ladder, alpha, ctx3,
+                            printed_form=printed)
+        params = rep.params
+        for r in rep.rows:
+            x = r.x_exp
+            if theorem == "T1":
+                want = predict_origin(params["coeffs"], params["scales"], order, x,
+                                      alpha, ctx3)
+            elif theorem == "T3":
+                want = predict_infinity(params["coeffs"], params["beta"],
+                                        params["gamma"], order, x, alpha, ctx3)
+            else:
+                want = predict_infinity_beta1(params["coeffs"], params["gamma"], order,
+                                              x, f, alpha, ctx3, printed_form=printed)
+            value = ialpha_eval(f, x, alpha, ctx3).value
+            with ctx3.workprec():
+                err = abs(value - want)
+            got = (r.computed, r.predicted, r.abs_err)
+            assert repr(got) == repr((float(value), float(want), float(err)))
+
+    def test_ratio_rows_match_per_radius_calls(self, ctx2):
+        f, alpha = LogPower(2.0, 0.0), 1.7
+        _, _, rows = ratio_bound_check(f, [3, 9, 27], alpha, ctx2)
+        want = []
+        with ctx2.workprec():
+            a1 = ctx2.real(alpha) - 1
+            for x in (3, 9, 27):
+                value = ialpha_eval(f, x, alpha, ctx2).value
+                want.append((x, float(abs(value) / ctx2.p_pow(a1 * x))))
+        assert repr(rows) == repr(want)
+
+    def test_radius_free_work_is_done_once(self, monkeypatch, ctx2):
+        counts = {"C": 0, "C, U": 0}
+        kernels = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        def rate_kernel(ctx, m, rate):
+            kernels.append((m, rate))
+            return original(ctx, m, rate)
+
+        original = radial._rate_kernel
+        monkeypatch.setattr(core, "_prefactor", counted("C", core._prefactor))
+        monkeypatch.setattr(ialpha, "_prefactor_and_unit",
+                            counted("C, U", ialpha._prefactor_and_unit))
+        monkeypatch.setattr(radial, "_rate_kernel", rate_kernel)
+        residual_scan("T3", LogPower(0.5, 2.0), 0, [12, 16, 20], 2.0, ctx2)
+        assert counts == {"C": 1, "C, U": 1}
+        # the closed form of (jL)**2 p**(j/2) at the rates 1/2 and 1/2 + alpha - 1
+        assert sorted(kernels) == [(2, 0.5), (2, 1.5)]
 
 
 def test_reports_sorted_by_exponent(ctx2):
