@@ -268,12 +268,10 @@ def _log_sum(a, g, order: int, kind: str, alpha, ctx: NumericContext, beta=None)
     return logs
 
 
-def build_origin_prediction(a, scales, order: int, alpha, ctx: NumericContext, *,
-                            C=None):
+def build_origin_prediction(a, scales, order: int, alpha, ctx: NumericContext):
     """The origin-side truncation as a function of x_exp.
 
-    C sum_{n<=order} a_n b(M_n) p**(x_exp (M_n + alpha)); a caller that
-    has C = ``prefactor(ctx, alpha)`` passes it.
+    C sum_{n<=order} a_n b(M_n) p**(x_exp (M_n + alpha)).
     """
     if order < 0:
         raise ParamOutOfRange("at least one expansion term is required")
@@ -284,7 +282,7 @@ def build_origin_prediction(a, scales, order: int, alpha, ctx: NumericContext, *
         raise ParamOutOfRange("scales must be strictly increasing and positive")
     alpha = ctx.real(alpha)
     with ctx.workprec():
-        C = prefactor(ctx, alpha) if C is None else C
+        C = prefactor(ctx, alpha)
         terms = [
             (ms[n] + alpha, ctx.real(a[n]) * b_coefficient(ms[n], alpha, ctx))
             for n in range(order + 1)
@@ -307,17 +305,14 @@ def predict_origin(a, scales, order: int, x_exp, alpha, ctx: NumericContext):
     return build_origin_prediction(a, scales, order, alpha, ctx)(x_exp)
 
 
-def build_infinity_prediction(a, beta, gamma, order: int, alpha, ctx: NumericContext,
-                              *, C=None):
+def build_infinity_prediction(a, beta, gamma, order: int, alpha, ctx: NumericContext):
     """The beta < 1 large-radius truncation as a function of x_exp.
 
-    C p**(x_exp (alpha - beta)) sum_{n<=order} B_n (x_exp L)**(gamma - n);
-    a caller that has C = ``prefactor(ctx, alpha)`` passes it.
+    C p**(x_exp (alpha - beta)) sum_{n<=order} B_n (x_exp L)**(gamma - n).
     """
     logs = _log_sum(a, ctx.real(gamma), order, "omega", alpha, ctx, beta=beta)
     with ctx.workprec():
-        C = prefactor(ctx, alpha) if C is None else C
-        power = ctx.real(alpha) - ctx.real(beta)
+        C, power = prefactor(ctx, alpha), ctx.real(alpha) - ctx.real(beta)
 
     def at(x_exp):
         with ctx.workprec():
@@ -336,7 +331,7 @@ def predict_infinity(a, beta, gamma, order: int, x_exp, alpha, ctx: NumericConte
 
 def build_infinity_beta1_prediction(
     a, gamma, order: int, f: RadialFunction, alpha, ctx: NumericContext,
-    printed_form: bool = False, *, C=None,
+    printed_form: bool = False,
 ):
     """The critical-decay (beta = 1) truncation of f as a function of x_exp.
 
@@ -344,8 +339,7 @@ def build_infinity_beta1_prediction(
     ball integral of f; ``printed_form=True`` evaluates the variant
     C (P G + log sum) that leaves the log sum un-multiplied, kept for
     comparison.  f must declare the outer tail beta = 1 with exactly these
-    gamma and coefficients.  A caller that has C = ``prefactor(ctx, alpha)``
-    passes it.
+    gamma and coefficients.
     """
     g = ctx.real(gamma)
     d_beta, d_gamma, d_coeffs = outer_expansion(f, ctx) or (None, None, ())
@@ -358,8 +352,7 @@ def build_infinity_beta1_prediction(
         )
     logs = _log_sum(a, g, order, "omega_tilde", alpha, ctx)
     with ctx.workprec():
-        C = prefactor(ctx, alpha) if C is None else C
-        power = ctx.real(alpha) - 1
+        C, power = prefactor(ctx, alpha), ctx.real(alpha) - 1
 
     def at(x_exp):
         with ctx.workprec():

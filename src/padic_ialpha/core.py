@@ -470,17 +470,6 @@ def _unit(ctx: NumericContext, pa):
     return (p - 2 + pa) / (p * (1 - pa))
 
 
-def _prefactor_and_unit(ctx: NumericContext, a):
-    """(C, U) at alpha = a > 1, both from one p**(-a).
-
-    C is :func:`prefactor`, U is :func:`unit_kernel_integral`; the callers
-    check a.
-    """
-    with ctx.workprec():
-        pa = ctx.p_pow(-a)
-        return _prefactor(ctx, a, pa), _unit(ctx, pa)
-
-
 def unit_kernel_integral(ctx: NumericContext, alpha):
     """Integral of |1 - t|**(alpha-1) over the unit sphere |t| = 1.
 

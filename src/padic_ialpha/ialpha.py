@@ -28,8 +28,8 @@ from .core import (
     RandomStream,
     _check_prefactor_alpha,
     _prefactor,
-    _prefactor_and_unit,
     _require_finite,
+    _unit,
     prefactor,
     sample_kernel_exponents,
 )
@@ -100,7 +100,9 @@ class _Operator:
     def __init__(self, f: RadialFunction, alpha, ctx: NumericContext):
         self.f, self.ctx = f, ctx
         self.alpha = _check_prefactor_alpha(ctx, alpha)
-        self.C, self.U = _prefactor_and_unit(ctx, self.alpha)
+        with ctx.workprec():
+            pa = ctx.p_pow(-self.alpha)  # C and U share p**(-alpha)
+            self.C, self.U = _prefactor(ctx, self.alpha, pa), _unit(ctx, pa)
         self.kernels = _RateKernels(ctx)
 
     def at(self, N) -> OperatorValue:
@@ -113,7 +115,7 @@ class _Operator:
         with ctx.workprec():
             runs = sphere_segments(self.f, N, ctx)
             inner = SphereSum(
-                _runs_below(runs, N, ctx), N - 1, ctx, self.alpha, self.kernels
+                _runs_below(runs, N, ctx), N - 1, self.kernels, self.alpha
             )
             unit = 1 - ctx.p_pow(-1)
             ball = inner.K * ctx.p_pow(N)  # p**(N alpha)

@@ -571,9 +571,9 @@ class SphereSum:
     p**(j(alpha-1)).  Table values and the remaining log-power terms are
     summed sphere by sphere.  Every run is summed once, so a linear
     combination walks its spheres once.  The parts of S that do not depend
-    on the run's ends come from ``kernels`` (:func:`_rate_kernel`), a new
-    table unless the caller passes the one it keeps across sums, as an
-    operator does across the radii of a scan.
+    on the run's ends come from ``kernels`` (:func:`_rate_kernel`), whose
+    context the sum is formed in; an operator passes the one table it keeps
+    across the radii of a scan.
 
     ``total`` is the sum; ``magnitude`` bounds the size of what was added
     before any cancellation, which is what rounding errors scale with;
@@ -582,10 +582,9 @@ class SphereSum:
     and ``low`` is the lowest of them (top + 1 when there is none).
     """
 
-    def __init__(self, runs: list, top: int, ctx: NumericContext, alpha=None,
-                 kernels: _RateKernels | None = None):
-        self.ctx, self.top = ctx, top
-        self.kernels = _RateKernels(ctx) if kernels is None else kernels
+    def __init__(self, runs: list, top: int, kernels: _RateKernels, alpha=None):
+        ctx = kernels.ctx
+        self.ctx, self.top, self.kernels = ctx, top, kernels
         zero = ctx.real(0)
         if alpha is None:
             self.a1, self.K = None, ctx.real(1)
@@ -784,7 +783,7 @@ def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):
     n = _require_finite(n)
     with ctx.workprec():
         runs = sphere_segments(f, n, ctx)
-        return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(runs, n, ctx).total
+        return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(runs, n, _RateKernels(ctx)).total
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ assertable on finite data by normalising each residual against the scale of
 the first omitted term of the expansion actually evaluated, so "bounded
 normalized error" is the finite-ladder proxy for the asymptotic claim.
 Each scan makes one operator and evaluates it at every rung, so alpha's
-check, the prefactor (which the expansion shares), the unit-sphere integral
-and the closed forms' rate kernels are formed once per scan.
+check, the prefactor, the unit-sphere integral and the closed forms' rate
+kernels are formed once per scan, not once per rung.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _origin(f, order, op, coeffs, scales):
         coeffs, scales = declared
     if len(coeffs) != len(scales) or len(coeffs) < order + 1:
         raise HypothesisMismatch("need len(coeffs) == len(scales) >= order + 1")
-    expansion = build_origin_prediction(coeffs, scales, order, a, ctx, C=op.C)
+    expansion = build_origin_prediction(coeffs, scales, order, a, ctx)
     # the first omitted term is p**(x (M + alpha)) at the next listed scale M;
     # the last listed scale + 1 stands in when the expansion is exhausted
     # (exact finite expansions)
@@ -167,7 +167,7 @@ def _infinity(f, order, op, coeffs, beta, gamma):
     if not 0 <= b < 1:
         raise HypothesisMismatch(f"outer decay beta={beta} is not in [0, 1)")
     g = ctx.real(gamma)
-    expansion = build_infinity_prediction(coeffs, b, g, order, a, ctx, C=op.C)
+    expansion = build_infinity_prediction(coeffs, b, g, order, a, ctx)
     with ctx.workprec():
         omitted = _omitted_log_term(ctx, a - b, g - (order + 1))
     params = {"beta": beta, "gamma": gamma, "coeffs": list(coeffs)}
@@ -189,7 +189,7 @@ def _critical(f, order, op, coeffs, gamma, printed_form):
         raise HypothesisMismatch("critical-decay scans need outer beta = 1")
     g = ctx.real(gamma)
     expansion = build_infinity_beta1_prediction(
-        coeffs, g, order, f, a, ctx, printed_form=printed_form, C=op.C
+        coeffs, g, order, f, a, ctx, printed_form=printed_form
     )
     # the printed variant carries no radius power on its log sum
     with ctx.workprec():

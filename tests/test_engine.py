@@ -20,7 +20,7 @@ from padic_ialpha import (
     cumulative_ball_integral,
     ialpha_eval,
 )
-from padic_ialpha.radial import SphereSum, sphere_segments
+from padic_ialpha.radial import SphereSum, _RateKernels, sphere_segments
 from sphere_oracle import oracle_ball, oracle_ialpha
 
 VALUES = (0.75, 1.25, 0.5, 2.0, 1.5, 0.875)
@@ -174,7 +174,7 @@ def test_combo_walks_its_spheres_once(ctx2):
     ))
 
     def explicit(f):
-        return SphereSum(sphere_segments(f, 599, ctx2), 599, ctx2, 2.0).explicit
+        return SphereSum(sphere_segments(f, 599, ctx2), 599, _RateKernels(ctx2), 2.0).explicit
 
     assert explicit(combo) == explicit(LogPower(1, 2.5)) == 599
 

@@ -375,7 +375,7 @@ class TestOneOperatorPerScan:
         assert repr(rows) == repr(want)
 
     def test_radius_free_work_is_done_once(self, monkeypatch, ctx2):
-        counts = {"C": 0, "C, U": 0}
+        counts = {"C": 0, "U": 0}
         kernels = []
 
         def counted(name, fn):
@@ -389,14 +389,20 @@ class TestOneOperatorPerScan:
             return original(ctx, m, rate)
 
         original = radial._rate_kernel
-        monkeypatch.setattr(core, "_prefactor", counted("C", core._prefactor))
-        monkeypatch.setattr(ialpha, "_prefactor_and_unit",
-                            counted("C, U", ialpha._prefactor_and_unit))
+        # the operator forms C and U; prefactor forms C for the expansion
+        prefactor_C = counted("C", core._prefactor)
+        for module in (core, ialpha):
+            monkeypatch.setattr(module, "_prefactor", prefactor_C)
+        monkeypatch.setattr(ialpha, "_unit", counted("U", core._unit))
         monkeypatch.setattr(radial, "_rate_kernel", rate_kernel)
-        residual_scan("T3", LogPower(0.5, 2.0), 0, [12, 16, 20], 2.0, ctx2)
-        assert counts == {"C": 1, "C, U": 1}
-        # the closed form of (jL)**2 p**(j/2) at the rates 1/2 and 1/2 + alpha - 1
-        assert sorted(kernels) == [(2, 0.5), (2, 1.5)]
+        for ladder in ([12, 16, 20], [12, 14, 16, 18, 20, 24]):
+            counts.update(C=0, U=0)
+            kernels.clear()
+            residual_scan("T3", LogPower(0.5, 2.0), 0, ladder, 2.0, ctx2)
+            # once for the operator and once for the expansion, whatever the rungs
+            assert counts == {"C": 2, "U": 1}
+            # the closed form of (jL)**2 p**(j/2) at the rates 1/2 and 1/2 + alpha - 1
+            assert sorted(kernels) == [(2, 0.5), (2, 1.5)]
 
 
 def test_reports_sorted_by_exponent(ctx2):
