@@ -26,6 +26,7 @@ from .core import (
     ParamOutOfRange,
     QOutOfRange,
     TailMismatch,
+    _require_count,
     _require_finite,
     general_power,
     prefactor,
@@ -57,28 +58,21 @@ def gen_binomial(gamma, k: int, ctx: NumericContext | None = None):
     """Generalized binomial coefficient gamma (gamma-1) ... (gamma-k+1) / k!.
 
     Exact for integer or Fraction gamma; terminates with exact zeros when
-    gamma is a nonnegative integer below k.
+    gamma is a nonnegative integer below k.  Any other real gamma needs a
+    context, which converts it; without one it raises
+    :class:`ParamOutOfRange`.
     """
-    if k < 0:
-        raise ParamOutOfRange("k must be nonnegative")
-    if ctx is not None and not isinstance(gamma, (int, Fraction)):
+    k = _require_count(k, "k")
+    if isinstance(gamma, bool) or not isinstance(gamma, (int, Fraction)):
+        if ctx is None:
+            raise ParamOutOfRange(f"gamma must be an int or a Fraction, got {gamma!r}")
         gamma = ctx.real(gamma)  # a Fraction in exact mode, else an mpf
-    if isinstance(gamma, (int, Fraction)):
-        num = Fraction(1)
-        for i in range(k):
-            num *= gamma - i
-        result = num / math.factorial(k)
-        return result if ctx is None else ctx.real(result)
-    if ctx is not None:
-        with ctx.workprec():
-            acc = ctx.real(1)
-            for i in range(k):
-                acc *= gamma - i
-            return acc / math.factorial(k)
-    acc = 1.0
+    # an int or Fraction gamma is multiplied out exactly and rounded once
+    acc = Fraction(1) if isinstance(gamma, (int, Fraction)) else ctx.real(1)
     for i in range(k):
-        acc *= float(gamma) - i
-    return acc / math.factorial(k)
+        acc *= gamma - i
+    acc /= math.factorial(k)
+    return acc if ctx is None else ctx.real(acc)
 
 
 def _poly_derivative(coeffs: tuple) -> tuple:
@@ -108,16 +102,14 @@ def _phi_numerator(k: int) -> tuple:
 
 def phi_sum(k: int, q, ctx: NumericContext):
     """Phi_k(q) = sum_{m>=1} m**k q**m via its exact rational closed form."""
-    if k < 0:
-        raise ParamOutOfRange("k must be nonnegative")
+    k = _require_count(k, "k")
     qv = ctx.real(q)
     if not 0 < qv < 1:
         raise QOutOfRange(f"q must lie in (0, 1), got {float(q)}")
-    with ctx.workprec():
-        num = ctx.real(0)
-        for c in reversed(_phi_numerator(k)):
-            num = num * qv + c
-        return num / (ctx.real(1) - qv) ** (k + 1)
+    num = ctx.real(0)
+    for c in reversed(_phi_numerator(k)):
+        num = num * qv + c
+    return num / (ctx.real(1) - qv) ** (k + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -138,14 +130,11 @@ def b_coefficient(M, alpha, ctx: NumericContext):
     a = ctx.real(alpha)
     if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
-    with ctx.workprec():
-        one = ctx.real(1)
-        p = ctx.real(ctx.prime)
-        bterm = (ctx.p_pow(1 - a) - one) / ((one - ctx.p_pow(-a)) * p)
-        series = phi_sum(0, ctx.p_pow(-(m + 1)), ctx) - phi_sum(
-            0, ctx.p_pow(-(m + a)), ctx
-        )
-        return bterm + (one - ctx.p_pow(-1)) * series
+    one = ctx.real(1)
+    p = ctx.real(ctx.prime)
+    bterm = (ctx.p_pow(1 - a) - one) / ((one - ctx.p_pow(-a)) * p)
+    series = phi_sum(0, ctx.p_pow(-(m + 1)), ctx) - phi_sum(0, ctx.p_pow(-(m + a)), ctx)
+    return bterm + (one - ctx.p_pow(-1)) * series
 
 
 def omega(k: int, alpha, beta, ctx: NumericContext):
@@ -156,24 +145,20 @@ def omega(k: int, alpha, beta, ctx: NumericContext):
     Phi_k(p**-(alpha-beta))).  omega(0, alpha, 0) = 0 by the t -> 1 - t
     symmetry of the Haar measure on the unit ball.
     """
-    if k < 0:
-        raise ParamOutOfRange("k must be nonnegative")
+    k = _require_count(k, "k")
     b = ctx.real(beta)
     if not 0 <= b < 1:
         raise BetaOutOfRange(f"beta must lie in [0, 1), got {beta}")
     a = ctx.real(alpha)
     if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
-    with ctx.workprec():
-        one = ctx.real(1)
-        unit = one - ctx.p_pow(-1)
-        series = phi_sum(k, ctx.p_pow(b - 1), ctx) - phi_sum(
-            k, ctx.p_pow(b - a), ctx
-        )
-        value = unit * _neg_log_power(ctx, k) * series
-        if k == 0:
-            value += unit_kernel_integral(ctx, a) - unit
-        return value
+    one = ctx.real(1)
+    unit = one - ctx.p_pow(-1)
+    series = phi_sum(k, ctx.p_pow(b - 1), ctx) - phi_sum(k, ctx.p_pow(b - a), ctx)
+    value = unit * _neg_log_power(ctx, k) * series
+    if k == 0:
+        value += unit_kernel_integral(ctx, a) - unit
+    return value
 
 
 def omega_tilde(k: int, alpha, ctx: NumericContext):
@@ -183,18 +168,16 @@ def omega_tilde(k: int, alpha, ctx: NumericContext):
     -(1 - 1/p)(-L)**k Phi_k(p**-(alpha-1)); the unit sphere contributes
     U - 2(1 - 1/p) at k = 0 only (log 1 = 0 kills the higher moments).
     """
-    if k < 0:
-        raise ParamOutOfRange("k must be nonnegative")
+    k = _require_count(k, "k")
     a = ctx.real(alpha)
     if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
-    with ctx.workprec():
-        one = ctx.real(1)
-        unit = one - ctx.p_pow(-1)
-        value = -unit * _neg_log_power(ctx, k) * phi_sum(k, ctx.p_pow(1 - a), ctx)
-        if k == 0:
-            value += unit_kernel_integral(ctx, a) - 2 * unit
-        return value
+    one = ctx.real(1)
+    unit = one - ctx.p_pow(-1)
+    value = -unit * _neg_log_power(ctx, k) * phi_sum(k, ctx.p_pow(1 - a), ctx)
+    if k == 0:
+        value += unit_kernel_integral(ctx, a) - 2 * unit
+    return value
 
 
 def series_B(a, gamma, n_max: int, kind: str, alpha, ctx: NumericContext, beta=None):
@@ -206,8 +189,7 @@ def series_B(a, gamma, n_max: int, kind: str, alpha, ctx: NumericContext, beta=N
     """
     if len(a) == 0:
         raise ParamOutOfRange("coefficient list must be nonempty")
-    if n_max < 0:
-        raise ParamOutOfRange("n_max must be nonnegative")
+    n_max = _require_count(n_max, "n_max")
     g = ctx.real(gamma)
     if kind == "omega":
         if beta is None:
@@ -217,20 +199,13 @@ def series_B(a, gamma, n_max: int, kind: str, alpha, ctx: NumericContext, beta=N
         moments = [omega_tilde(k, alpha, ctx) for k in range(n_max + 1)]
     else:
         raise ParamOutOfRange(f"unknown kind {kind!r}")
-    with ctx.workprec():
-        out = []
-        for n in range(n_max + 1):
-            acc = ctx.real(0)
-            for k in range(n + 1):
-                if n - k >= len(a):
-                    continue
-                acc += (
-                    ctx.real(a[n - k])
-                    * gen_binomial(g + (k - n), k, ctx)
-                    * moments[k]
-                )
-            out.append(acc)
-        return out
+    out = []
+    for n in range(n_max + 1):
+        acc = ctx.real(0)
+        for k in range(max(0, n - len(a) + 1), n + 1):  # a_{n-k} = 0 beyond the list
+            acc += ctx.real(a[n - k]) * gen_binomial(g + (k - n), k, ctx) * moments[k]
+        out.append(acc)
+    return out
 
 
 def _neg_log_power(ctx: NumericContext, k: int):
@@ -244,15 +219,11 @@ def _neg_log_power(ctx: NumericContext, k: int):
 # ---------------------------------------------------------------------------
 
 def _log_sum(a, g, order: int, kind: str, alpha, ctx: NumericContext, beta=None):
-    """x_exp -> sum_{n<=order} B_n (x_exp L)**(g - n), with B_n formed once.
-
-    The returned function is called inside ``ctx.workprec()``.
-    """
+    """x_exp -> sum_{n<=order} B_n (x_exp L)**(g - n), with B_n formed once."""
     if g < 0:
         raise ParamOutOfRange("gamma must be nonnegative")
     B = series_B(a, g, order, kind, alpha, ctx, beta=beta)
-    with ctx.workprec():
-        terms = [(g - n, B[n]) for n in range(order + 1)]
+    terms = [(g - n, B[n]) for n in range(order + 1)]
 
     def logs(x_exp):
         log_r = x_exp * ctx.log_unit()
@@ -273,24 +244,21 @@ def build_origin_prediction(a, scales, order: int, alpha, ctx: NumericContext):
 
     C sum_{n<=order} a_n b(M_n) p**(x_exp (M_n + alpha)).
     """
-    if order < 0:
-        raise ParamOutOfRange("at least one expansion term is required")
+    order = _require_count(order, "order")
     if len(a) != len(scales) or len(a) < order + 1:
         raise ParamOutOfRange("need len(a) == len(scales) >= order + 1")
     ms = [ctx.real(m) for m in scales]
     if any(m <= 0 for m in ms) or any(x >= y for x, y in zip(ms, ms[1:])):
         raise ParamOutOfRange("scales must be strictly increasing and positive")
     alpha = ctx.real(alpha)
-    with ctx.workprec():
-        C = prefactor(ctx, alpha)
-        terms = [
-            (ms[n] + alpha, ctx.real(a[n]) * b_coefficient(ms[n], alpha, ctx))
-            for n in range(order + 1)
-        ]
+    C = prefactor(ctx, alpha)
+    terms = [
+        (ms[n] + alpha, ctx.real(a[n]) * b_coefficient(ms[n], alpha, ctx))
+        for n in range(order + 1)
+    ]
 
     def at(x_exp):
-        with ctx.workprec():
-            return sum(C * ctx.p_pow(power * x_exp) * coeff for power, coeff in terms)
+        return sum(C * ctx.p_pow(power * x_exp) * coeff for power, coeff in terms)
 
     return at
 
@@ -311,12 +279,10 @@ def build_infinity_prediction(a, beta, gamma, order: int, alpha, ctx: NumericCon
     C p**(x_exp (alpha - beta)) sum_{n<=order} B_n (x_exp L)**(gamma - n).
     """
     logs = _log_sum(a, ctx.real(gamma), order, "omega", alpha, ctx, beta=beta)
-    with ctx.workprec():
-        C, power = prefactor(ctx, alpha), ctx.real(alpha) - ctx.real(beta)
+    C, power = prefactor(ctx, alpha), ctx.real(alpha) - ctx.real(beta)
 
     def at(x_exp):
-        with ctx.workprec():
-            return C * ctx.p_pow(power * x_exp) * logs(x_exp)
+        return C * ctx.p_pow(power * x_exp) * logs(x_exp)
 
     return at
 
@@ -351,15 +317,13 @@ def build_infinity_beta1_prediction(
             f"gamma={gamma}, beta=1"
         )
     logs = _log_sum(a, g, order, "omega_tilde", alpha, ctx)
-    with ctx.workprec():
-        C, power = prefactor(ctx, alpha), ctx.real(alpha) - 1
+    C, power = prefactor(ctx, alpha), ctx.real(alpha) - 1
 
     def at(x_exp):
-        with ctx.workprec():
-            P, G = ctx.p_pow(power * x_exp), cumulative_ball_integral(f, x_exp, ctx)
-            if printed_form:
-                return C * (P * G + logs(x_exp))
-            return C * P * (G + logs(x_exp))
+        P, G = ctx.p_pow(power * x_exp), cumulative_ball_integral(f, x_exp, ctx)
+        if printed_form:
+            return C * (P * G + logs(x_exp))
+        return C * P * (G + logs(x_exp))
 
     return at
 

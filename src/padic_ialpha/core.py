@@ -15,10 +15,16 @@ arrays.  Two arithmetic backends are supported:
 
 Every power of p, ln p and 1 - p**x goes through one small kernel that
 calls mpmath's ``libmp`` layer at the context's precision, passed
-explicitly: it never reads ``mp.prec`` and enters no ``workprec``.  ln p
-comes from a cache keyed by (prime, precision).  Each result is
-bit-for-bit what ``mp.power``, ``mp.log`` and ``mp.expm1`` return at that
-precision; the kernel only skips their dispatch and the repeated ln p.
+explicitly.  ln p comes from a cache keyed by (prime, precision).  Each
+result is bit-for-bit what ``mp.power``, ``mp.log`` and ``mp.expm1``
+return at that precision; the kernel only skips their dispatch and the
+repeated ln p.
+
+Every mpf the library makes is made here, in the mpmath context of its
+precision.  An mpf carries its context and arithmetic rounds at the left
+operand's, so no module reads or sets the global ``mp.prec`` or enters a
+``workprec``.  These mpfs are not ``mp.mpf`` instances, though they
+convert, compare and mix with ``mp`` values as any mpf does.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from mpmath import libmp, mp
+from mpmath.ctx_mp import MPContext
+from mpmath.ctx_mp_python import _mpf as mpf_base  # the base of every context's mpf
 
 __all__ = [
     "AlphaOutOfRange",
@@ -177,16 +185,24 @@ def _require_finite(n, what: str = "exponent") -> int:
     raise ParamOutOfRange(f"{what} must be an integer, got {n!r}")
 
 
+def _require_count(n, what: str) -> int:
+    """n as an integer >= 0, read as :func:`_require_finite` reads it."""
+    n = _require_finite(n, what)
+    if n < 0:
+        raise ParamOutOfRange(f"{what} must be nonnegative, got {n}")
+    return n
+
+
 def _require_real(x, what: str = "parameter"):
     """x itself, if it is a finite real number; bools, NaN and inf are rejected."""
     # concrete types first: the abstract numbers.* checks are slow
     if isinstance(x, bool) or not isinstance(
-        x, (int, float, Fraction, mp.mpf, numbers.Real)
+        x, (int, float, Fraction, mpf_base, numbers.Real)
     ):
         raise ParamOutOfRange(f"{what} must be a real number, got {x!r}")
     if isinstance(x, float):
         finite = math.isfinite(x)
-    elif isinstance(x, mp.mpf):
+    elif isinstance(x, mpf_base):
         finite = mp.isfinite(x)
     else:
         finite = isinstance(x, (int, Fraction, numbers.Rational)) or math.isfinite(x)
@@ -202,13 +218,28 @@ def _require_real(x, what: str = "parameter"):
 _RND = libmp.round_nearest  # the rounding of mpmath's default context
 
 
+@lru_cache(maxsize=64)  # a context holds about 40 kB; guard bits add precisions
+def _mp_context(prec: int) -> MPContext:
+    """The mpmath context that rounds at prec bits, made once per precision."""
+    context = MPContext()
+    context.prec = prec
+    # its mpf class has no importable name: its mpfs pickle through _make_mpf
+    context.mpf.__reduce__ = lambda x: (_make_mpf, (prec, x._mpf_))
+    return context
+
+
+def _make_mpf(prec: int, v):
+    """The mpf of raw value v in the context of prec bits; every mpf is made here."""
+    return _mp_context(prec).make_mpf(v)
+
+
 def _raw(x, prec: int):
     """x as a raw mpf, converted as ``mp.convert`` converts it at prec bits.
 
     ints and floats are exact; a Fraction is rounded toward zero, as
     mpmath rounds it.
     """
-    if isinstance(x, mp.mpf):
+    if isinstance(x, mpf_base):
         return x._mpf_
     if isinstance(x, int):
         return libmp.from_int(x)
@@ -216,8 +247,7 @@ def _raw(x, prec: int):
         return libmp.from_float(x)
     if isinstance(x, Fraction):
         return libmp.from_rational(x.numerator, x.denominator, prec, libmp.round_down)
-    with mp.workprec(prec):  # other number types: mpmath's own conversion
-        return mp.convert(x)._mpf_
+    return _mp_context(prec).convert(x)._mpf_  # other types: mpmath's own conversion
 
 
 @lru_cache(maxsize=256)  # guard bits make a precision per rate; keep the cache bounded
@@ -258,7 +288,7 @@ def _one_minus_p_pow(ctx: NumericContext, x):
         return 1 - ctx.p_pow(x)
     prec = ctx.precision_bits
     t = libmp.mpf_mul(_raw(x, prec), _ln(ctx.prime, prec), prec, _RND)
-    return mp.make_mpf(libmp.mpf_neg(_expm1(t, prec)))
+    return _make_mpf(prec, libmp.mpf_neg(_expm1(t, prec)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +338,9 @@ class NumericContext:
     def __post_init__(self):
         if not _is_prime(self.prime):
             raise ParamOutOfRange(f"prime must be prime, got {self.prime}")
-        if self.precision_bits < 64:
+        bits = _require_finite(self.precision_bits, "precision_bits")
+        object.__setattr__(self, "precision_bits", bits)
+        if bits < 64:
             raise ParamOutOfRange("precision_bits must be at least 64")
         if not 0 < self.rel_tol < 1:
             raise ParamOutOfRange("rel_tol must lie in (0, 1)")
@@ -318,7 +350,7 @@ class NumericContext:
     # -- scalar backend ----------------------------------------------------
 
     def workprec(self):
-        """mpmath working-precision context for this configuration."""
+        """mpmath's global precision set to this one, for a caller's own mpfs."""
         return mp.workprec(self.precision_bits)
 
     def real(self, x):
@@ -330,16 +362,18 @@ class NumericContext:
         the context arithmetic, never in float64.  Bools, NaN and inf are
         rejected here (:class:`ParamOutOfRange`), before any range check
         sees them.  ints and floats convert exactly; a Fraction rounds to
-        the context's precision, whatever ``mp.prec`` is.
+        the context's precision, whatever ``mp.prec`` is.  An mpf of any
+        context moves into this one unrounded.
         """
         _require_real(x)
         if self.exact:
             if isinstance(x, (numbers.Rational, float)):
                 return Fraction(x)
             raise NumericModeError(f"cannot represent {x!r} exactly")
-        if isinstance(x, mp.mpf):
-            return x  # converting at working precision would not round it
-        return mp.make_mpf(_raw(x, self.precision_bits))
+        prec = self.precision_bits
+        if type(x) is _mp_context(prec).mpf:
+            return x
+        return _make_mpf(prec, _raw(x, prec))
 
     def p_pow(self, exponent):
         """p raised to a (real) exponent in the context arithmetic.
@@ -362,27 +396,29 @@ class NumericContext:
             v = libmp.mpf_pow(p, t, prec, _RND)
         else:  # mpf_pow's general branch, minus its mpf_log
             v = libmp.mpf_exp(libmp.mpf_mul(t, _ln(self.prime, prec + 10)), prec, _RND)
-        return mp.make_mpf(v)
+        return _make_mpf(prec, v)
 
     def log_unit(self):
         """The factor L with log(p**j) = j * L under the chosen convention.
 
         The natural log is ln p at the context's precision, from the cache.
         """
+        prec = self.precision_bits
         if self.log_base is LogBase.BASE_P:
-            return Fraction(1) if self.exact else mp.mpf(1)
+            return Fraction(1) if self.exact else _make_mpf(prec, libmp.fone)
         if self.exact:
             raise NumericModeError(
                 "natural log of the radius is irrational; use log_base=BASE_P "
                 "for exact-rational work"
             )
-        return mp.make_mpf(_ln(self.prime, self.precision_bits))
+        return _make_mpf(prec, _ln(self.prime, prec))
 
     def rounding_eps(self):
         """Unit 2**(6 - precision_bits) for certified rounding bounds (0 in exact mode)."""
         if self.exact:
             return Fraction(0)
-        return mp.make_mpf(libmp.from_man_exp(1, 6 - self.precision_bits))
+        prec = self.precision_bits
+        return _make_mpf(prec, libmp.from_man_exp(1, 6 - prec))
 
 
 def _as_exact_int(exponent) -> int:
@@ -412,13 +448,9 @@ def general_power(ctx: NumericContext, base, exponent):
     b, e = _raw(base, prec), _raw(exponent, prec)
     if b[0] and e[2] < 0:  # a negative base and a non-integer exponent
         raise LogDomain(f"non-integer power {exponent} of negative base {base}")
-    if b == libmp.fzero:
-        if e == libmp.fzero:
-            return mp.mpf(1)
-        if e[0]:
-            raise LogDomain("negative power of zero")
-        return mp.mpf(0)
-    return mp.make_mpf(libmp.mpf_pow(b, e, prec, _RND))
+    if b == libmp.fzero and e[0]:
+        raise LogDomain("negative power of zero")
+    return _make_mpf(prec, libmp.mpf_pow(b, e, prec, _RND))  # 0**0 = 1, 0**e = 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,25 +467,22 @@ def ball_power_integral(ctx: NumericContext, alpha, n):
     if a <= 0:
         raise AlphaOutOfRange(f"alpha must be positive, got {alpha}")
     n = _require_finite(n)
-    with ctx.workprec():
-        one = ctx.real(1)
-        return (one - ctx.p_pow(-1)) / (one - ctx.p_pow(-a)) * ctx.p_pow(a * n)
+    one = ctx.real(1)
+    return (one - ctx.p_pow(-1)) / (one - ctx.p_pow(-a)) * ctx.p_pow(a * n)
 
 
 def sphere_measure(ctx: NumericContext, n):
     """Haar measure (1 - 1/p) * p**n of the sphere |x| = p**n."""
     n = _require_finite(n)
-    with ctx.workprec():
-        return (ctx.real(1) - ctx.p_pow(-1)) * ctx.p_pow(n)
+    return (ctx.real(1) - ctx.p_pow(-1)) * ctx.p_pow(n)
 
 
 def _prefactor(ctx: NumericContext, a, pa):
     """C = (1 - pa) / (1 - p**(a - 1)) at alpha = a > 1, with pa = p**(-a).
 
-    Called at working precision; the callers check a.  Raises
-    :class:`AlphaOutOfRange` when p**(a - 1) rounds to 1 at the context's
-    precision, as it does for an a within about 2**-precision_bits of 1
-    given at a higher precision.
+    The callers check a.  Raises :class:`AlphaOutOfRange` when p**(a - 1)
+    rounds to 1 at the context's precision, as it does for an a within
+    about 2**-precision_bits of 1 given at a higher precision.
     """
     gap = 1 - ctx.p_pow(a - 1)
     if not gap:
@@ -465,7 +494,7 @@ def _prefactor(ctx: NumericContext, a, pa):
 
 
 def _unit(ctx: NumericContext, pa):
-    """U = (p - 2 + pa) / (p * (1 - pa)) with pa = p**(-alpha), at working precision."""
+    """U = (p - 2 + pa) / (p * (1 - pa)) with pa = p**(-alpha)."""
     p = ctx.prime
     return (p - 2 + pa) / (p * (1 - pa))
 
@@ -478,8 +507,7 @@ def unit_kernel_integral(ctx: NumericContext, alpha):
     a = ctx.real(alpha)
     if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
-    with ctx.workprec():
-        return _unit(ctx, ctx.p_pow(-a))
+    return _unit(ctx, ctx.p_pow(-a))
 
 
 def _check_prefactor_alpha(ctx: NumericContext, alpha):
@@ -498,8 +526,7 @@ def prefactor(ctx: NumericContext, alpha):
     Negative for every alpha > 1 (the denominator changes sign at 1).
     """
     a = _check_prefactor_alpha(ctx, alpha)
-    with ctx.workprec():
-        return _prefactor(ctx, a, ctx.p_pow(-a))
+    return _prefactor(ctx, a, ctx.p_pow(-a))
 
 
 # ---------------------------------------------------------------------------

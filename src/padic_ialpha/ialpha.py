@@ -28,6 +28,7 @@ from .core import (
     RandomStream,
     _check_prefactor_alpha,
     _prefactor,
+    _require_count,
     _require_finite,
     _unit,
     prefactor,
@@ -100,9 +101,8 @@ class _Operator:
     def __init__(self, f: RadialFunction, alpha, ctx: NumericContext):
         self.f, self.ctx = f, ctx
         self.alpha = _check_prefactor_alpha(ctx, alpha)
-        with ctx.workprec():
-            pa = ctx.p_pow(-self.alpha)  # C and U share p**(-alpha)
-            self.C, self.U = _prefactor(ctx, self.alpha, pa), _unit(ctx, pa)
+        pa = ctx.p_pow(-self.alpha)  # C and U share p**(-alpha)
+        self.C, self.U = _prefactor(ctx, self.alpha, pa), _unit(ctx, pa)
         self.kernels = _RateKernels(ctx)
 
     def at(self, N) -> OperatorValue:
@@ -112,22 +112,19 @@ class _Operator:
             zero = ctx.real(0)
             return OperatorValue(zero, zero, ZERO)
         N = _require_finite(N, "radius exponent")
-        with ctx.workprec():
-            runs = sphere_segments(self.f, N, ctx)
-            inner = SphereSum(
-                _runs_below(runs, N, ctx), N - 1, self.kernels, self.alpha
-            )
-            unit = 1 - ctx.p_pow(-1)
-            ball = inner.K * ctx.p_pow(N)  # p**(N alpha)
-            parts = _parts_at(runs, N, ctx)
-            f_N, size_N = sum(parts), sum(abs(x) for x in parts)
-            bracket = unit * inner.total + f_N * ball * (U - unit)
-            magnitude = unit * inner.magnitude + size_N * ball * (U + unit)
-            bound = abs(C) * (
-                magnitude * ctx.rounding_eps() * (inner.explicit + 16)
-                + unit * inner.remainder
-            )
-            return OperatorValue(C * bracket, bound, inner.low)
+        runs = sphere_segments(self.f, N, ctx)
+        inner = SphereSum(_runs_below(runs, N, ctx), N - 1, self.kernels, self.alpha)
+        unit = 1 - ctx.p_pow(-1)
+        ball = inner.K * ctx.p_pow(N)  # p**(N alpha)
+        parts = _parts_at(runs, N, ctx)
+        f_N, size_N = sum(parts), sum(abs(x) for x in parts)
+        bracket = unit * inner.total + f_N * ball * (U - unit)
+        magnitude = unit * inner.magnitude + size_N * ball * (U + unit)
+        bound = abs(C) * (
+            magnitude * ctx.rounding_eps() * (inner.explicit + 16)
+            + unit * inner.remainder
+        )
+        return OperatorValue(C * bracket, bound, inner.low)
 
 
 def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
@@ -143,9 +140,8 @@ def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
     if N is ZERO:
         return ctx.real(0)
     N = _require_finite(N, "radius exponent")
-    with ctx.workprec():
-        a = ctx.real(alpha)
-        return C * b_coefficient(m, a, ctx) * ctx.p_pow((m + a) * N)
+    a = ctx.real(alpha)
+    return C * b_coefficient(m, a, ctx) * ctx.p_pow((m + a) * N)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +164,7 @@ def smallball_kernel_integral(k: int, beta, R: int, alpha, ctx: NumericContext):
     arithmetic modes; in exact mode it needs integer beta and alpha (and
     base-p logs when k > 0).
     """
-    if k < 0:
-        raise ParamOutOfRange("k must be nonnegative")
+    k = _require_count(k, "k")
     b = ctx.real(beta)
     if not 0 <= b < 1:
         raise BetaOutOfRange(f"beta must lie in [0, 1), got {beta}")
@@ -179,19 +174,18 @@ def smallball_kernel_integral(k: int, beta, R: int, alpha, ctx: NumericContext):
     if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
 
-    with ctx.workprec():
-        r = ctx.real(R)
+    r = ctx.real(R)
 
-        def tail(q):
-            shifted = sum(
-                math.comb(k, t) * r ** (k - t) * phi_sum(t, q, ctx)
-                for t in range(1, k + 1)
-            )
-            return q**R * (r**k / (1 - q) + shifted)
+    def tail(q):
+        shifted = sum(
+            math.comb(k, t) * r ** (k - t) * phi_sum(t, q, ctx)
+            for t in range(1, k + 1)
+        )
+        return q**R * (r**k / (1 - q) + shifted)
 
-        lk = ctx.log_unit() ** k if k else ctx.real(1)
-        unit = 1 - ctx.p_pow(-1)
-        return unit * lk * (tail(ctx.p_pow(b - 1)) - tail(ctx.p_pow(b - a)))
+    lk = ctx.log_unit() ** k if k else ctx.real(1)
+    unit = 1 - ctx.p_pow(-1)
+    return unit * lk * (tail(ctx.p_pow(b - 1)) - tail(ctx.p_pow(b - a)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,32 +230,31 @@ def mc_ialpha_eval(
             raise OverflowError(f"estimate overflows a double at x_exp={N}")
         return v
 
-    with ctx.workprec():
-        C = _prefactor(ctx, alpha, ctx.p_pow(-alpha))
-        if N is ZERO:
-            return 0.0, 0.0
-        N = _require_finite(N, "radius exponent")
-        scale = C * ctx.p_pow(N)
-        top = ctx.p_pow((alpha - 1) * N)  # the largest kernel power, at e = N
-        double(scale * top)
-        stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
-        j, e, counts = sample_kernel_exponents(ctx, N, samples, stream)
-        cells = (e - j).tolist()  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
-        runs = sphere_segments(f, N, ctx)
-        f_N = sum(_parts_at(runs, N, ctx))
-        below = _values_down(runs, N - 1, ctx)  # f(p**j) for j = N - 1, N - 2, ...
-        q, kernel = ctx.p_pow(1 - alpha), [top]  # kernel[k] = p**((alpha - 1)(N - k))
-        while len(kernel) <= max(-cells[0], cells[-1]):
-            kernel.append(kernel[-1] * q)
-        terms = []
-        for d, count in zip(cells, counts.tolist()):
-            f_j = f_N if d <= 0 else next(below)  # the walk steps on every cell inside
-            if not count:
-                terms.append(0.0)
-            elif d <= 0:
-                terms.append(scale * (kernel[-d] - top) * f_j)
-            else:
-                terms.append(scale * (top - kernel[d]) * f_j)
+    C = _prefactor(ctx, alpha, ctx.p_pow(-alpha))
+    if N is ZERO:
+        return 0.0, 0.0
+    N = _require_finite(N, "radius exponent")
+    scale = C * ctx.p_pow(N)
+    top = ctx.p_pow((alpha - 1) * N)  # the largest kernel power, at e = N
+    double(scale * top)
+    stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
+    j, e, counts = sample_kernel_exponents(ctx, N, samples, stream)
+    cells = (e - j).tolist()  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
+    runs = sphere_segments(f, N, ctx)
+    f_N = sum(_parts_at(runs, N, ctx))
+    below = _values_down(runs, N - 1, ctx)  # f(p**j) for j = N - 1, N - 2, ...
+    q, kernel = ctx.p_pow(1 - alpha), [top]  # kernel[k] = p**((alpha - 1)(N - k))
+    while len(kernel) <= max(-cells[0], cells[-1]):
+        kernel.append(kernel[-1] * q)
+    terms = []
+    for d, count in zip(cells, counts.tolist()):
+        f_j = f_N if d <= 0 else next(below)  # the walk steps on every cell inside
+        if not count:
+            terms.append(0.0)
+        elif d <= 0:
+            terms.append(scale * (kernel[-d] - top) * f_j)
+        else:
+            terms.append(scale * (top - kernel[d]) * f_j)
     try:  # an mpf too large converts to inf, a Fraction too large raises
         values = np.array(terms, dtype=float)
         if not np.isfinite(values).all():

@@ -357,10 +357,9 @@ def sphere_segments(f: RadialFunction, top, ctx: NumericContext) -> list:
         return runs
     if isinstance(f, LinearCombo):
         runs = []
-        with ctx.workprec():
-            for c, g in f.terms:
-                for run in sphere_segments(g, top, ctx):
-                    _add_run(runs, _scaled(run, real(c)))
+        for c, g in f.terms:
+            for run in sphere_segments(g, top, ctx):
+                _add_run(runs, _scaled(run, real(c)))
         return runs
     raise TypeError(f"not a radial function: {f!r}")
 
@@ -379,8 +378,8 @@ def _runs_below(runs: list, top: int, ctx: NumericContext) -> list:
     """The runs on j <= top cut to j < top: ``sphere_segments(f, top - 1)``.
 
     Runs that end at top lose that sphere, and runs whose spans become
-    equal merge as :func:`sphere_segments` merges them.  Called at working
-    precision, which the merges round to.
+    equal merge as :func:`sphere_segments` merges them, rounding at the
+    context's precision.
     """
     below = []
     for run in runs:
@@ -417,8 +416,7 @@ def eval_sphere(f: RadialFunction, j, ctx: NumericContext):
 
     It is the sum of the values of the runs that cover j.
     """
-    with ctx.workprec():
-        return ctx.real(sum(_sphere_parts(f, j, ctx)))
+    return ctx.real(sum(_sphere_parts(f, j, ctx)))
 
 
 def _sphere_parts(f: RadialFunction, j, ctx: NumericContext) -> list:
@@ -476,9 +474,8 @@ def _rate_kernel(ctx: NumericContext, m: int, rate):
         gap = -math.log2(_one_minus_p_pow(ctx, -abs(rate)))
         guard = (m + 1) * max(0, math.ceil(gap)) + 8
         ctx = replace(ctx, precision_bits=ctx.precision_bits + guard)
-    with ctx.workprec():
-        w = ctx.p_pow(-abs(rate))
-        return ctx, [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)]
+    w = ctx.p_pow(-abs(rate))
+    return ctx, [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)]
 
 
 class _RateKernels(dict):
@@ -541,18 +538,20 @@ def _power_sum(kernels: _RateKernels, m: int, rate, lo, hi: int):
         )
         return s, s
     ctx, phis = kernels.at(m, rate)
+    # rate * x rounds in the guarded context too; the results enter working
+    # precision as the right operand of K * s (SphereSum._add_closed)
+    rate = ctx.real(rate)
     sign, ends = (-1, (hi, lo - 1)) if rate > 0 else (1, (lo, hi + 1))
-    with ctx.workprec():
-        sums = []
-        for x in ends:
-            terms = [
-                math.comb(m, t) * sign**t * x ** (m - t) * phis[t]
-                for t in range(m + 1)
-            ]
-            z = ctx.p_pow(rate * x)
-            sums.append((z * sum(terms), z * sum(abs(t) for t in terms)))
-        (a, size_a), (b, size_b) = sums
-        return a - b, size_a + size_b
+    sums = []
+    for x in ends:
+        terms = [
+            math.comb(m, t) * sign**t * x ** (m - t) * phis[t]
+            for t in range(m + 1)
+        ]
+        z = ctx.p_pow(rate * x)
+        sums.append((z * sum(terms), z * sum(abs(t) for t in terms)))
+    (a, size_a), (b, size_b) = sums
+    return a - b, size_a + size_b
 
 
 class SphereSum:
@@ -781,9 +780,8 @@ def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):
     if n is ZERO:
         return ctx.real(0)
     n = _require_finite(n)
-    with ctx.workprec():
-        runs = sphere_segments(f, n, ctx)
-        return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(runs, n, _RateKernels(ctx)).total
+    runs = sphere_segments(f, n, ctx)
+    return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(runs, n, _RateKernels(ctx)).total
 
 
 # ---------------------------------------------------------------------------
@@ -819,11 +817,10 @@ def outer_expansion(f: RadialFunction, ctx: NumericContext):
     far = [r for r in _whole_line(f, ctx) or () if r.hi == math.inf]
     if not far or any(r.lo is None for r in far):
         return None
-    with ctx.workprec():
-        forms = [
-            (r.beta, r.gamma, r.coeffs)
-            if isinstance(r, LogRun)
-            else (-r.degree, ctx.real(0), (r.coeff,))
-            for r in far
-        ]
-        return reduce(lambda u, v: u and _log_sum(u, v), forms)
+    forms = [
+        (r.beta, r.gamma, r.coeffs)
+        if isinstance(r, LogRun)
+        else (-r.degree, ctx.real(0), (r.coeff,))
+        for r in far
+    ]
+    return reduce(lambda u, v: u and _log_sum(u, v), forms)

@@ -24,6 +24,7 @@ from .core import (
     HypothesisMismatch,
     NumericContext,
     ParamOutOfRange,
+    _require_count,
     _require_finite,
     general_power,
 )
@@ -92,6 +93,7 @@ def residual_scan(
     profile's declared tails.  Each residual is normalised by the first
     omitted term of the evaluated expansion.
     """
+    order = _require_count(order, "order")
     ladder = _ladder(ladder)
     op = _Operator(f, alpha, ctx)
     if theorem == "T1":
@@ -110,15 +112,14 @@ def residual_scan(
         terms = _critical(f, order, op, coeffs, gamma, printed_form)
     params, expansion, omitted = terms
     rows = []
-    with ctx.workprec():
-        for x in ladder:
-            computed = op.at(x).value
-            predicted = expansion(x)
-            err = abs(computed - predicted)
-            rows.append(
-                ResidualRow(x, float(computed), float(predicted), float(err),
-                            float(err / omitted(x)))
-            )
+    for x in ladder:
+        computed = op.at(x).value
+        predicted = expansion(x)
+        err = abs(computed - predicted)
+        rows.append(
+            ResidualRow(x, float(computed), float(predicted), float(err),
+                        float(err / omitted(x)))
+        )
     params = {"alpha": alpha, "p": ctx.prime, **params}
     return ResidualReport(theorem, order, tuple(rows), params)
 
@@ -142,11 +143,10 @@ def _origin(f, order, op, coeffs, scales):
     # the first omitted term is p**(x (M + alpha)) at the next listed scale M;
     # the last listed scale + 1 stands in when the expansion is exhausted
     # (exact finite expansions)
-    with ctx.workprec():
-        if len(scales) > order + 1:
-            power = ctx.real(scales[order + 1]) + a
-        else:
-            power = ctx.real(scales[order]) + 1 + a
+    if len(scales) > order + 1:
+        power = ctx.real(scales[order + 1]) + a
+    else:
+        power = ctx.real(scales[order]) + 1 + a
     params = {"coeffs": list(coeffs), "scales": list(scales)}
     return params, expansion, lambda x: ctx.p_pow(power * x)
 
@@ -168,8 +168,7 @@ def _infinity(f, order, op, coeffs, beta, gamma):
         raise HypothesisMismatch(f"outer decay beta={beta} is not in [0, 1)")
     g = ctx.real(gamma)
     expansion = build_infinity_prediction(coeffs, b, g, order, a, ctx)
-    with ctx.workprec():
-        omitted = _omitted_log_term(ctx, a - b, g - (order + 1))
+    omitted = _omitted_log_term(ctx, a - b, g - (order + 1))
     params = {"beta": beta, "gamma": gamma, "coeffs": list(coeffs)}
     return params, expansion, omitted
 
@@ -192,9 +191,8 @@ def _critical(f, order, op, coeffs, gamma, printed_form):
         coeffs, g, order, f, a, ctx, printed_form=printed_form
     )
     # the printed variant carries no radius power on its log sum
-    with ctx.workprec():
-        power = 0 if printed_form else a - 1
-        omitted = _omitted_log_term(ctx, power, g - (order + 1))
+    power = 0 if printed_form else a - 1
+    omitted = _omitted_log_term(ctx, power, g - (order + 1))
     params = {
         "beta": 1.0,
         "gamma": gamma,
@@ -247,11 +245,10 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
             f"declared outer decay exponent {decay} must exceed 1"
         )
     rows = []
-    with ctx.workprec():
-        for x in ladder:
-            value = op.at(x).value
-            ratio = abs(value) / ctx.p_pow((op.alpha - 1) * x)
-            rows.append((x, float(ratio)))
+    for x in ladder:
+        value = op.at(x).value
+        ratio = abs(value) / ctx.p_pow((op.alpha - 1) * x)
+        rows.append((x, float(ratio)))
     ratios = [r for _, r in rows]
     return min(ratios), max(ratios), rows
 
@@ -305,26 +302,24 @@ def lemma_decay_check(which: str, params: dict, ladder, ctx: NumericContext):
             raise ParamOutOfRange("lam_prime must exceed lam")
         f = params.get("f") or LogPower(params["lam_prime"], 0.0)
         rows = []
-        with ctx.workprec():
-            for m in ladder:
-                if m < 1:
-                    raise ParamOutOfRange("L1 ladder entries must be >= 1")
-                g = cumulative_ball_integral(f, m, ctx)
-                rows.append((m, float(g * ctx.p_pow((lam - 1) * m))))
+        for m in ladder:
+            if m < 1:
+                raise ParamOutOfRange("L1 ladder entries must be >= 1")
+            g = cumulative_ball_integral(f, m, ctx)
+            rows.append((m, float(g * ctx.p_pow((lam - 1) * m))))
         return rows
     if which == "L2":
-        k = int(params["k"])
+        k = _require_finite(params["k"], "k")
         beta = ctx.real(params["beta"])
         eps = ctx.real(params["eps"])
         alpha = ctx.real(params["alpha"])
         if eps <= 0 or beta + eps >= 1:
             raise ParamOutOfRange("need eps > 0 and beta + eps < 1")
         rows = []
-        with ctx.workprec():
-            for R in ladder:
-                if R < 1:
-                    raise ParamOutOfRange("L2 ladder entries must be >= 1")
-                kr = smallball_kernel_integral(k, beta, R, alpha, ctx)
-                rows.append((R, float(kr * ctx.p_pow((1 - beta - eps) * R))))
+        for R in ladder:
+            if R < 1:
+                raise ParamOutOfRange("L2 ladder entries must be >= 1")
+            kr = smallball_kernel_integral(k, beta, R, alpha, ctx)
+            rows.append((R, float(kr * ctx.p_pow((1 - beta - eps) * R))))
         return rows
     raise ParamOutOfRange(f"unknown decay check {which!r}")

@@ -7,6 +7,7 @@ of the double the library receives.  Nothing here calls the library.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from mpmath import mp
@@ -18,6 +19,14 @@ REL = 1e-80
 def _num(x):
     x = Fraction(x)
     return mp.mpf(x.numerator) / x.denominator
+
+
+def gen_binomial_float(gamma, k: int) -> float:
+    """gamma (gamma-1) ... (gamma-k+1) / k! in doubles."""
+    acc = 1.0
+    for i in range(k):
+        acc *= float(gamma) - i
+    return acc / math.factorial(k)
 
 
 def phi_sum_direct(k: int, q, rel=REL):

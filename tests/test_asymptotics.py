@@ -35,7 +35,12 @@ from padic_ialpha import (
     unit_kernel_integral,
 )
 from padic_ialpha.core import sample_kernel_exponents
-from series_oracle import b_coefficient_series, phi_sum_direct, smallball_direct
+from series_oracle import (
+    b_coefficient_series,
+    gen_binomial_float,
+    phi_sum_direct,
+    smallball_direct,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -80,17 +85,23 @@ def omega_tilde_series_oracle(k, alpha, ctx, m_max=600):
 # ---------------------------------------------------------------------------
 
 class TestGenBinomial:
-    def test_k_zero(self):
-        assert gen_binomial(17.3, 0) == 1.0
+    def test_k_zero(self, ctx2):
+        assert gen_binomial(17.3, 0, ctx2) == gen_binomial_float(17.3, 0) == 1.0
         assert gen_binomial(Fraction(5, 2), 0) == 1
 
-    def test_half_integer(self):
-        assert gen_binomial(2.5, 2) == pytest.approx(1.875)
+    def test_half_integer(self, ctx2):
+        assert gen_binomial(2.5, 2, ctx2) == gen_binomial_float(2.5, 2) == 1.875
         assert gen_binomial(Fraction(5, 2), 2) == Fraction(15, 8)
 
-    def test_terminates_at_integer_gamma(self):
+    def test_terminates_at_integer_gamma(self, ctx2):
         assert gen_binomial(3, 5) == 0
-        assert gen_binomial(3.0, 5) == 0.0
+        assert gen_binomial(3.0, 5, ctx2) == gen_binomial_float(3.0, 5) == 0.0
+
+    def test_without_context_only_int_and_fraction(self):
+        # a float, NaN or bool gamma needs a context to convert it
+        for gamma in (2.5, 3.0, math.nan, math.inf, True, mp.mpf(2)):
+            with pytest.raises(ParamOutOfRange):
+                gen_binomial(gamma, 2)
 
     def test_context_converts_float_gamma(self, exact2, ctx2):
         # a float gamma enters the context arithmetic as its exact double

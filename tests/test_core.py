@@ -1,6 +1,8 @@
 """Closed-form integrals, numeric context plumbing, digit arithmetic and the depth sampler."""
 
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -24,13 +26,18 @@ from padic_ialpha import (
     RandomStream,
     b_coefficient,
     ball_power_integral,
+    gen_binomial,
     ialpha_eval,
     lemma_decay_check,
     mc_ialpha_eval,
     omega,
     omega_tilde,
+    phi_sum,
+    predict_infinity,
+    predict_origin,
     prefactor,
     residual_scan,
+    series_B,
     smallball_kernel_integral,
     sphere_measure,
     unit_kernel_integral,
@@ -58,6 +65,45 @@ class TestNumericContext:
     def test_rejects_low_precision(self):
         with pytest.raises(ParamOutOfRange):
             NumericContext(2, precision_bits=32)
+
+    def test_rejects_non_integer_precision(self):
+        for bits in (100.5, 128.0, True, "128", Fraction(256)):
+            with pytest.raises(ParamOutOfRange):
+                NumericContext(2, precision_bits=bits)
+        bits = NumericContext(2, precision_bits=np.int64(80)).precision_bits
+        assert bits == 80 and type(bits) is int
+
+    def test_real_moves_a_callers_mpf_unrounded(self):
+        ctx = NumericContext(3)
+        with mp.workprec(512):
+            x = mp.mpf(1) / 3
+        got = ctx.real(x)
+        assert got._mpf_ == x._mpf_
+        assert ctx.real(got) is got
+
+    def test_returned_mpfs_round_at_their_own_precision(self):
+        # they belong to the context of their precision, not to mp
+        ctx = NumericContext(2, precision_bits=80)
+        v = ctx.p_pow(Fraction(1, 3))
+        assert not isinstance(v, mp.mpf)
+        assert float(v) == pytest.approx(2 ** (1 / 3))
+        assert mp.convert(v) == v and v < 2 and v + mp.mpf(1) > 2
+        saved = mp.prec
+        try:
+            mp.prec = 20
+            third = v / 3
+        finally:
+            mp.prec = saved
+        with mp.workprec(80):
+            assert third._mpf_ == (mp.mpf(v) / 3)._mpf_
+
+    def test_contexts_and_values_pickle_and_copy(self):
+        ctx = NumericContext(3, precision_bits=80)
+        v = ialpha_eval(LogPower(0.3, 1.7), 7, 1.7, ctx).value
+        for copied in (pickle.loads(pickle.dumps((ctx, v))), copy.deepcopy((ctx, v))):
+            assert copied[0] == ctx
+            assert copied[1]._mpf_ == v._mpf_ and type(copied[1]) is type(v)
+            assert (copied[1] / 3)._mpf_ == (v / 3)._mpf_
 
     def test_rejects_bad_rel_tol(self):
         with pytest.raises(ParamOutOfRange):
@@ -259,6 +305,34 @@ ENTRY_POINTS = {
 def test_entry_points_reject_non_finite_and_bool(entry, bad, ctx2):
     with pytest.raises(ParamOutOfRange):
         ENTRY_POINTS[entry](ctx2, bad)
+
+
+# integer parameters (orders, log powers, series lengths) are read as
+# integers: a bool or a non-integer raises instead of being truncated
+INTEGER_ENTRIES = {
+    "lemma_L2.k": lambda ctx, n: lemma_decay_check(
+        "L2", {"k": n, "beta": 0.0, "eps": 0.05, "alpha": 2.0}, [1, 2], ctx),
+    "residual_scan.order": lambda ctx, n: residual_scan(
+        "T3", LogPower(0.5, 2.0), n, [4, 8], 2.0, ctx),
+    "predict_infinity.order": lambda ctx, n: predict_infinity(
+        [1.0], 0.5, 2.0, n, 8, 2.0, ctx),
+    "predict_origin.order": lambda ctx, n: predict_origin(
+        [1.0, 1.0], [0.5, 1.0], n, -3, 2.0, ctx),
+    "series_B.n_max": lambda ctx, n: series_B([1.0], 2.0, n, "omega", 2.0, ctx, beta=0.5),
+    "omega.k": lambda ctx, n: omega(n, 2.0, 0.5, ctx),
+    "omega_tilde.k": lambda ctx, n: omega_tilde(n, 2.0, ctx),
+    "phi_sum.k": lambda ctx, n: phi_sum(n, 0.5, ctx),
+    "gen_binomial.k": lambda ctx, n: gen_binomial(2.5, n, ctx),
+    "smallball.k": lambda ctx, n: smallball_kernel_integral(n, 0.0, 1, 2.0, ctx),
+}
+
+
+@pytest.mark.parametrize("bad", (True, 1.7, 1.5, Fraction(3, 2), "1"), ids=repr)
+@pytest.mark.parametrize("entry", sorted(INTEGER_ENTRIES))
+def test_integer_parameters_reject_bools_and_non_integers(entry, bad, ctx2):
+    INTEGER_ENTRIES[entry](ctx2, 1)  # the integer itself is accepted
+    with pytest.raises(ParamOutOfRange):
+        INTEGER_ENTRIES[entry](ctx2, bad)
 
 
 def test_precision_doubling_is_stable():

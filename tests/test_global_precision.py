@@ -1,11 +1,14 @@
 """Results do not depend on mpmath's global precision.
 
-Every public entry works at its context's precision.  A scalar formed
-outside ``ctx.workprec()`` rounds to the global ``mp.prec`` instead, which
-shows as a different result once that setting is lowered.  The parameters
-are non-dyadic so that such a rounding is visible.
+Every public entry works at its context's precision: each mpf the library
+makes belongs to the mpmath context of that precision, and arithmetic
+rounds at the precision of its left operand's context.  A scalar made in
+mpmath's global context instead would round to ``mp.prec``, which shows as
+a different result once that setting changes.  The parameters are
+non-dyadic so that such a rounding is visible.
 """
 
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import pytest
@@ -91,3 +94,54 @@ def test_result_does_not_depend_on_global_precision(name):
         mp.prec = saved
     # repr after restoring: an mpf's repr shows as many digits as mp.prec allows
     assert repr(at_low) == repr(at_default)
+
+
+def _raw(x):
+    """x with every mpf replaced by its raw _mpf_ tuple, recursively."""
+    if hasattr(x, "_mpf_"):
+        return ("mpf", x._mpf_)
+    if is_dataclass(x):
+        return (type(x).__name__, *(_raw(getattr(x, f.name)) for f in fields(x)))
+    if isinstance(x, (list, tuple)):
+        return tuple(_raw(v) for v in x)
+    if isinstance(x, dict):
+        return tuple(sorted((k, _raw(v)) for k, v in x.items()))
+    return x
+
+
+def _raw_at(entry, precs) -> list:
+    """_raw(entry()) at each global mp.prec in precs; mp.prec is restored."""
+    saved = mp.prec
+    try:
+        out = []
+        for prec in precs:
+            mp.prec = prec
+            out.append(_raw(entry()))
+        return out
+    finally:
+        mp.prec = saved
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_raw_values_do_not_depend_on_global_precision(name):
+    entry = ENTRIES[name]
+    want = _raw(entry())
+    assert _raw_at(entry, (20, 53, 2000)) == [want] * 3
+    with mp.workprec(30):  # a caller's own working precision
+        assert _raw(entry()) == want
+
+
+def test_a_callers_parameters_round_at_the_contexts_precision():
+    # ctx.real moves a caller's mpf into the context, unrounded, and rounds
+    # a Fraction there, so arithmetic on either rounds at the context's
+    # precision too, also where a profile's runs are read outside a sum
+    with mp.workprec(512):
+        alpha, beta = mp.mpf(17) / 10, mp.mpf(3) / 10
+    entries = (
+        lambda: ialpha_eval(LogPower(beta, GAMMA), 7, alpha, CTX),
+        lambda: residual_scan("T3", LogPower(beta, 2), 1, [8, 12], alpha, CTX),
+        lambda: outer_expansion(LogPower(Fraction(1, 3), 0), CTX),
+        lambda: residual_scan("T3", LogPower(Fraction(1, 3), 0), 1, [8, 16], ALPHA, CTX),
+    )
+    for entry in entries:
+        assert _raw_at(entry, (20, 2000)) == [_raw(entry())] * 2

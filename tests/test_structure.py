@@ -1,5 +1,6 @@
-"""Structure of the package: one place reads a profile's form, and numpy
-loads only with the Monte Carlo path."""
+"""Structure of the package: one place reads a profile's form, only core
+makes mpfs, nothing sets mpmath's global precision, and numpy loads only
+with the Monte Carlo path."""
 
 import ast
 import os
@@ -169,7 +170,8 @@ def test_only_the_constant_tables_are_cached():
         for fn in cached_functions(path.read_text())
     }
     assert found == {
-        "core._ln", "radial._faulhaber_coefficients", "asymptotics._phi_numerator",
+        "core._ln", "core._mp_context", "radial._faulhaber_coefficients",
+        "asymptotics._phi_numerator",
     }
 
 
@@ -181,3 +183,114 @@ def test_cache_scan_sees_every_form_of_decorator():
         "@property\ndef d(self): pass\n"
     )
     assert cached_functions(source) == ["a", "b", "c"]
+
+
+def _called_name(func):
+    """The name a call goes through: f(...) -> f, a.b.f(...) -> f."""
+    return getattr(func, "attr", None) or getattr(func, "id", None)
+
+
+def _is_mp(node) -> bool:
+    """node spells mpmath's global context: mp or mpmath.mp."""
+    return _called_name(node) == "mp"
+
+
+PRECISION_SETTERS = {"workprec", "workdps", "extraprec", "extradps"}
+
+
+def global_precision_uses(source: str) -> list:
+    """(line, name) of every with-block that sets mpmath's global precision,
+    and of every assignment to mp.prec or mp.dps."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.With, ast.AsyncWith)):
+            found += [
+                (node.lineno, _called_name(item.context_expr.func))
+                for item in node.items
+                if isinstance(item.context_expr, ast.Call)
+                and _called_name(item.context_expr.func) in PRECISION_SETTERS
+            ]
+        elif isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (node.lineno, t.attr)
+                for t in targets
+                if isinstance(t, ast.Attribute) and t.attr in ("prec", "dps")
+                and _is_mp(t.value)
+            ]
+    return sorted(found)
+
+
+def test_no_module_sets_the_global_precision():
+    # every mpf the library makes carries the context of its precision, so
+    # no result can depend on mp.prec
+    src = Path(padic_ialpha.__file__).parent
+    stray = {
+        path.name: uses
+        for path in sorted(src.glob("*.py"))
+        if (uses := global_precision_uses(path.read_text()))
+    }
+    assert stray == {}
+
+
+def test_precision_scan_sees_every_form_of_setting():
+    source = (
+        "with ctx.workprec():\n    pass\n"
+        "with open(p) as fh, mp.workprec(80):\n    pass\n"
+        "with mpmath.workdps(30):\n    pass\n"
+        "with extraprec(10):\n    pass\n"
+        "mp.prec = 80\n"
+        "mpmath.mp.dps += 5\n"
+        "context.prec = 80\n"  # a private context: not the global one
+        "c = ctx.workprec()\n"  # made, not entered
+    )
+    assert global_precision_uses(source) == [
+        (1, "workprec"), (3, "workprec"), (5, "workdps"), (7, "extraprec"),
+        (9, "prec"), (10, "dps"),
+    ]
+
+
+MPF_MAKERS = {"mpf", "make_mpf", "mpmathify", "convert"}
+MP_ALLOWED = {"bernfrac"}  # Bernoulli numbers as an (int, int) pair
+
+
+def mpf_constructions(source: str) -> list:
+    """(line, name) of every spelling that makes an mpf or reads mp.
+
+    mpf(...), x.mpf(...), x.make_mpf(...), x.convert(...) and mpmathify,
+    and every attribute of mp (mp.pi, mp.sqrt, mp.prec, ...) but bernfrac.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and (
+            node.attr in MPF_MAKERS or _is_mp(node.value) and node.attr not in MP_ALLOWED
+        ):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in MPF_MAKERS:
+            found.append((node.lineno, node.id))
+    return sorted(found)
+
+
+def test_only_core_makes_mpfs():
+    src = Path(padic_ialpha.__file__).parent
+    stray = {
+        path.name: made
+        for path in sorted(src.glob("*.py"))
+        if path.name != "core.py" and (made := mpf_constructions(path.read_text()))
+    }
+    assert stray == {}
+
+
+def test_mpf_scan_sees_every_form_of_construction():
+    source = (
+        "x = mp.mpf(1)\n"
+        "y = mpf('0.5') + mpmath.mpf(2) + mpmath.mp.mpf(3)\n"
+        "z = ctx._mp.make_mpf(v)\n"
+        "w = mp.convert(f) + mpmathify(g)\n"
+        "u = mp.pi * mp.sqrt(2) + mpmath.mp.e\n"
+        "b = mp.bernfrac(4); n = float(x)\n"
+    )
+    assert mpf_constructions(source) == [
+        (1, "mpf"), (2, "mpf"), (2, "mpf"), (2, "mpf"), (3, "make_mpf"),
+        (4, "convert"), (4, "mpmathify"), (5, "e"), (5, "pi"), (5, "sqrt"),
+    ]
