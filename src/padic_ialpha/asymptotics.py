@@ -32,7 +32,7 @@ from .core import (
     prefactor,
     unit_kernel_integral,
 )
-from .radial import RadialFunction, cumulative_ball_integral, outer_expansion
+from .radial import RadialFunction, _ball_integral, _RateKernels, outer_expansion
 
 __all__ = [
     "b_coefficient",
@@ -318,9 +318,10 @@ def build_infinity_beta1_prediction(
         )
     logs = _log_sum(a, g, order, "omega_tilde", alpha, ctx)
     C, power = prefactor(ctx, alpha), ctx.real(alpha) - 1
+    kernels = _RateKernels(ctx)  # one table for every x_exp
 
     def at(x_exp):
-        P, G = ctx.p_pow(power * x_exp), cumulative_ball_integral(f, x_exp, ctx)
+        P, G = ctx.p_pow(power * x_exp), _ball_integral(f, x_exp, kernels)
         if printed_form:
             return C * (P * G + logs(x_exp))
         return C * P * (G + logs(x_exp))

@@ -336,8 +336,10 @@ class NumericContext:
     exact: bool = False
 
     def __post_init__(self):
-        if not _is_prime(self.prime):
-            raise ParamOutOfRange(f"prime must be prime, got {self.prime}")
+        prime = _require_finite(self.prime, "prime")
+        if not _is_prime(prime):
+            raise ParamOutOfRange(f"prime must be prime, got {prime}")
+        object.__setattr__(self, "prime", prime)
         bits = _require_finite(self.precision_bits, "precision_bits")
         object.__setattr__(self, "precision_bits", bits)
         if bits < 64:

@@ -6,10 +6,11 @@ p**(N(alpha-1)) - p**(j(alpha-1)) by the ultrametric inequality, while the
 sphere |y| = |x| contributes through the unit-sphere kernel integral.
 Wherever the profile is exactly c * p**(j*d), or a log-power term
 (jL)**m p**(-j*beta) with m a nonnegative integer, the inner spheres form
-two series summed in closed form; only table values and the other
-log-power terms are summed sphere by sphere
-(:class:`~padic_ialpha.radial.SphereSum`).  What does not depend on the
-radius is formed once per operator, which a scan makes once.
+two series summed in closed form; table values and the other log-power
+terms form two series K A - B walked sphere by sphere from a start sphere
+up (:class:`~padic_ialpha.radial.SphereSum`).  What does not depend on the
+radius is formed once per operator, which a scan makes once; the walks are
+kept there too, so a scan's rungs share each walk.
 A Haar-measure Monte Carlo estimator provides an independent cross-check.
 """
 
@@ -75,11 +76,11 @@ def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorVal
     The profile's runs are built once, on j <= N.  The inner spheres j < N
     are summed by one :class:`SphereSum`: closed forms wherever the profile
     is exactly c * p**(j*d) and for the log-power terms whose log power is a
-    nonnegative integer, explicit running-power terms for table values and
-    the other log-power terms.  Those that decay toward the origin are
-    summed from N - 1 downward and stop once their certified remainder is
-    below rel_tol of what was summed.  The sphere |y| = |x| enters through
-    the unit-sphere kernel integral.
+    nonnegative integer, running-power walks for table values and the other
+    log-power terms, up to N - 1.  Those that decay toward the origin start
+    at the highest sphere whose certified remainder below is under rel_tol
+    of what is summed.  The sphere |y| = |x| enters through the unit-sphere
+    kernel integral.
     The bound adds that remainder to a rounding bound on the magnitudes
     summed before cancellation, run by run on |y| = |x| as well.  N = ZERO
     integrates over the single point 0 and returns exactly 0.
@@ -92,10 +93,11 @@ class _Operator:
 
     What does not depend on the radius is formed once, when it is made:
     alpha's check, the prefactor C, the unit-sphere integral U, and a table
-    of the closed forms' rate kernels, which fills as radii need them
-    (:class:`~padic_ialpha.radial.SphereSum`).  A scan makes one operator
-    and calls :meth:`at` per radius; :func:`ialpha_eval` makes one per
-    value.  The table dies with the operator.
+    of the closed forms' rate kernels and the explicit runs' walks, which
+    fills as radii need them (:class:`~padic_ialpha.radial.SphereSum`).  A
+    scan makes one operator and calls :meth:`at` per radius;
+    :func:`ialpha_eval` makes one per value.  A value at a radius does not
+    depend on the radii evaluated before.  The table dies with the operator.
     """
 
     def __init__(self, f: RadialFunction, alpha, ctx: NumericContext):

@@ -15,11 +15,15 @@ nonnegative integer, are summed in closed form: sum_j j**m p**(j*rate) is
 a geometric series for m = 0, Faulhaber's polynomial at rate 0, and a
 binomial sum of the series kernels Phi_t otherwise.  Only tabulated
 values and the log-power terms without that form (non-integer or negative
-log powers, and the spheres j <= 0) are summed sphere by sphere, with
-running powers, from the top down.  What a closed form needs apart from
-its ends (the geometric denominator, the guarded kernels Phi_t) is formed
-once per table of rate kernels; an operator keeps one table for all the
-radii of a scan.
+log powers, and the spheres j <= 0) are summed sphere by sphere: with
+u_j = f(p**j) * p**j, the operator's weights make them K A - B, where A
+sums u_j and B sums u_j p**(j(alpha-1)), both walked with running powers
+from a start sphere up.  The start sphere is the run's lowest, or, for a
+run that decays toward the origin, the highest whose certified remainder
+is below rel_tol of what is summed.  What does not depend on a sum's top
+(the geometric denominator, the guarded kernels Phi_t, the walks and
+their sums at each top served) is formed once per table of rate kernels;
+an operator keeps one table for all the radii of a scan.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
+from itertools import count
 from typing import Union
 
 from mpmath import mp
@@ -439,24 +444,23 @@ def _sphere_parts(f: RadialFunction, j, ctx: NumericContext) -> list:
 
 @cache
 def _faulhaber_coefficients(m: int) -> tuple:
-    """C(m+1, k) B_k / (m+1) for k = 0 ... m, with B_1 = +1/2, exactly."""
+    """(n_0 ... n_m, D): C(m+1, k) B_k / (m+1) = n_k / D, with B_1 = +1/2."""
     coeffs = []
     for k in range(m + 1):
         b = Fraction(*mp.bernfrac(k))
         coeffs.append(math.comb(m + 1, k) * (-b if k == 1 else b) / (m + 1))
-    return tuple(coeffs)
+    D = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (D // c.denominator) for c in coeffs), D
 
 
-def _faulhaber(m: int, n: int) -> Fraction:
-    """Sum of j**m over 1 <= j <= n, exactly (DLMF 24.4.7).
+def _power_count(m: int, lo: int, hi: int) -> int:
+    """Sum of j**m over lo <= j <= hi, exactly: F(hi) - F(lo - 1) in integers.
 
-    (1/(m+1)) sum_k C(m+1, k) B_k n**(m+1-k) with B_1 = +1/2; a polynomial
-    in n, so the difference of two values sums any range of j.  Its
-    coefficients are formed once per m.
+    F(n) = (1/(m+1)) sum_k C(m+1, k) B_k n**(m+1-k) (DLMF 24.4.7) has
+    F(n) - F(n - 1) = n**m for every integer n.
     """
-    return sum(
-        c * n ** (m + 1 - k) for k, c in enumerate(_faulhaber_coefficients(m))
-    )
+    nums, D = _faulhaber_coefficients(m)
+    return sum(c * (hi**e - (lo - 1) ** e) for e, c in zip(range(m + 1, 0, -1), nums)) // D
 
 
 def _rate_kernel(ctx: NumericContext, m: int, rate):
@@ -482,11 +486,12 @@ class _RateKernels(dict):
     """:func:`_rate_kernel` by (m, rate), each formed on first use.
 
     One table serves every sum that its owner makes in one context: an
-    operator's table serves all the radii of a scan.
+    operator's table serves all the radii of a scan, and so do the walks
+    of its explicit runs (:meth:`walk`).
     """
 
     def __init__(self, ctx: NumericContext):
-        self.ctx = ctx  # dict.__new__ has made the empty table
+        self.ctx, self.walks = ctx, {}  # dict.__new__ has made the empty table
 
     def at(self, m: int, rate):
         """The kernel of (m, rate), formed on the first request."""
@@ -495,6 +500,70 @@ class _RateKernels(dict):
         if kernel is None:
             kernel = self[key] = _rate_kernel(self.ctx, m, rate)
         return kernel
+
+    def walk(self, run, c: int, a1, top: int) -> tuple:
+        """The :class:`_Walk` sums of the run's spheres c ... top.
+
+        One walk is kept per run apart from its top (a value run's values may
+        extend or cut the kept one's), c and a1.  A top below the walk's
+        reads its snapshot, or walks again from c.
+        """
+        form = (run.lo, run.coeff) if isinstance(run, ValueRun) else replace(run, hi=0)
+        w = self.walks.get((form, c, a1))
+        if w is not None and isinstance(run, ValueRun):
+            short, long = sorted((w.run, run), key=lambda r: len(r.values))
+            w.run = long if long.values[: len(short.values)] == short.values else None
+        if w is None or w.run is None:
+            w = self.walks[form, c, a1] = _Walk(run, c, self.ctx, a1)
+        snapshot = w.snapshots.get(top)
+        return snapshot or (w if top >= w.next else _Walk(run, c, self.ctx, a1)).to(top)
+
+
+class _Walk:
+    """An explicit run summed from its start sphere c upward, with running powers.
+
+    Its sums over c <= j <= top: A = sum u_j, B = sum u_j P_j, the sizes of
+    u_j, sum |u_j| and sum |u_j| P_j, for u_j = f(p**j) * p**j and
+    P_j = p**(j(alpha-1)) (B = 0 when a1 is None).  A higher top continues
+    the same additions, so the sums at a top, kept in ``snapshots``, do not
+    depend on the tops served before.
+    """
+
+    def __init__(self, run, c: int, ctx: NumericContext, a1):
+        self.run, self.next, self.snapshots = run, c, {}
+        self.terms, self.P, self.up = self._terms(c, ctx), None, None
+        if a1 is not None:
+            self.P, self.up = ctx.p_pow(a1 * c), ctx.p_pow(a1)
+        self.sums = (ctx.real(0),) * 5
+
+    def to(self, top: int) -> tuple:
+        A, B, size, ua, ub = self.sums
+        P, up = self.P, self.up
+        for _ in range(self.next, top + 1):
+            u, a, s = next(self.terms)
+            A, size, ua = A + u, size + s, ua + a
+            if P is not None:
+                B, ub, P = B + u * P, ub + a * P, P * up
+        self.P, self.next = P, top + 1
+        self.sums = self.snapshots[top] = (A, B, size, ua, ub)
+        return self.sums
+
+    def _terms(self, j: int, ctx: NumericContext):
+        """(u_j, |u_j|, size of u_j) for j = c, c + 1, ..., with running powers
+        coeff * p**j (values read from self.run) or p**(j(1-beta))."""
+        run = self.run
+        if isinstance(run, ValueRun):
+            e, s = 1, run.coeff * ctx.p_pow(j)
+            parts = ([ctx.real(self.run.values[i - run.lo])] for i in count(j))
+        else:
+            e, s = 1 - run.beta, ctx.p_pow((1 - run.beta) * j)
+            parts = _log_terms(run, count(j), ctx.log_unit(), ctx)
+        up = ctx.p_pow(e)
+        for terms in parts:
+            u = s * sum(terms[1:], terms[0])
+            a = abs(u)
+            yield u, a, a if len(terms) == 1 else s * sum(abs(t) for t in terms)
+            s *= up
 
 
 def _power_sum(kernels: _RateKernels, m: int, rate, lo, hi: int):
@@ -528,7 +597,7 @@ def _power_sum(kernels: _RateKernels, m: int, rate, lo, hi: int):
         s = ctx.p_pow(rate * hi) / kernels.at(0, rate)
         return s, s
     if rate == 0:
-        s = ctx.real(_faulhaber(m, hi) - _faulhaber(m, lo - 1))
+        s = ctx.real(Fraction(_power_count(m, lo, hi)))
         return s, abs(s)
     if m == 0:
         s = (
@@ -560,25 +629,25 @@ class SphereSum:
     ``runs`` are the profile's runs on j <= top (:func:`sphere_segments`).
     The Haar factor 1 - 1/p is left to the caller.  Ball integrals take
     w = 1.  The operator at |x| = p**N takes top = N - 1 and the kernel
-    frozen on each inner sphere, w(j) = K * (1 - q**(N-j)) with
-    K = p**(N(alpha-1)) and q = p**(-(alpha-1)).  A power run c p**(j*d),
-    and each term a (jL)**m p**(-j*beta) of a log-power run with m a
-    nonnegative integer, is summed in closed form (a log-power term on
-    j >= 1, when the run is long enough; see ``_add_log``) as
-    K S(rate) - S(rate + alpha - 1), with S the sum of
-    j**m p**(j*rate), rate = d + 1 or 1 - beta, since K q**(N-j) =
-    p**(j(alpha-1)).  Table values and the remaining log-power terms are
-    summed sphere by sphere.  Every run is summed once, so a linear
+    frozen on each inner sphere, w(j) = K - p**(j(alpha-1)) with
+    K = p**(N(alpha-1)).  A power run c p**(j*d), and each term
+    a (jL)**m p**(-j*beta) of a log-power run with m a nonnegative integer,
+    is summed in closed form (a log-power term on j >= 1, when the run is
+    long enough; see ``_add_log``) as K S(rate) - S(rate + alpha - 1), with
+    S the sum of j**m p**(j*rate), rate = d + 1 or 1 - beta.  Table values
+    and the other log-power terms form K A - B, A and B the sums of u_j and
+    u_j p**(j(alpha-1)), u_j = f(p**j) * p**j, walked from a start sphere c
+    up (``_add_explicit``).  Every run is summed once, so a linear
     combination walks its spheres once.  The parts of S that do not depend
-    on the run's ends come from ``kernels`` (:func:`_rate_kernel`), whose
-    context the sum is formed in; an operator passes the one table it keeps
-    across the radii of a scan.
+    on the run's ends, and the walks, come from ``kernels``, whose context
+    the sum is formed in; an operator passes the one table it keeps across
+    the radii of a scan, so its rungs share each walk.
 
     ``total`` is the sum; ``magnitude`` bounds the size of what was added
     before any cancellation, which is what rounding errors scale with;
-    ``remainder`` is the certified bound on the spheres that top-down
-    truncation skipped; ``explicit`` counts the spheres summed one by one
-    and ``low`` is the lowest of them (top + 1 when there is none).
+    ``remainder`` is the certified bound on the spheres below the start
+    spheres; ``explicit`` counts the spheres walked and ``low`` is the
+    lowest of them (top + 1 when there is none).
     """
 
     def __init__(self, runs: list, top: int, kernels: _RateKernels, alpha=None):
@@ -596,7 +665,7 @@ class SphereSum:
             if isinstance(run, PowerRun):
                 self._add_closed(run.coeff, 0, run.degree + 1, run.lo, run.hi)
             elif isinstance(run, ValueRun):
-                self._add_explicit(run.hi, _value_steps(ctx, run))
+                self._add_explicit(run)
             else:
                 self._add_log(run)
 
@@ -618,114 +687,98 @@ class SphereSum:
         least (gamma + 1)**2 of them: the closed form costs about that many
         sphere terms (its kernels Phi_1 ... Phi_gamma), and when hi is
         below gamma its two ends cancel by more than its guard bits cover.
-        What is left is summed sphere by sphere: the whole run when gamma
-        is not an integer or the run is short, the negative powers on
-        j >= 1, and every term on the spheres j <= 0.
+        What is left is walked: the whole run when gamma is not an integer
+        or the run is short, the negative powers on j >= 1, and every term
+        on the spheres j <= 0.
         """
-        ctx, gamma = self.ctx, run.gamma
+        gamma = run.gamma
         lo = max(run.lo, 1)
         n = int(gamma) + 1
         if gamma != n - 1 or n * n > run.hi - lo + 1:
-            self._add_explicit(run.hi, _log_steps(ctx, run))
+            self._add_explicit(run)
             return
-        L = ctx.log_unit()
+        L = self.ctx.log_unit()
         for k, a in enumerate(run.coeffs[:n]):
             m = n - 1 - k
             self._add_closed(a * L**m, m, 1 - run.beta, lo, run.hi)
         if run.coeffs[n:]:
-            rest = replace(run, lo=lo, gamma=-1, coeffs=run.coeffs[n:])
-            self._add_explicit(rest.hi, _log_steps(ctx, rest))
+            self._add_explicit(replace(run, lo=lo, gamma=-1, coeffs=run.coeffs[n:]))
         if run.lo <= 0:
-            rest = replace(run, hi=0)
-            self._add_explicit(0, _log_steps(ctx, rest))
+            self._add_explicit(replace(run, hi=0))
 
-    def _add_explicit(self, hi: int, steps):
-        """Sum the spheres hi, hi - 1, ... that ``steps`` yields.
+    def _add_explicit(self, run):
+        """Add K A - B over the run's spheres c ... hi, from the kernels' walk.
 
-        ``steps`` yields (f(p**j) * p**j, size, rest) per sphere, where size
-        is the sum of the absolute values of the parts of the first entry,
-        and rest is None or bounds the run's terms below j divided by K.
-        The sum stops once K * rest falls below rel_tol of everything summed
-        so far, and K * rest joins the remainder.
+        Each factor K - p**(j(alpha-1)) is positive for j <= top.  Above lo,
+        c must pass the test that K * :func:`_rest` falls below rel_tol of
+        all that is summed, this run from c included; it steps down until
+        it does, and K * rest joins the remainder.
         """
-        ctx, K = self.ctx, self.K
-        if self.a1 is None:
-            Q = q = ctx.real(0)
-        else:
-            Q = ctx.p_pow(-self.a1 * (self.top + 1 - hi))
-            q = ctx.p_pow(-self.a1)
-        one, tol = ctx.real(1), ctx.real(ctx.rel_tol)
-        above = self.abs_total / K
-        run_sum = run_size = run_abs = ctx.real(0)
-        j = hi
-        for u, size, rest in steps:
-            term = u * (one - Q)
-            run_sum += term
-            run_size += size
-            run_abs += abs(term)
-            self.explicit += 1
-            self.low = min(self.low, j)
-            if rest is not None and rest < tol * (above + run_abs):
-                self.remainder += K * rest
+        ctx, K, c = self.ctx, self.K, self._start(run)
+        while True:
+            A, B, size, ua, ub = self.kernels.walk(run, c, self.a1, run.hi)
+            rest = K * _rest(run, c, ctx) if c > run.lo else 0
+            if c == run.lo or rest < ctx.real(ctx.rel_tol) * (self.abs_total + K * ua - ub):
                 break
-            Q *= q
-            j -= 1
-        self.total += K * run_sum
-        self.magnitude += K * run_size
-        self.abs_total += K * run_abs
+            c -= 1
+        self.total += K * A - B
+        self.magnitude += K * size
+        self.abs_total += K * ua - ub
+        self.remainder += rest
+        self.explicit += run.hi - c + 1
+        self.low = min(self.low, c)
+
+    def _start(self, run) -> int:
+        """c for ``_add_explicit``: lo, or the highest sphere passing its test in doubles.
+
+        Only log-power runs that decay toward the origin (1 - beta > 0,
+        lo >= 1) are cut, not in exact mode nor where a double overflows.
+        Every term is scaled by 1 / (K p**(hi(1-beta)) (hi L)**gamma).
+        """
+        ctx, decay = self.ctx, 1 - run.beta if isinstance(run, LogRun) else 0
+        if ctx.exact or decay <= 0 or run.lo < 1:
+            return run.lo
+        hi, lo, g, L = run.hi, run.lo, float(run.gamma), ctx.log_unit()
+        r = ctx.prime ** -float(decay)
+        q = 0.0 if self.a1 is None else ctx.prime ** -float(self.a1)
+        scale = self.K * ctx.p_pow(decay * hi) * general_power(ctx, hi * L, run.gamma)
+        try:
+            coeffs = [(k, float(a) * float(hi * L) ** -k) for k, a in enumerate(run.coeffs)]
+            lows = [abs(a) * (lo / hi) ** (g - k) for k, a in coeffs]
+            falling = sum(x for k, x in enumerate(lows) if k > g)
+            summed = float(self.abs_total / scale)
+            # E_j exceeds the sum of lows, and each scaled |u_j| stays below cap
+            cap = sum(max(x, abs(a)) for x, (_, a) in zip(lows, coeffs))
+            if sum(lows) * r ** (hi - lo) >= ctx.rel_tol * (summed * (1 - r) + cap):
+                return lo  # too short to reach its cut
+            s, Q = 1.0, q ** (self.top + 1 - hi)
+            for j in range(hi, lo, -1):
+                terms = [(k, a * (j / hi) ** (g - k)) for k, a in coeffs]
+                summed += abs(sum(t for _, t in terms)) * s * (1 - Q)
+                E = sum(abs(t) for k, t in terms if k <= g) + falling
+                if E * s * r / (1 - r) < ctx.rel_tol * summed:
+                    return j
+                s, Q = s * r, Q * q
+        except OverflowError:
+            pass
+        return lo
 
 
-def _value_steps(ctx: NumericContext, run: ValueRun):
-    """(f(p**j) * p**j, its size, None) for j = hi down to lo.
+def _rest(run: LogRun, c: int, ctx: NumericContext):
+    """E_c s_c rho >= sum of |u_j| over lo <= j < c, for s_j = p**(j(1-beta)).
 
-    coeff * p**j is a running power.
+    E_c bounds the log factor there: each power at c where it grows, at lo
+    where it falls; rho = p**(-(1-beta)) / (1 - p**(-(1-beta))).
     """
-    pj = run.coeff * ctx.p_pow(run.hi)
-    down = 1 / ctx.real(ctx.prime)
-    for v in reversed(run.values):
-        u = ctx.real(v) * pj
-        yield u, abs(u), None
-        pj *= down
-
-
-def _log_steps(ctx: NumericContext, run: LogRun):
-    """(f(p**j) * p**j, its size, rest_j) for j = hi down to lo.
-
-    It sums what a log-power run has no closed form for: every term when
-    gamma is not an integer or the run is short, the negative log powers,
-    and the spheres j <= 0.  f(p**j) * p**j = s_j * sum_k a_k (jL)**(gamma-k)
-    with s_j = p**(j(1-beta)) a running power.  When 1 - beta > 0 and
-    lo >= 1 the run decays downward, and rest_j = E_j * s_j * rho bounds
-    the sum of its terms below j: E_j bounds the log factor on
-    lo <= j' < j, taking each power at j where it grows and at lo where it
-    falls, and
-    rho = p**(-(1-beta)) / (1 - p**(-(1-beta))) sums the geometric decay.
-    Exact mode sums every sphere.
-    """
-    gamma, coeffs = run.gamma, run.coeffs
-    decay = 1 - run.beta
-    s = ctx.p_pow(decay * run.hi)
-    down = ctx.p_pow(-decay)
-    L = ctx.log_unit()
-    truncate = not ctx.exact and decay > 0 and run.lo >= 1
-    if truncate:
-        rho = down / (1 - down)
-        falling = sum(
-            abs(a) * general_power(ctx, run.lo * L, gamma - k)
-            for k, a in enumerate(coeffs)
-            if gamma - k < 0
-        )
-    rising = [k for k in range(len(coeffs)) if gamma - k >= 0]
-    js = range(run.hi, run.lo - 1, -1)
-    for j, terms in zip(js, _log_terms(run, js, L, ctx)):
-        u = s * sum(terms)
-        sizes = [abs(t) for t in terms]
-        size = abs(u) if len(terms) == 1 else s * sum(sizes)
-        rest = None
-        if truncate and j > run.lo:
-            rest = (sum(sizes[k] for k in rising) + falling) * s * rho
-        yield u, size, rest
-        s *= down
+    L, gamma = ctx.log_unit(), run.gamma
+    (terms,) = _log_terms(run, (c,), L, ctx)
+    E = sum(abs(t) for k, t in enumerate(terms) if k <= gamma) + sum(
+        abs(a) * general_power(ctx, run.lo * L, gamma - k)
+        for k, a in enumerate(run.coeffs)
+        if k > gamma
+    )
+    down = ctx.p_pow(run.beta - 1)
+    return E * ctx.p_pow((1 - run.beta) * c) * down / (1 - down)
 
 
 def _values_down(runs: list, top: int, ctx: NumericContext):
@@ -773,15 +826,21 @@ def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):
     Runs where the profile is exactly c * p**(j*d) (its declared inner model
     among them), and the terms of log-power runs whose log power is a
     nonnegative integer, are summed in closed form; table values and the
-    other log-power terms are summed sphere by sphere.  Those that decay
-    toward the origin are summed from the top and stop once their
-    certified remainder falls below rel_tol of what was summed.
+    other log-power terms are walked from a start sphere up (:class:`SphereSum`).
+    Those that decay toward the origin start where their certified
+    remainder falls below rel_tol of what is summed.
     """
+    return _ball_integral(f, n, _RateKernels(ctx))
+
+
+def _ball_integral(f: RadialFunction, n, kernels: _RateKernels):
+    """:func:`cumulative_ball_integral` with the kernels and walks of ``kernels``."""
+    ctx = kernels.ctx
     if n is ZERO:
         return ctx.real(0)
     n = _require_finite(n)
     runs = sphere_segments(f, n, ctx)
-    return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(runs, n, _RateKernels(ctx)).total
+    return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(runs, n, kernels).total
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ from .radial import (
     LogRun,
     PowerRun,
     RadialFunction,
+    _ball_integral,
+    _RateKernels,
     _whole_line,
-    cumulative_ball_integral,
     origin_expansion,
     outer_expansion,
     sphere_segments,
@@ -301,11 +302,11 @@ def lemma_decay_check(which: str, params: dict, ladder, ctx: NumericContext):
         if lam_prime <= lam:
             raise ParamOutOfRange("lam_prime must exceed lam")
         f = params.get("f") or LogPower(params["lam_prime"], 0.0)
-        rows = []
+        kernels, rows = _RateKernels(ctx), []
         for m in ladder:
             if m < 1:
                 raise ParamOutOfRange("L1 ladder entries must be >= 1")
-            g = cumulative_ball_integral(f, m, ctx)
+            g = _ball_integral(f, m, kernels)
             rows.append((m, float(g * ctx.p_pow((lam - 1) * m))))
         return rows
     if which == "L2":

@@ -15,9 +15,12 @@ from padic_ialpha import (
     LinearCombo,
     LogPower,
     NumericContext,
+    OuterTail,
     ParamOutOfRange,
+    PowerTail,
     QOutOfRange,
     RandomStream,
+    Table,
     TailMismatch,
     b_coefficient,
     cumulative_ball_integral,
@@ -34,6 +37,8 @@ from padic_ialpha import (
     series_B,
     unit_kernel_integral,
 )
+from padic_ialpha import radial
+from padic_ialpha.asymptotics import build_infinity_beta1_prediction
 from padic_ialpha.core import sample_kernel_exponents
 from series_oracle import (
     b_coefficient_series,
@@ -388,6 +393,20 @@ class TestPredictInfinityCritical:
                 * (g1 + omega_tilde(0, 2.0, ctx2))
             )
             assert abs(float(got - want)) <= 1e-30 * abs(float(want))
+
+    def test_rate_kernels_formed_once_per_build(self, ctx2, monkeypatch):
+        # G at every rung comes from one kernel table, and each value equals
+        # the one a fresh build, with a table of its own, gives
+        f = Table(-4, (0.75, 1.25, 0.5, 2.0, 1.5, 0.875), PowerTail(1.3, 0.7),
+                  OuterTail(1.0, 0.0, (1.0,)))
+        rungs = (4, 8, 16)
+        want = [predict_infinity_beta1([1.0], 0.0, 0, x, f, 2.0, ctx2) for x in rungs]
+        formed, kernel = [], radial._rate_kernel
+        monkeypatch.setattr(radial, "_rate_kernel",
+                            lambda *args: formed.append(args[1:]) or kernel(*args))
+        at = build_infinity_beta1_prediction([1.0], 0.0, 0, f, 2.0, ctx2)
+        assert [at(x)._mpf_ for x in rungs] == [w._mpf_ for w in want]
+        assert formed and len(formed) == len(set(formed))
 
     def test_cumulative_term_dominates(self, ctx2):
         # the ball-integral term grows linearly in the exponent while the

@@ -62,6 +62,14 @@ class TestNumericContext:
         with pytest.raises(ParamOutOfRange):
             NumericContext(4)
 
+    def test_rejects_non_integer_prime(self):
+        # trial division never tests a non-integer, so 2.5 would pass as prime
+        for p in (2.5, 3.5, 3.0, True, Fraction(3), "3"):
+            with pytest.raises(ParamOutOfRange):
+                NumericContext(p)
+        prime = NumericContext(np.int64(3)).prime
+        assert prime == 3 and type(prime) is int
+
     def test_rejects_low_precision(self):
         with pytest.raises(ParamOutOfRange):
             NumericContext(2, precision_bits=32)

@@ -19,8 +19,10 @@ from padic_ialpha import (
     ZeroTail,
     cumulative_ball_integral,
     ialpha_eval,
+    residual_scan,
 )
-from padic_ialpha.radial import SphereSum, _RateKernels, sphere_segments
+from padic_ialpha.ialpha import _Operator
+from padic_ialpha.radial import SphereSum, _RateKernels, _Walk, sphere_segments
 from sphere_oracle import oracle_ball, oracle_ialpha
 
 VALUES = (0.75, 1.25, 0.5, 2.0, 1.5, 0.875)
@@ -207,3 +209,96 @@ def test_float_parameters_within_bound(alpha, degree, beta, gamma, N, p):
         want, slack = oracle_ialpha(f, N, alpha, p)
         with mp.workprec(512):
             assert abs(mp.mpf(ov.value) - want) <= ov.truncation_bound + slack
+
+
+# ---------------------------------------------------------------------------
+# Explicit runs: K A - B from walks that an operator's rungs share
+# ---------------------------------------------------------------------------
+
+TAILED = Table(-4, VALUES, PowerTail(0.9, 0.25), OuterTail(0.5, 0.25, (0.01, 5.0)))
+
+# (id, profile, p, bits, alpha, rungs): tables with both tails, non-integer
+# gamma at beta 0.3, 1 and 1.5, negative log powers, log-power runs from
+# j <= 0, long truncated runs and alpha near 1
+BOUND_GRID = [
+    ("table-tails", TAILED, 2, 256, 2.3, (-6, -2, 1, 9, 40)),
+    ("table-tails-p5-64", TAILED, 5, 64, 1.7, (-3, 0, 2, 12)),
+    ("g1.5-b0.3", LogPower(0.3, 1.5), 3, 256, 2.1, (2, 20, 40, 80)),
+    ("g1.5-b0.3-64", LogPower(0.3, 1.5), 2, 64, 2.1, (20, 80)),
+    ("g2.5-b1", LogPower(1.0, 2.5), 5, 256, 1.5, (3, 30)),
+    ("g0.5-b1.5", LogPower(1.5, 0.5), 2, 64, 2.7, (4, 25)),
+    ("negative-powers", Table(-4, VALUES, ZeroTail(), OuterTail(0.5, 1.0, (1.0, 2.0, -0.5))),
+     3, 256, 2.3, (12, 30)),
+    ("outer-from-j<=0", Table(-6, VALUES[:3], PowerTail(0.9, 0.25),
+                              OuterTail(0.5, 2.0, (1.0, -0.5))), 2, 256, 1.9, (-1, 0, 20)),
+    ("long-cut", LogPower(0.5, 2.5), 2, 256, 2.0, (600,)),
+    ("long-cut-p3-64", LogPower(0.25, 0.5), 3, 64, 2.0, (600,)),
+    ("long-cut-high-gamma", LogPower(0.5, 300.5), 2, 256, 2.0, (600,)),
+    ("alpha-near-1", LogPower(0.3, 1.5), 2, 256, 1.000001, (10, 60)),
+    ("combo", LinearCombo(((1.0, LogPower(0.3, 1.5)), (-0.5, TAILED))), 2, 256, 2.3, (5, 30)),
+]
+
+
+@pytest.mark.parametrize("name,f,p,bits,alpha,rungs", BOUND_GRID, ids=_ids(BOUND_GRID))
+def test_explicit_runs_within_bound(name, f, p, bits, alpha, rungs):
+    # against the untruncated literal sum at 700 bits; the rungs run as a
+    # scan does, highest first, so lower ones read the shared walks
+    ctx = NumericContext(p, precision_bits=bits)
+    op = _Operator(f, alpha, ctx)
+    for N in sorted(rungs, reverse=True):
+        ov = op.at(N)
+        want, slack = oracle_ialpha(f, N, alpha, p, bits=700)
+        with mp.workprec(700):
+            assert abs(mp.mpf(ov.value) - want) <= ov.truncation_bound + slack
+
+
+@pytest.mark.parametrize("gamma", [2.5, 300.5])
+def test_long_run_starts_above_its_lowest_sphere(ctx2, gamma):
+    # (jL)**300.5 overflows a double; the start search scales it first
+    ov = ialpha_eval(LogPower(0.5, gamma), 600, 2.0, ctx2)
+    assert 400 < ov.j_cut < 600 and ov.truncation_bound > 0
+
+
+def _raw(ov):
+    return ov.value._mpf_, ov.truncation_bound._mpf_, ov.j_cut
+
+
+@pytest.mark.parametrize("f", [
+    LogPower(0.3, 1.5), TAILED, LogPower(0.5, 2.5),
+    LinearCombo(((1.0, LogPower(0.3, 1.5)), (-0.5, TAILED))),
+    # two value runs of one start and coefficient: one walk cannot serve both
+    LinearCombo(tuple((1.0, Table(-4, v, ZeroTail(), OuterTail(1.0, 0.5, (1.0,))))
+                      for v in (VALUES, VALUES[::-1]))),
+], ids=["logp", "table", "long-cut", "combo", "two-tables"])
+def test_rung_values_do_not_depend_on_history(f):
+    ctx = NumericContext(3)
+    rungs = [-3, 1, 0, 40, 7, 200, 8, 40, -3]
+    fresh = {N: _raw(ialpha_eval(f, N, 2.3, ctx)) for N in rungs}
+    for order in (rungs, sorted(rungs), sorted(rungs, reverse=True)):
+        op = _Operator(f, 2.3, ctx)
+        assert {N: _raw(op.at(N)) for N in order} == fresh
+
+
+def test_exact_scan_equals_literal_sums():
+    ctx = NumericContext(2, exact=True, log_base="base_p")
+    f = Table(-3, (1, 3, 2, 5), PowerTail(2, 1), OuterTail(0, 1, (1, -1)))
+    op = _Operator(f, 2, ctx)
+    for N in (9, 2, -1, 5, 9):
+        want = oracle_ialpha(f, N, 2, 2, exact=True, log_base_p=True)[0]
+        assert op.at(N).value == ialpha_eval(f, N, 2, ctx).value == want
+
+
+def test_scan_walks_each_sphere_once(ctx2, monkeypatch):
+    # a 61-rung scan forms the terms of one walk from j = 1 up to its top
+    formed = []
+    terms = _Walk._terms
+
+    def counted(self, j, ctx):
+        for t in terms(self, j, ctx):
+            formed.append(t)
+            yield t
+
+    monkeypatch.setattr(_Walk, "_terms", counted)
+    rungs = list(range(20, 81))
+    residual_scan("T3", LogPower(0.3, 1.5), 0, rungs, 2.1, ctx2)
+    assert 0 < len(formed) <= max(rungs) - 1 + 1

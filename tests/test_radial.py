@@ -28,7 +28,7 @@ from padic_ialpha import (
     origin_expansion,
     outer_expansion,
 )
-from padic_ialpha.radial import _sphere_parts, sphere_segments
+from padic_ialpha.radial import _power_count, _sphere_parts, sphere_segments
 
 
 class TestEvalSphere:
@@ -327,3 +327,23 @@ class TestRuns:
         tab = Table(0, (0.1, 0.2), ZeroTail())
         (run,) = sphere_segments(tab, 1, ctx2)
         assert run.values is tab.values
+
+
+def _faulhaber_fraction(m: int, n: int) -> Fraction:
+    """(1/(m+1)) sum_k C(m+1, k) B_k n**(m+1-k), B_1 = +1/2, in Fractions."""
+    bernoulli = [Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(0), Fraction(-1, 30),
+                 Fraction(0), Fraction(1, 42), Fraction(0), Fraction(-1, 30)]
+    return sum(
+        math.comb(m + 1, k) * bernoulli[k] * Fraction(n) ** (m + 1 - k) for k in range(m + 1)
+    ) / (m + 1)
+
+
+def test_power_count_is_faulhaber_in_integers():
+    for m in range(9):
+        for lo in range(-7, 8):
+            for hi in range(lo - 1, 9):
+                got = _power_count(m, lo, hi)
+                assert type(got) is int
+                assert got == _faulhaber_fraction(m, hi) - _faulhaber_fraction(m, lo - 1)
+                assert got == sum(j**m for j in range(lo, hi + 1))
+    assert _power_count(0, -3, 10**30) == 10**30 + 4

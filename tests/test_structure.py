@@ -294,3 +294,53 @@ def test_mpf_scan_sees_every_form_of_construction():
         (1, "mpf"), (2, "mpf"), (2, "mpf"), (2, "mpf"), (3, "make_mpf"),
         (4, "convert"), (4, "mpmathify"), (5, "e"), (5, "pi"), (5, "sqrt"),
     ]
+
+
+def sphere_term_makers(source: str) -> set:
+    """Functions (Class.method) that form sphere terms: they call _log_terms,
+    or a run's at(j, ctx)."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                name = _called_name(child.func)
+                second = child.args[1:2]
+                if name == "_log_terms" or name == "at" and second and (
+                    isinstance(second[0], ast.Name) and second[0].id == "ctx"
+                ):
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_only_the_walk_sums_explicit_spheres():
+    # SphereSum adds each explicit run as K A - B from a _Walk, which reads
+    # a value run's values itself; every other maker forms the terms of one
+    # sphere (a point value, the bound below a start sphere) or feeds the
+    # Monte Carlo walk
+    src = Path(padic_ialpha.__file__).parent
+    makers = {
+        f"{path.stem}.{name}"
+        for path in sorted(src.glob("*.py"))
+        for name in sphere_term_makers(path.read_text())
+    }
+    assert makers == {
+        "radial.LogRun.at", "radial._parts_at", "radial._rest",
+        "radial._run_parts_down", "radial._Walk._terms",
+    }
+
+
+def test_sphere_term_scan_sees_every_maker():
+    source = (
+        "def a(run, ctx):\n    return run.at(3, ctx)\n"
+        "class W:\n    def b(self, ctx):\n        return self.run.at(0, ctx)\n"
+        "def c(run, L, ctx):\n    return list(_log_terms(run, (1,), L, ctx))\n"
+        "def d(kernels, rate):\n    return kernels.at(0, rate)\n"
+    )
+    assert sphere_term_makers(source) == {"a", "W.b", "c"}
