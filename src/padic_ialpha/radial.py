@@ -15,15 +15,12 @@ nonnegative integer, are summed in closed form: sum_j j**m p**(j*rate) is
 a geometric series for m = 0, Faulhaber's polynomial at rate 0, and a
 binomial sum of the series kernels Phi_t otherwise.  Only tabulated
 values and the log-power terms without that form (non-integer or negative
-log powers, and the spheres j <= 0) are summed sphere by sphere: with
-u_j = f(p**j) * p**j, the operator's weights make them K A - B, where A
-sums u_j and B sums u_j p**(j(alpha-1)), both walked with running powers
-from a start sphere up.  The start sphere is the run's lowest, or, for a
-run that decays toward the origin, the highest whose certified remainder
-is below rel_tol of what is summed.  What does not depend on a sum's top
-(the geometric denominator, the guarded kernels Phi_t, the walks and
-their sums at each top served) is formed once per table of rate kernels;
-an operator keeps one table for all the radii of a scan.
+log powers, and the spheres j <= 0) are walked sphere by sphere, from a
+start sphere up, as two series K A - B (:class:`SphereSum`).  What does
+not depend on a sum's top (the geometric denominator, the guarded kernels
+Phi_t, the walks and their sums at each top served) is formed once per
+table of rate kernels; an operator keeps one table for all the radii of a
+scan.
 """
 
 from __future__ import annotations
@@ -460,7 +457,8 @@ def _power_count(m: int, lo: int, hi: int) -> int:
     F(n) - F(n - 1) = n**m for every integer n.
     """
     nums, D = _faulhaber_coefficients(m)
-    return sum(c * (hi**e - (lo - 1) ** e) for e, c in zip(range(m + 1, 0, -1), nums)) // D
+    powers = zip(range(m + 1, 0, -1), nums)
+    return sum(c * (hi**e - (lo - 1) ** e) for e, c in powers) // D
 
 
 def _rate_kernel(ctx: NumericContext, m: int, rate):
@@ -512,8 +510,11 @@ class _RateKernels(dict):
         w = self.walks.get((form, c, a1))
         if w is not None and isinstance(run, ValueRun):
             short, long = sorted((w.run, run), key=lambda r: len(r.values))
-            w.run = long if long.values[: len(short.values)] == short.values else None
-        if w is None or w.run is None:
+            if long.values[: len(short.values)] == short.values:
+                w.run = long
+            else:  # another value run of this start and coefficient
+                w = None
+        if w is None:
             w = self.walks[form, c, a1] = _Walk(run, c, self.ctx, a1)
         snapshot = w.snapshots.get(top)
         return snapshot or (w if top >= w.next else _Walk(run, c, self.ctx, a1)).to(top)
@@ -537,6 +538,7 @@ class _Walk:
         self.sums = (ctx.real(0),) * 5
 
     def to(self, top: int) -> tuple:
+        """The sums over c ... top, for a top not below one reached before."""
         A, B, size, ua, ub = self.sums
         P, up = self.P, self.up
         for _ in range(self.next, top + 1):
