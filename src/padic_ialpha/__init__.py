@@ -14,7 +14,6 @@ from .asymptotics import (
     gen_binomial,
     omega,
     omega_tilde,
-    phi_sum,
     predict_infinity,
     predict_infinity_beta1,
     predict_origin,
@@ -64,6 +63,7 @@ from .radial import (
     origin_expansion,
     outer_expansion,
 )
+from .series import phi_sum
 from .verify import (
     ResidualReport,
     ResidualRow,

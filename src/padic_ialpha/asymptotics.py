@@ -3,11 +3,10 @@
 Every coefficient integral that appears in the operator's expansions (the
 power-scale coefficients b(M) near the origin, the log-power moments
 omega(k) and omega_tilde(k) at infinity, and their convolutions B_n) reduces
-to the series kernel Phi_k(q) = sum_{m>=1} m**k q**m.  Phi_k has an exact
-rational closed form generated by the derivative recurrence
-Phi_k = q d/dq Phi_{k-1}.  Every real parameter enters through
-``NumericContext.real``, so exponents such as M + alpha and beta - alpha
-are formed in the context arithmetic.  The direct-summation oracles that
+to the series kernel Phi_k(q) = sum_{m>=1} m**k q**m, read from its exact
+rational closed form (:func:`~padic_ialpha.series.phi_sum`).  Every real
+parameter enters through ``NumericContext.real``, so exponents such as
+M + alpha and beta - alpha are formed in the context arithmetic.  The direct-summation oracles that
 tests compare these closed forms against live in the test suite.
 """
 
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 from itertools import zip_longest
 
 from .core import (
@@ -24,7 +22,6 @@ from .core import (
     LogDomain,
     NumericContext,
     ParamOutOfRange,
-    QOutOfRange,
     TailMismatch,
     _require_count,
     _require_finite,
@@ -33,6 +30,7 @@ from .core import (
     unit_kernel_integral,
 )
 from .radial import RadialFunction, _ball_integral, _RateKernels, outer_expansion
+from .series import phi_sum
 
 __all__ = [
     "b_coefficient",
@@ -42,7 +40,6 @@ __all__ = [
     "gen_binomial",
     "omega",
     "omega_tilde",
-    "phi_sum",
     "predict_infinity",
     "predict_infinity_beta1",
     "predict_origin",
@@ -51,7 +48,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Generalized binomials and the series kernel
+# Generalized binomials
 # ---------------------------------------------------------------------------
 
 def gen_binomial(gamma, k: int, ctx: NumericContext | None = None):
@@ -73,43 +70,6 @@ def gen_binomial(gamma, k: int, ctx: NumericContext | None = None):
         acc *= gamma - i
     acc /= math.factorial(k)
     return acc if ctx is None else ctx.real(acc)
-
-
-def _poly_derivative(coeffs: tuple) -> tuple:
-    return tuple(i * c for i, c in enumerate(coeffs))[1:] or (0,)
-
-
-@cache
-def _phi_numerator(k: int) -> tuple:
-    """Numerator polynomial of Phi_k(q) = N_k(q) / (1 - q)**(k + 1).
-
-    Recurrence N_k(q) = q * ((1 - q) N_{k-1}'(q) + k N_{k-1}(q)) from
-    Phi_k = q d/dq Phi_{k-1}.  The coefficients are Eulerian numbers, kept
-    as Python ints so that a Horner step adds them exactly.
-    """
-    if k == 0:
-        return (0, 1)
-    prev = _phi_numerator(k - 1)
-    deriv = _poly_derivative(prev)
-    combined = [0] * max(len(deriv) + 1, len(prev))
-    for i, c in enumerate(deriv):
-        combined[i] += c
-        combined[i + 1] -= c
-    for i, c in enumerate(prev):
-        combined[i] += k * c
-    return (0, *combined)  # leading q shifts every power up by one
-
-
-def phi_sum(k: int, q, ctx: NumericContext):
-    """Phi_k(q) = sum_{m>=1} m**k q**m via its exact rational closed form."""
-    k = _require_count(k, "k")
-    qv = ctx.real(q)
-    if not 0 < qv < 1:
-        raise QOutOfRange(f"q must lie in (0, 1), got {float(q)}")
-    num = ctx.real(0)
-    for c in reversed(_phi_numerator(k)):
-        num = num * qv + c
-    return num / (ctx.real(1) - qv) ** (k + 1)
 
 
 # ---------------------------------------------------------------------------

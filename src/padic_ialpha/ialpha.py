@@ -10,8 +10,10 @@ two series summed in closed form; table values and the other log-power
 terms form two series K A - B walked sphere by sphere from a start sphere
 up (:class:`~padic_ialpha.radial.SphereSum`).  What does not depend on the
 radius is formed once per operator, which a scan makes once; the walks are
-kept there too, so a scan's rungs share each walk.
-A Haar-measure Monte Carlo estimator provides an independent cross-check.
+kept there too, so a scan's rungs share each walk.  The small-ball kernel
+integral is two such series with an open end (:mod:`~padic_ialpha.series`).
+A Haar-measure Monte Carlo estimator provides an independent cross-check;
+it reads the profile from the same upward walk over the runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .asymptotics import b_coefficient, phi_sum
+from .asymptotics import b_coefficient
 from .core import (
     ZERO,
     AlphaOutOfRange,
@@ -41,9 +43,10 @@ from .radial import (
     _RateKernels,
     _parts_at,
     _runs_below,
-    _values_down,
+    _steps,
     sphere_segments,
 )
+from .series import _power_sum
 
 __all__ = [
     "OperatorValue",
@@ -156,38 +159,38 @@ def smallball_kernel_integral(k: int, beta, R: int, alpha, ctx: NumericContext):
     On |t| < 1 the kernel reduces to 1 - |t|**(alpha-1) since |1 - t| = 1
     there, so the integral is the sphere series
     (1 - 1/p) L**k sum_{m>=R} m**k (q1**m - q2**m), with q1 = p**(beta-1)
-    and q2 = p**(beta-alpha).  Each tail sum has the closed form
-
-        sum_{m>=R} m**k q**m
-            = q**R (R**k / (1 - q) + sum_{t=1..k} C(k, t) R**(k-t) Phi_t(q)),
-
-    expanding (R + n)**k binomially.  Its terms are all positive, so only
-    the final difference can cancel.  The same formula runs in both
-    arithmetic modes; in exact mode it needs integer beta and alpha (and
-    base-p logs when k > 0).
+    and q2 = p**(beta-alpha): two series sum_{m>=R} m**k p**(m*rate) of
+    rates beta - 1 and beta - alpha, each summed in closed form with its
+    upper end open (:func:`~padic_ialpha.series._power_sum`).  Each has
+    positive terms, so only the final difference can cancel.  The same
+    formula runs in both arithmetic modes; in exact mode it needs integer
+    beta and alpha (and base-p logs when k > 0).
     """
+    return _build_smallball(k, beta, alpha, ctx)(R)
+
+
+def _build_smallball(k: int, beta, alpha, ctx: NumericContext):
+    """R -> :func:`smallball_kernel_integral` (k, beta, R, alpha): one check and
+    one table of rate kernels for every R."""
     k = _require_count(k, "k")
     b = ctx.real(beta)
     if not 0 <= b < 1:
         raise BetaOutOfRange(f"beta must lie in [0, 1), got {beta}")
-    if R < 1:
-        raise ParamOutOfRange("R must be at least 1")
     a = ctx.real(alpha)
     if a <= 1:
         raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
-
-    r = ctx.real(R)
-
-    def tail(q):
-        shifted = sum(
-            math.comb(k, t) * r ** (k - t) * phi_sum(t, q, ctx)
-            for t in range(1, k + 1)
-        )
-        return q**R * (r**k / (1 - q) + shifted)
-
+    kernels, rates = _RateKernels(ctx), (b - 1, b - a)
     lk = ctx.log_unit() ** k if k else ctx.real(1)
-    unit = 1 - ctx.p_pow(-1)
-    return unit * lk * (tail(ctx.p_pow(b - 1)) - tail(ctx.p_pow(b - a)))
+    scale = (1 - ctx.p_pow(-1)) * lk
+
+    def at(R):
+        R = _require_finite(R, "R")
+        if R < 1:
+            raise ParamOutOfRange("R must be at least 1")
+        near, far = (_power_sum(kernels, k, rate, R, math.inf)[0] for rate in rates)
+        return scale * (near - far)
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +210,14 @@ def mc_ialpha_eval(
 
     By ultrametricity e = N or j = N, so a draw's term depends on e - j
     alone, and the cells drawn are contiguous in e - j.  The profile's runs
-    are built once, on j <= N, and the cells are walked from the sphere
-    outward with running powers at working precision: the kernel power
-    p**((alpha - 1)(N - |e - j|)) and the profile on the spheres N - 1,
-    N - 2, ...  A cell no draw fell in forms no term.  The sample mean and
-    standard deviation are read from the cell counts.  Returns (estimate,
-    standard error).  Raises :class:`OverflowError` before drawing when
-    C * p**(N alpha), the scale of the kernel terms, does not fit a double,
-    and after drawing when a term does not.
+    are built once, on j <= N, and read with running powers at working
+    precision: the kernel power p**((alpha - 1)(N - |e - j|)), and the
+    profile stepped up by the runs' upward walk from the deepest sphere
+    drawn to N - 1.  A cell no draw fell in forms no term.  The sample
+    mean and standard deviation are read from the cell counts.  Returns
+    (estimate, standard error).  Raises :class:`OverflowError` before
+    drawing when C * p**(N alpha), the scale of the kernel terms, does not
+    fit a double, and after drawing when a term does not.
     """
     import numpy as np  # only the Monte Carlo path needs numpy
 
@@ -244,19 +247,20 @@ def mc_ialpha_eval(
     cells = (e - j).tolist()  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
     runs = sphere_segments(f, N, ctx)
     f_N = sum(_parts_at(runs, N, ctx))
-    below = _values_down(runs, N - 1, ctx)  # f(p**j) for j = N - 1, N - 2, ...
+    depth = max(cells[-1], 0)  # N - j on the deepest sphere drawn inside
+    walks = [_steps(run, N - depth, ctx, 0) for run in runs]
+    below = [sum(next(w)[0] for w in walks) for _ in range(depth)]  # j = N - depth ...
     q, kernel = ctx.p_pow(1 - alpha), [top]  # kernel[k] = p**((alpha - 1)(N - k))
     while len(kernel) <= max(-cells[0], cells[-1]):
         kernel.append(kernel[-1] * q)
     terms = []
     for d, count in zip(cells, counts.tolist()):
-        f_j = f_N if d <= 0 else next(below)  # the walk steps on every cell inside
         if not count:
             terms.append(0.0)
         elif d <= 0:
-            terms.append(scale * (kernel[-d] - top) * f_j)
+            terms.append(scale * (kernel[-d] - top) * f_N)
         else:
-            terms.append(scale * (top - kernel[d]) * f_j)
+            terms.append(scale * (top - kernel[d]) * below[depth - d])
     try:  # an mpf too large converts to inf, a Fraction too large raises
         values = np.array(terms, dtype=float)
         if not np.isfinite(values).all():

@@ -11,41 +11,37 @@ log-power runs.  A linear combination is the merged run list of its terms.
 It is the only code that reads a profile's form; point values, the limit at
 the origin, the declared expansions and every sphere sum read the runs.
 Power runs, and each term of a log-power run whose log power is a
-nonnegative integer, are summed in closed form: sum_j j**m p**(j*rate) is
-a geometric series for m = 0, Faulhaber's polynomial at rate 0, and a
-binomial sum of the series kernels Phi_t otherwise.  Only tabulated
+nonnegative integer, are summed in closed form, as series
+sum_j j**m p**(j*rate) (:mod:`~padic_ialpha.series`).  Only tabulated
 values and the log-power terms without that form (non-integer or negative
 log powers, and the spheres j <= 0) are walked sphere by sphere, from a
-start sphere up, as two series K A - B (:class:`SphereSum`).  What does
-not depend on a sum's top (the geometric denominator, the guarded kernels
-Phi_t, the walks and their sums at each top served) is formed once per
-table of rate kernels; an operator keeps one table for all the radii of a
-scan.
+start sphere up, as two series K A - B (:class:`SphereSum`).  Every walk
+over consecutive spheres, these and the Monte Carlo oracle's, steps a run
+upward with one generator (``_steps``).  What does not depend on a sum's
+top (the geometric denominator, the guarded kernels Phi_t, the walks and
+their sums at each top served) is formed once per table of rate kernels;
+an operator keeps one table for all the radii of a scan.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from functools import cache, reduce
-from itertools import count
+from functools import reduce
+from itertools import count, islice, repeat
 from typing import Union
-
-from mpmath import mp
 
 from .core import (
     ZERO,
-    DivergentInnerSum,
     MissingTail,
     NumericContext,
     ParamOutOfRange,
     UndefinedAtZero,
-    _one_minus_p_pow,
     _require_finite,
     _require_real,
     general_power,
 )
+from .series import _power_sum, _rate_kernel
 
 __all__ = [
     "Indicator",
@@ -232,15 +228,15 @@ class PowerRun:
 
 @dataclass(frozen=True)
 class ValueRun:
-    """f(p**(lo + i)) = coeff * values[i], each value converted when read."""
+    """f(p**(lo + i)) = coeff * values[i] for lo <= lo + i <= hi.
+
+    ``values`` is the whole table; each value is converted when read.
+    """
 
     lo: int
+    hi: int | float
     values: tuple
     coeff: object
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.values) - 1
 
     def at(self, j: int, ctx: NumericContext) -> list:
         return [self.coeff * ctx.real(self.values[j - self.lo])]
@@ -273,6 +269,38 @@ def _log_terms(run: LogRun, js, L, ctx: NumericContext):
             y = y * x
             terms.append(a * y)
         yield terms[::-1]
+
+
+def _steps(run, j: int, ctx: NumericContext, shift):
+    """(u_i, size) for i = j, j + 1, ...: u_i = f(p**i) p**(i*shift), 0 off the run.
+
+    u_i steps with a running power: coeff * p**(i(degree + shift)) is a
+    power run's u_i, coeff * p**(i*shift) times a value run's value, and
+    p**(i(shift - beta)) times a log run's terms.  ``size`` sums the sizes
+    of those terms where there are several, else it is None (|u_i|).
+    """
+    lo = j if run.lo is None else max(j, run.lo)
+    yield from repeat((0, None), lo - j)  # the spheres below the run
+    spheres = islice(count(lo), None if run.hi == math.inf else max(0, run.hi + 1 - lo))
+    if isinstance(run, PowerRun):
+        e = run.degree + shift
+        s, up = (run.coeff * ctx.p_pow(e * lo), ctx.p_pow(e)) if e else (run.coeff, 1)
+        for _ in spheres:
+            yield s, None
+            s *= up
+    elif isinstance(run, ValueRun):
+        s, up = run.coeff * ctx.p_pow(shift * lo), ctx.p_pow(shift)
+        for _, v in zip(spheres, islice(run.values, lo - run.lo, None)):
+            yield s * ctx.real(v), None
+            s *= up
+    else:
+        e = shift - run.beta
+        s, up = ctx.p_pow(e * lo), ctx.p_pow(e)
+        for terms in _log_terms(run, spheres, ctx.log_unit(), ctx):
+            u = s * sum(terms[1:], terms[0])
+            yield u, None if len(terms) == 1 else s * sum(abs(t) for t in terms)
+            s *= up
+    yield from repeat((0, None))  # the spheres above the run
 
 
 def _scaled(run, c):
@@ -351,8 +379,7 @@ def sphere_segments(f: RadialFunction, top, ctx: NumericContext) -> list:
                 LogRun(f.j_hi + 1, top, real(outer.beta), real(outer.gamma), coeffs)
             )
         if top >= f.j_lo:
-            values = f.values if top >= f.j_hi else f.values[: top - f.j_lo + 1]
-            runs.append(ValueRun(f.j_lo, values, 1))
+            runs.append(ValueRun(f.j_lo, min(top, f.j_hi), f.values, 1))
         if isinstance(inner, PowerTail):
             hi = min(top, f.j_lo - 1)
             runs.append(PowerRun(None, hi, real(inner.coeff), real(inner.degree)))
@@ -388,10 +415,7 @@ def _runs_below(runs: list, top: int, ctx: NumericContext) -> list:
         if run.hi == top:
             if run.lo == top:
                 continue
-            if isinstance(run, ValueRun):
-                run = replace(run, values=run.values[:-1])
-            else:
-                run = replace(run, hi=top - 1)
+            run = replace(run, hi=top - 1)
         _add_run(below, run)
     return below
 
@@ -439,47 +463,6 @@ def _sphere_parts(f: RadialFunction, j, ctx: NumericContext) -> list:
 # The sphere sum shared by ball integrals and operator values
 # ---------------------------------------------------------------------------
 
-@cache
-def _faulhaber_coefficients(m: int) -> tuple:
-    """(n_0 ... n_m, D): C(m+1, k) B_k / (m+1) = n_k / D, with B_1 = +1/2."""
-    coeffs = []
-    for k in range(m + 1):
-        b = Fraction(*mp.bernfrac(k))
-        coeffs.append(math.comb(m + 1, k) * (-b if k == 1 else b) / (m + 1))
-    D = math.lcm(*(c.denominator for c in coeffs))
-    return tuple(c.numerator * (D // c.denominator) for c in coeffs), D
-
-
-def _power_count(m: int, lo: int, hi: int) -> int:
-    """Sum of j**m over lo <= j <= hi, exactly: F(hi) - F(lo - 1) in integers.
-
-    F(n) = (1/(m+1)) sum_k C(m+1, k) B_k n**(m+1-k) (DLMF 24.4.7) has
-    F(n) - F(n - 1) = n**m for every integer n.
-    """
-    nums, D = _faulhaber_coefficients(m)
-    powers = zip(range(m + 1, 0, -1), nums)
-    return sum(c * (hi**e - (lo - 1) ** e) for e, c in powers) // D
-
-
-def _rate_kernel(ctx: NumericContext, m: int, rate):
-    """The part of sum_j j**m p**(j*rate) that does not depend on its ends.
-
-    Formed at working precision, for rate != 0: the geometric denominator
-    1 - p**(-rate) when m = 0, else (gctx, phis), the guarded context of
-    :func:`_power_sum` and Phi_0(w) ... Phi_m(w) at its precision.
-    """
-    if m == 0:
-        return _one_minus_p_pow(ctx, -rate)
-    from .asymptotics import phi_sum  # asymptotics imports this module
-
-    if not ctx.exact:
-        gap = -math.log2(_one_minus_p_pow(ctx, -abs(rate)))
-        guard = (m + 1) * max(0, math.ceil(gap)) + 8
-        ctx = replace(ctx, precision_bits=ctx.precision_bits + guard)
-    w = ctx.p_pow(-abs(rate))
-    return ctx, [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)]
-
-
 class _RateKernels(dict):
     """:func:`_rate_kernel` by (m, rate), each formed on first use.
 
@@ -502,20 +485,14 @@ class _RateKernels(dict):
     def walk(self, run, c: int, a1, top: int) -> tuple:
         """The :class:`_Walk` sums of the run's spheres c ... top.
 
-        One walk is kept per run apart from its top (a value run's values may
-        extend or cut the kept one's), c and a1.  A top below the walk's
-        reads its snapshot, or walks again from c.
+        One walk is kept per run apart from its top, c and a1: it walks the
+        run extended to infinity (a value run still ends with its values).
+        A top below the walk's reads its snapshot, or walks again from c.
         """
-        form = (run.lo, run.coeff) if isinstance(run, ValueRun) else replace(run, hi=0)
-        w = self.walks.get((form, c, a1))
-        if w is not None and isinstance(run, ValueRun):
-            short, long = sorted((w.run, run), key=lambda r: len(r.values))
-            if long.values[: len(short.values)] == short.values:
-                w.run = long
-            else:  # another value run of this start and coefficient
-                w = None
+        run = replace(run, hi=math.inf)
+        w = self.walks.get((run, c, a1))
         if w is None:
-            w = self.walks[form, c, a1] = _Walk(run, c, self.ctx, a1)
+            w = self.walks[run, c, a1] = _Walk(run, c, self.ctx, a1)
         snapshot = w.snapshots.get(top)
         return snapshot or (w if top >= w.next else _Walk(run, c, self.ctx, a1)).to(top)
 
@@ -531,8 +508,8 @@ class _Walk:
     """
 
     def __init__(self, run, c: int, ctx: NumericContext, a1):
-        self.run, self.next, self.snapshots = run, c, {}
-        self.terms, self.P, self.up = self._terms(c, ctx), None, None
+        self.next, self.snapshots = c, {}
+        self.steps, self.P, self.up = _steps(run, c, ctx, 1), None, None
         if a1 is not None:
             self.P, self.up = ctx.p_pow(a1 * c), ctx.p_pow(a1)
         self.sums = (ctx.real(0),) * 5
@@ -541,88 +518,14 @@ class _Walk:
         """The sums over c ... top, for a top not below one reached before."""
         A, B, size, ua, ub = self.sums
         P, up = self.P, self.up
-        for _ in range(self.next, top + 1):
-            u, a, s = next(self.terms)
-            A, size, ua = A + u, size + s, ua + a
+        for u, s in islice(self.steps, top + 1 - self.next):
+            a = abs(u)
+            A, size, ua = A + u, size + (a if s is None else s), ua + a
             if P is not None:
                 B, ub, P = B + u * P, ub + a * P, P * up
         self.P, self.next = P, top + 1
         self.sums = self.snapshots[top] = (A, B, size, ua, ub)
         return self.sums
-
-    def _terms(self, j: int, ctx: NumericContext):
-        """(u_j, |u_j|, size of u_j) for j = c, c + 1, ..., with running powers
-        coeff * p**j (values read from self.run) or p**(j(1-beta))."""
-        run = self.run
-        if isinstance(run, ValueRun):
-            e, s = 1, run.coeff * ctx.p_pow(j)
-            parts = ([ctx.real(self.run.values[i - run.lo])] for i in count(j))
-        else:
-            e, s = 1 - run.beta, ctx.p_pow((1 - run.beta) * j)
-            parts = _log_terms(run, count(j), ctx.log_unit(), ctx)
-        up = ctx.p_pow(e)
-        for terms in parts:
-            u = s * sum(terms[1:], terms[0])
-            a = abs(u)
-            yield u, a, a if len(terms) == 1 else s * sum(abs(t) for t in terms)
-            s *= up
-
-
-def _power_sum(kernels: _RateKernels, m: int, rate, lo, hi: int):
-    """(S, size): S = sum of j**m p**(j*rate) over lo <= j <= hi, in closed form.
-
-    ``lo = None`` runs to -inf (m = 0 and rate > 0 only).  ``size`` is the
-    sum of the absolute values of the terms the closed form adds.  What
-    does not depend on lo and hi comes from ``kernels``, in their context.
-
-    * m = 0 is a geometric series, formed through expm1.
-    * rate = 0 is Faulhaber's polynomial, exact before its one rounding.
-    * Otherwise let z = p**rate, w = p**(-|rate|), Phi_0(w) = 1/(1 - w) and
-      Phi_t the series kernel of :func:`~padic_ialpha.asymptotics.phi_sum`.
-      Summing each end's geometric tail with (x -/+ n)**m expanded
-      binomially gives, for rate > 0,
-      S = z**hi G(hi) - z**(lo-1) G(lo-1) with
-      G(x) = sum_t C(m, t) x**(m-t) (-1)**t Phi_t(w); for rate < 0,
-      S = z**lo H(lo) - z**(hi+1) H(hi+1) with
-      H(x) = sum_t C(m, t) x**(m-t) Phi_t(w).
-      Phi_m grows like (1 - w)**-(m+1) while S does not, so near rate 0
-      the two ends cancel; they are formed with
-      (m + 1) * ceil(log2 1/(1 - w)) + 8 guard bits.  ``size`` counts every
-      term of both ends at that precision.
-    """
-    ctx = kernels.ctx
-    if lo is None:
-        if rate <= 0:
-            raise DivergentInnerSum(
-                f"inner degree {rate - 1} is not integrable at the origin"
-            )
-        s = ctx.p_pow(rate * hi) / kernels.at(0, rate)
-        return s, s
-    if rate == 0:
-        s = ctx.real(Fraction(_power_count(m, lo, hi)))
-        return s, abs(s)
-    if m == 0:
-        s = (
-            ctx.p_pow(rate * hi)
-            * _one_minus_p_pow(ctx, -rate * (hi - lo + 1))
-            / kernels.at(0, rate)
-        )
-        return s, s
-    ctx, phis = kernels.at(m, rate)
-    # rate * x rounds in the guarded context too; the results enter working
-    # precision as the right operand of K * s (SphereSum._add_closed)
-    rate = ctx.real(rate)
-    sign, ends = (-1, (hi, lo - 1)) if rate > 0 else (1, (lo, hi + 1))
-    sums = []
-    for x in ends:
-        terms = [
-            math.comb(m, t) * sign**t * x ** (m - t) * phis[t]
-            for t in range(m + 1)
-        ]
-        z = ctx.p_pow(rate * x)
-        sums.append((z * sum(terms), z * sum(abs(t) for t in terms)))
-    (a, size_a), (b, size_b) = sums
-    return a - b, size_a + size_b
 
 
 class SphereSum:
@@ -781,45 +684,6 @@ def _rest(run: LogRun, c: int, ctx: NumericContext):
     )
     down = ctx.p_pow(run.beta - 1)
     return E * ctx.p_pow((1 - run.beta) * c) * down / (1 - down)
-
-
-def _values_down(runs: list, top: int, ctx: NumericContext):
-    """f(p**j) for j = top, top - 1, ... without end, from a profile's runs.
-
-    Each run is stepped, not re-evaluated: a power run's value is a running
-    power, a value run reads its value, and a log-power run takes one
-    general power per sphere against a running p**(-j*beta).  The parts
-    add in run order, as in :func:`eval_sphere`.
-    """
-    walks = [_run_parts_down(run, top, ctx) for run in runs]
-    while True:
-        yield sum(x for walk in walks for x in next(walk))
-
-
-def _run_parts_down(run, top: int, ctx: NumericContext):
-    """The run's parts of f(p**j) for j = top, top - 1, ..., [] off its span."""
-    j = top
-    while j > run.hi:
-        yield []
-        j -= 1
-    if isinstance(run, LogRun):
-        s, up = ctx.p_pow(-run.beta * j), ctx.p_pow(run.beta)
-        for terms in _log_terms(run, range(j, run.lo - 1, -1), ctx.log_unit(), ctx):
-            yield [s * t for t in terms]
-            s *= up
-    elif isinstance(run, ValueRun):
-        while j >= run.lo:
-            yield [run.coeff * ctx.real(run.values[j - run.lo])]
-            j -= 1
-    else:
-        (x,) = run.at(j, ctx)
-        down = ctx.p_pow(-run.degree) if run.degree else 1
-        while run.lo is None or j >= run.lo:
-            yield [x]
-            x *= down
-            j -= 1
-    while True:
-        yield []
 
 
 def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):

@@ -28,7 +28,7 @@ from .core import (
     _require_finite,
     general_power,
 )
-from .ialpha import _Operator, smallball_kernel_integral
+from .ialpha import _build_smallball, _Operator
 from .radial import (
     LogPower,
     LogRun,
@@ -316,11 +316,10 @@ def lemma_decay_check(which: str, params: dict, ladder, ctx: NumericContext):
         alpha = ctx.real(params["alpha"])
         if eps <= 0 or beta + eps >= 1:
             raise ParamOutOfRange("need eps > 0 and beta + eps < 1")
-        rows = []
+        kernel, rows = _build_smallball(k, beta, alpha, ctx), []
         for R in ladder:
             if R < 1:
                 raise ParamOutOfRange("L2 ladder entries must be >= 1")
-            kr = smallball_kernel_integral(k, beta, R, alpha, ctx)
-            rows.append((R, float(kr * ctx.p_pow((1 - beta - eps) * R))))
+            rows.append((R, float(kernel(R) * ctx.p_pow((1 - beta - eps) * R))))
         return rows
     raise ParamOutOfRange(f"unknown decay check {which!r}")

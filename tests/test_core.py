@@ -42,8 +42,12 @@ from padic_ialpha import (
     sphere_measure,
     unit_kernel_integral,
 )
-from padic_ialpha.core import _require_finite, general_power, sample_kernel_exponents
-from padic_ialpha.radial import _one_minus_p_pow
+from padic_ialpha.core import (
+    _one_minus_p_pow,
+    _require_finite,
+    general_power,
+    sample_kernel_exponents,
+)
 from digit_oracle import (
     EXACT_ZERO,
     PadicApprox,

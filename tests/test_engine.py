@@ -22,7 +22,8 @@ from padic_ialpha import (
     residual_scan,
 )
 from padic_ialpha.ialpha import _Operator
-from padic_ialpha.radial import SphereSum, _RateKernels, _Walk, sphere_segments
+from padic_ialpha import radial
+from padic_ialpha.radial import SphereSum, _RateKernels, sphere_segments
 from sphere_oracle import oracle_ball, oracle_ialpha
 
 VALUES = (0.75, 1.25, 0.5, 2.0, 1.5, 0.875)
@@ -288,17 +289,33 @@ def test_exact_scan_equals_literal_sums():
         assert op.at(N).value == ialpha_eval(f, N, 2, ctx).value == want
 
 
+def counted_steps(monkeypatch) -> list:
+    """Every sphere that the operator's walks step through, as (run, j)."""
+    formed, steps = [], radial._steps
+
+    def counted(run, j, ctx, shift):
+        for i, step in enumerate(steps(run, j, ctx, shift), j):
+            formed.append((run, i))
+            yield step
+
+    monkeypatch.setattr(radial, "_steps", counted)
+    return formed
+
+
 def test_scan_walks_each_sphere_once(ctx2, monkeypatch):
     # a 61-rung scan forms the terms of one walk from j = 1 up to its top
-    formed = []
-    terms = _Walk._terms
-
-    def counted(self, j, ctx):
-        for t in terms(self, j, ctx):
-            formed.append(t)
-            yield t
-
-    monkeypatch.setattr(_Walk, "_terms", counted)
+    formed = counted_steps(monkeypatch)
     rungs = list(range(20, 81))
     residual_scan("T3", LogPower(0.3, 1.5), 0, rungs, 2.1, ctx2)
     assert 0 < len(formed) <= max(rungs) - 1 + 1
+    assert len(set(formed)) == len(formed)
+
+
+def test_t1_scan_walks_each_table_value_once(ctx2, monkeypatch):
+    # the rungs of an origin-side scan of a table share one walk of its
+    # values: each value sphere below the top rung is stepped once
+    formed = counted_steps(monkeypatch)
+    f = Table(-40, tuple(2.0**j / (1 + 2.0**j) for j in range(-40, 1)), PowerTail(1.0, 1.0))
+    rungs = list(range(-24, -5, 2))
+    residual_scan("T1", f, 0, rungs, 2.0, ctx2, coeffs=[1.0], scales=[1.0])
+    assert sorted(j for _, j in formed) == list(range(f.j_lo, max(rungs)))

@@ -272,6 +272,11 @@ class TestSmallBallKernelIntegral:
         with pytest.raises(ParamOutOfRange):
             smallball_kernel_integral(0, 0.0, 0, 2.0, ctx2)
 
+    @pytest.mark.parametrize("R", [1.5, 2.0, True, 0, -2], ids=repr)
+    def test_radius_is_an_integer_of_at_least_one(self, ctx2, R):
+        with pytest.raises(ParamOutOfRange):
+            smallball_kernel_integral(0, 0.0, R, 2.0, ctx2)
+
 
 class TestMonteCarlo:
     def test_monomial_within_four_sigma(self, ctx2):

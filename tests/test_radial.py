@@ -28,7 +28,8 @@ from padic_ialpha import (
     origin_expansion,
     outer_expansion,
 )
-from padic_ialpha.radial import _power_count, _sphere_parts, sphere_segments
+from padic_ialpha.radial import LogRun, ValueRun, _sphere_parts, _steps, sphere_segments
+from padic_ialpha.series import _power_count
 
 
 class TestEvalSphere:
@@ -347,3 +348,55 @@ def test_power_count_is_faulhaber_in_integers():
                 assert got == _faulhaber_fraction(m, hi) - _faulhaber_fraction(m, lo - 1)
                 assert got == sum(j**m for j in range(lo, hi + 1))
     assert _power_count(0, -3, 10**30) == 10**30 + 4
+
+
+STEP_PROFILES = [
+    # a power run from the origin; the walk runs past its top
+    (Monomial(0.5), 5, -4),
+    # a value run cut below its table's end, over an inner power run
+    (Table(-3, (0.5, 1.5, -2.0, 0.25, 3.0, 1.0, 0.75, 2.5), PowerTail(0.5, 1.0),
+           OuterTail(0.5, 1.0, (1.0, 0.25))), 2, -6),
+    # a log run of several terms above the table, and the table's whole values
+    (Table(-3, (0.5, 1.5, -2.0, 0.25), ZeroTail(), OuterTail(0.5, 1.5, (1.0, 0.25, -2.0))),
+     9, -5),
+    (LogPower(0.5, 1.5), 8, -2),
+]
+
+
+@pytest.mark.parametrize("f, top, j", STEP_PROFILES)
+@pytest.mark.parametrize("shift", [0, 1])
+def test_steps_match_point_values(ctx3, f, top, j, shift):
+    # u_i = f(p**i) p**(i shift) on each run's spheres, 0 below and above it
+    runs = sphere_segments(f, top, ctx3)
+    for run in runs:
+        steps = _steps(run, j, ctx3, shift)
+        for i in range(j, top + 4):
+            u, size = next(steps)
+            covered = (run.lo is None or run.lo <= i) and i <= run.hi
+            if not covered:
+                assert (u, size) == (0, None)
+                continue
+            parts = [x * ctx3.p_pow(i * shift) for x in run.at(i, ctx3)]
+            want = sum(parts)
+            assert abs(u - want) <= 2.0**-240 * abs(want)
+            if isinstance(run, LogRun) and len(run.coeffs) > 1:
+                want_size = sum(abs(x) for x in parts)
+                assert abs(size - want_size) <= 2.0**-240 * want_size
+            else:
+                assert size is None
+
+
+@pytest.mark.parametrize("f, top, j", STEP_PROFILES)
+def test_steps_at_shift_zero_sum_to_the_profile(ctx3, f, top, j):
+    runs = sphere_segments(f, top, ctx3)
+    walks = [_steps(run, j, ctx3, 0) for run in runs]
+    for i in range(j, top + 1):
+        got = sum(next(w)[0] for w in walks)
+        want = eval_sphere(f, i, ctx3)
+        assert abs(got - want) <= 2.0**-240 * abs(want)
+
+
+def test_a_cut_value_run_keeps_its_table(ctx3):
+    f = STEP_PROFILES[1][0]
+    (run,) = [r for r in sphere_segments(f, 2, ctx3) if isinstance(r, ValueRun)]
+    assert (run.lo, run.hi, run.values) == (-3, 2, f.values)

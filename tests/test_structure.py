@@ -170,8 +170,8 @@ def test_only_the_constant_tables_are_cached():
         for fn in cached_functions(path.read_text())
     }
     assert found == {
-        "core._ln", "core._mp_context", "radial._faulhaber_coefficients",
-        "asymptotics._phi_numerator",
+        "core._ln", "core._mp_context", "series._faulhaber_coefficients",
+        "series._phi_numerator",
     }
 
 
@@ -320,10 +320,10 @@ def sphere_term_makers(source: str) -> set:
 
 
 def test_only_the_walk_sums_explicit_spheres():
-    # SphereSum adds each explicit run as K A - B from a _Walk, which reads
-    # a value run's values itself; every other maker forms the terms of one
-    # sphere (a point value, the bound below a start sphere) or feeds the
-    # Monte Carlo walk
+    # every walk over consecutive spheres steps its runs through _steps: the
+    # K A - B sums of SphereSum's explicit runs and the Monte Carlo oracle;
+    # every other maker forms the terms of one sphere (a point value, the
+    # bound below a start sphere)
     src = Path(padic_ialpha.__file__).parent
     makers = {
         f"{path.stem}.{name}"
@@ -331,8 +331,7 @@ def test_only_the_walk_sums_explicit_spheres():
         for name in sphere_term_makers(path.read_text())
     }
     assert makers == {
-        "radial.LogRun.at", "radial._parts_at", "radial._rest",
-        "radial._run_parts_down", "radial._Walk._terms",
+        "radial.LogRun.at", "radial._parts_at", "radial._rest", "radial._steps",
     }
 
 
@@ -344,3 +343,97 @@ def test_sphere_term_scan_sees_every_maker():
         "def d(kernels, rate):\n    return kernels.at(0, rate)\n"
     )
     assert sphere_term_makers(source) == {"a", "W.b", "c"}
+
+
+LAYERS = ("core", "series", "radial", "asymptotics", "ialpha", "verify", "cli")
+
+
+def module_imports(source: str) -> list:
+    """(line, module, local) of every import in source: ``module`` as
+    written, with a leading dot for a relative import; ``local`` whether the
+    import sits inside a function."""
+    found = []
+
+    def visit(node, local):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ImportFrom):
+                found.append((child.lineno, "." * child.level + (child.module or ""), local))
+            elif isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name, local) for alias in child.names)
+            visit(child, local or isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+    visit(ast.parse(source), False)
+    return found
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    src = Path(padic_ialpha.__file__).parent
+    assert {path.stem for path in src.glob("*.py")} == {"__init__", *LAYERS}
+    stray = {}
+    for rank, layer in enumerate(LAYERS):
+        for line, module, _ in module_imports((src / f"{layer}.py").read_text()):
+            if module.startswith(".") and module[1:] not in LAYERS[:rank]:
+                stray.setdefault(layer, []).append((line, module))
+    assert stray == {}
+
+
+def test_only_numpy_is_imported_inside_functions():
+    # numpy loads lazily with the Monte Carlo path; every other import is
+    # made once, at the top of its module
+    src = Path(padic_ialpha.__file__).parent
+    stray = {
+        path.name: local
+        for path in sorted(src.glob("*.py"))
+        if (local := [
+            (line, module)
+            for line, module, inside in module_imports(path.read_text())
+            if inside and module != "numpy"
+        ])
+    }
+    assert stray == {}
+
+
+def test_import_scan_sees_every_form_of_import():
+    source = (
+        "import math, os.path\n"
+        "from .core import x\n"
+        "from . import radial\n"
+        "from padic_ialpha.series import y\n"
+        "def f():\n    from .asymptotics import z\n    import numpy as np\n"
+        "class C:\n    def g(self):\n        from .cli import w\n"
+    )
+    assert module_imports(source) == [
+        (1, "math", False), (1, "os.path", False), (2, ".core", False),
+        (3, ".", False), (4, "padic_ialpha.series", False),
+        (6, ".asymptotics", True), (7, "numpy", True), (10, ".cli", True),
+    ]
+
+
+SERIES_PRIVATE = {"_phi_numerator", "_faulhaber_coefficients", "_power_count"}
+
+
+def names_used(source: str) -> set:
+    """Every name that source reads, binds, imports or takes as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+    return found
+
+
+def test_only_the_series_module_forms_the_series_closed_forms():
+    # the Eulerian numerators of Phi_k and Faulhaber's integer sums live in
+    # series; every other module reads them through phi_sum and _power_sum
+    src = Path(padic_ialpha.__file__).parent
+    readers = {
+        path.stem
+        for path in sorted(src.glob("*.py"))
+        if names_used(path.read_text()) & SERIES_PRIVATE
+    }
+    assert readers == {"series"}

@@ -23,8 +23,9 @@ from padic_ialpha import (
     prefactor,
     ratio_bound_check,
     residual_scan,
+    smallball_kernel_integral,
 )
-from padic_ialpha import asymptotics, core, ialpha, radial
+from padic_ialpha import asymptotics, core, ialpha, radial, series
 
 
 def alternating_ratio_table(ctx, j_lo=-60, j_hi=0):
@@ -263,6 +264,27 @@ class TestLemmaDecay:
         )
         vals = [v for _, v in rows]
         assert max(vals) / min(vals) < 5
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_smallball_rows_share_one_kernel_table(self, ctx3, monkeypatch, k):
+        # each row is the small-ball integral at its rung, bit for bit; the
+        # rungs read the kernels of one table, formed once per rate
+        params = {"k": k, "beta": 0.25, "eps": 0.1, "alpha": 1.7}
+        ladder = range(1, 15)
+        want = [
+            (R, float(smallball_kernel_integral(k, 0.25, R, 1.7, ctx3)
+                      * ctx3.p_pow((1 - ctx3.real(0.25) - ctx3.real(0.1)) * R)))
+            for R in ladder
+        ]
+        formed, rate_kernel = [], series._rate_kernel
+
+        def counted(ctx, m, rate):
+            formed.append((m, rate))
+            return rate_kernel(ctx, m, rate)
+
+        monkeypatch.setattr(radial, "_rate_kernel", counted)
+        assert lemma_decay_check("L2", params, ladder, ctx3) == want
+        assert len(formed) == 2
 
     def test_param_validation(self, ctx2):
         with pytest.raises(ParamOutOfRange):
