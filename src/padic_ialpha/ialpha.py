@@ -21,11 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .asymptotics import b_coefficient
+from .asymptotics import _alpha, _beta, b_coefficient
 from .core import (
     ZERO,
-    AlphaOutOfRange,
-    BetaOutOfRange,
     NumericContext,
     ParamOutOfRange,
     RandomStream,
@@ -95,10 +93,12 @@ class _Operator:
     """The operator on one profile at one alpha in one context, at any radius.
 
     What does not depend on the radius is formed once, when it is made:
-    alpha's check, the prefactor C, the unit-sphere integral U, and a table
-    of the closed forms' rate kernels and the explicit runs' walks, which
-    fills as radii need them (:class:`~padic_ialpha.radial.SphereSum`).  A
-    scan makes one operator and calls :meth:`at` per radius;
+    alpha's check, the prefactor C, the unit-sphere integral U, 1 - 1/p,
+    and a table of the closed forms' rate kernels, the explicit runs'
+    walks and the powers of p, which fills as radii need them
+    (:class:`~padic_ialpha.radial.SphereSum`).  A scan makes one operator,
+    calls :meth:`at` per radius and builds its expansion from C, U and the
+    same table;
     :func:`ialpha_eval` makes one per value.  A value at a radius does not
     depend on the radii evaluated before.  The table dies with the operator.
     """
@@ -109,27 +109,30 @@ class _Operator:
         pa = ctx.p_pow(-self.alpha)  # C and U share p**(-alpha)
         self.C, self.U = _prefactor(ctx, self.alpha, pa), _unit(ctx, pa)
         self.kernels = _RateKernels(ctx)
+        self.unit = unit = 1 - self.kernels.p_pow(-1)
+        # the factors of the sphere |y| = |x| and of the bound
+        self._sphere = (self.U - unit, self.U + unit, abs(self.C))
 
     def at(self, N) -> OperatorValue:
         """The value at |x| = p**N, as :func:`ialpha_eval` documents it."""
-        ctx, C, U = self.ctx, self.C, self.U
+        ctx, unit = self.ctx, self.unit
         if N is ZERO:
             zero = ctx.real(0)
             return OperatorValue(zero, zero, ZERO)
         N = _require_finite(N, "radius exponent")
         runs = sphere_segments(self.f, N, ctx)
         inner = SphereSum(_runs_below(runs, N, ctx), N - 1, self.kernels, self.alpha)
-        unit = 1 - ctx.p_pow(-1)
-        ball = inner.K * ctx.p_pow(N)  # p**(N alpha)
+        ball = inner.K * self.kernels.p_pow(N)  # p**(N alpha)
         parts = _parts_at(runs, N, ctx)
         f_N, size_N = sum(parts), sum(abs(x) for x in parts)
-        bracket = unit * inner.total + f_N * ball * (U - unit)
-        magnitude = unit * inner.magnitude + size_N * ball * (U + unit)
-        bound = abs(C) * (
+        U_minus, U_plus, abs_C = self._sphere
+        bracket = unit * inner.total + f_N * ball * U_minus
+        magnitude = unit * inner.magnitude + size_N * ball * U_plus
+        bound = abs_C * (
             magnitude * ctx.rounding_eps() * (inner.explicit + 16)
             + unit * inner.remainder
         )
-        return OperatorValue(C * bracket, bound, inner.low)
+        return OperatorValue(self.C * bracket, bound, inner.low)
 
 
 def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
@@ -173,12 +176,7 @@ def _build_smallball(k: int, beta, alpha, ctx: NumericContext):
     """R -> :func:`smallball_kernel_integral` (k, beta, R, alpha): one check and
     one table of rate kernels for every R."""
     k = _require_count(k, "k")
-    b = ctx.real(beta)
-    if not 0 <= b < 1:
-        raise BetaOutOfRange(f"beta must lie in [0, 1), got {beta}")
-    a = ctx.real(alpha)
-    if a <= 1:
-        raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
+    b, a = _beta(ctx, beta), _alpha(ctx, alpha)
     kernels, rates = _RateKernels(ctx), (b - 1, b - a)
     lk = ctx.log_unit() ** k if k else ctx.real(1)
     scale = (1 - ctx.p_pow(-1)) * lk

@@ -37,6 +37,7 @@ from .core import (
     NumericContext,
     ParamOutOfRange,
     UndefinedAtZero,
+    _raw,
     _require_finite,
     _require_real,
     general_power,
@@ -468,11 +469,23 @@ class _RateKernels(dict):
 
     One table serves every sum that its owner makes in one context: an
     operator's table serves all the radii of a scan, and so do the walks
-    of its explicit runs (:meth:`walk`).
+    of its explicit runs (:meth:`walk`) and the powers of p (:meth:`p_pow`).
+    A scan's expansion reads the same table.
     """
 
     def __init__(self, ctx: NumericContext):
-        self.ctx, self.walks = ctx, {}  # dict.__new__ has made the empty table
+        self.ctx, self.walks, self.powers = ctx, {}, {}  # dict.__new__ made the table
+
+    def p_pow(self, exponent):
+        """p**exponent, formed on the first request of the exponent's value."""
+        ctx = self.ctx
+        key = getattr(exponent, "_mpf_", None)  # an mpf's exact value; hashed in C
+        if key is None:  # an int, or any exponent in exact mode
+            key = exponent if ctx.exact else _raw(exponent, ctx.precision_bits)
+        power = self.powers.get(key)
+        if power is None:
+            power = self.powers[key] = ctx.p_pow(exponent)
+        return power
 
     def at(self, m: int, rate):
         """The kernel of (m, rate), formed on the first request."""
@@ -510,6 +523,8 @@ class _Walk:
     def __init__(self, run, c: int, ctx: NumericContext, a1):
         self.next, self.snapshots = c, {}
         self.steps, self.P, self.up = _steps(run, c, ctx, 1), None, None
+        # only a log run of several terms yields sizes; else size is sum |u_j|
+        self.sized = isinstance(run, LogRun) and len(run.coeffs) > 1
         if a1 is not None:
             self.P, self.up = ctx.p_pow(a1 * c), ctx.p_pow(a1)
         self.sums = (ctx.real(0),) * 5
@@ -519,12 +534,14 @@ class _Walk:
         A, B, size, ua, ub = self.sums
         P, up = self.P, self.up
         for u, s in islice(self.steps, top + 1 - self.next):
-            a = abs(u)
-            A, size, ua = A + u, size + (a if s is None else s), ua + a
+            A, ua = A + u, ua + abs(u)
+            if s is not None:  # a sized run yields s on it, and u = 0 off it
+                size += s
             if P is not None:
-                B, ub, P = B + u * P, ub + a * P, P * up
+                uP = u * P  # P > 0, so |u P| rounds as |u| P would
+                B, ub, P = B + uP, ub + abs(uP), P * up
         self.P, self.next = P, top + 1
-        self.sums = self.snapshots[top] = (A, B, size, ua, ub)
+        self.sums = self.snapshots[top] = (A, B, size if self.sized else ua, ua, ub)
         return self.sums
 
 
@@ -563,7 +580,7 @@ class SphereSum:
             self.a1, self.K = None, ctx.real(1)
         else:
             self.a1 = ctx.real(alpha) - 1
-            self.K = ctx.p_pow(self.a1 * (top + 1))
+            self.K = kernels.p_pow(self.a1 * (top + 1))
         self.total = self.magnitude = self.abs_total = self.remainder = zero
         self.explicit, self.low = 0, top + 1
         for run in runs:
@@ -706,7 +723,7 @@ def _ball_integral(f: RadialFunction, n, kernels: _RateKernels):
         return ctx.real(0)
     n = _require_finite(n)
     runs = sphere_segments(f, n, ctx)
-    return (ctx.real(1) - ctx.p_pow(-1)) * SphereSum(runs, n, kernels).total
+    return (ctx.real(1) - kernels.p_pow(-1)) * SphereSum(runs, n, kernels).total
 
 
 # ---------------------------------------------------------------------------

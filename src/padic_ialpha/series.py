@@ -87,8 +87,9 @@ def _rate_kernel(ctx: NumericContext, m: int, rate):
     """The part of sum_j j**m p**(j*rate) that does not depend on its ends.
 
     Formed at working precision, for rate != 0: the geometric denominator
-    1 - p**(-rate) when m = 0, else (gctx, phis), the guarded context of
-    :func:`_power_sum` and Phi_0(w) ... Phi_m(w) at its precision.
+    1 - p**(-rate) when m = 0, else (gctx, phis, ends), the guarded context
+    of :func:`_power_sum`, Phi_0(w) ... Phi_m(w) at its precision and a dict
+    in which :func:`_power_sum` keeps the far ends it forms.
     """
     if m == 0:
         return _one_minus_p_pow(ctx, -rate)
@@ -97,7 +98,7 @@ def _rate_kernel(ctx: NumericContext, m: int, rate):
         guard = (m + 1) * max(0, math.ceil(gap)) + 8
         ctx = replace(ctx, precision_bits=ctx.precision_bits + guard)
     w = ctx.p_pow(-abs(rate))
-    return ctx, [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)]
+    return ctx, [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)], {}
 
 
 def _power_sum(kernels, m: int, rate, lo, hi):
@@ -109,7 +110,8 @@ def _power_sum(kernels, m: int, rate, lo, hi):
     :class:`DivergentInnerSum`.  ``size`` is the sum of the absolute values
     of the terms the closed form adds.  What does not depend on lo and hi
     comes from ``kernels.at(m, rate)`` (:func:`_rate_kernel`), in the
-    context ``kernels.ctx``.
+    context ``kernels.ctx``, and each power of p at working precision from
+    ``kernels.p_pow``.
 
     * m = 0 is a geometric series, formed through expm1.
     * rate = 0 is Faulhaber's polynomial, exact before its one rounding.
@@ -132,25 +134,25 @@ def _power_sum(kernels, m: int, rate, lo, hi):
                 f"inner degree {rate - 1} is not integrable at the origin"
             )
         if m == 0:
-            s = ctx.p_pow(rate * hi) / kernels.at(0, rate)
+            s = kernels.p_pow(rate * hi) / kernels.at(0, rate)
             return s, s
     elif hi == math.inf:
         if rate >= 0:
             raise DivergentInnerSum(f"the series of rate {rate} diverges at infinity")
         if m == 0:
-            s = -ctx.p_pow(rate * (lo - 1)) / kernels.at(0, rate)
+            s = -kernels.p_pow(rate * (lo - 1)) / kernels.at(0, rate)
             return s, s
     elif rate == 0:
         s = ctx.real(Fraction(_power_count(m, lo, hi)))
         return s, abs(s)
     elif m == 0:
         s = (
-            ctx.p_pow(rate * hi)
+            kernels.p_pow(rate * hi)
             * _one_minus_p_pow(ctx, -rate * (hi - lo + 1))
             / kernels.at(0, rate)
         )
         return s, s
-    ctx, phis = kernels.at(m, rate)
+    ctx, phis, ends = kernels.at(m, rate)
     # rate * x rounds in the guarded context too; the results enter working
     # precision as the right operand of a product at working precision
     rate = ctx.real(rate)
@@ -167,5 +169,8 @@ def _power_sum(kernels, m: int, rate, lo, hi):
     s, size = end(near)
     if far is None or far == math.inf:  # an open end adds nothing
         return s, size
-    b, size_b = end(far + sign)  # lo - 1 or hi + 1
+    x = far + sign  # lo - 1 or hi + 1; a scan's rungs share a fixed lo's end
+    if x not in ends:
+        ends[x] = end(x)
+    b, size_b = ends[x]
     return s - b, size + size_b

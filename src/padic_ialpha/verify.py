@@ -7,7 +7,10 @@ the first omitted term of the expansion actually evaluated, so "bounded
 normalized error" is the finite-ladder proxy for the asymptotic claim.
 Each scan makes one operator and evaluates it at every rung, so alpha's
 check, the prefactor, the unit-sphere integral and the closed forms' rate
-kernels are formed once per scan, not once per rung.
+kernels are formed once per scan, not once per rung.  A T3 or T4 scan
+builds its expansion from that operator's prefactor, unit-sphere integral
+and table, which also keeps each power of p: the operator and its
+expansion form each Phi_k and each power of p once.
 """
 
 from __future__ import annotations
@@ -15,11 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .asymptotics import (
-    build_infinity_beta1_prediction,
-    build_infinity_prediction,
-    build_origin_prediction,
-)
+from .asymptotics import _beta1_prediction, _infinity_prediction, build_origin_prediction
 from .core import (
     HypothesisMismatch,
     NumericContext,
@@ -168,8 +167,8 @@ def _infinity(f, order, op, coeffs, beta, gamma):
     if not 0 <= b < 1:
         raise HypothesisMismatch(f"outer decay beta={beta} is not in [0, 1)")
     g = ctx.real(gamma)
-    expansion = build_infinity_prediction(coeffs, b, g, order, a, ctx)
-    omitted = _omitted_log_term(ctx, a - b, g - (order + 1))
+    expansion = _infinity_prediction(coeffs, b, g, order, a, op.kernels, op.C, op.U)
+    omitted = _omitted_log_term(op.kernels, a - b, g - (order + 1))
     params = {"beta": beta, "gamma": gamma, "coeffs": list(coeffs)}
     return params, expansion, omitted
 
@@ -188,12 +187,12 @@ def _critical(f, order, op, coeffs, gamma, printed_form):
     if declared is not None and declared[0] != 1:
         raise HypothesisMismatch("critical-decay scans need outer beta = 1")
     g = ctx.real(gamma)
-    expansion = build_infinity_beta1_prediction(
-        coeffs, g, order, f, a, ctx, printed_form=printed_form
+    expansion = _beta1_prediction(
+        coeffs, g, order, f, declared, a, op.kernels, op.C, op.U, printed_form
     )
     # the printed variant carries no radius power on its log sum
     power = 0 if printed_form else a - 1
-    omitted = _omitted_log_term(ctx, power, g - (order + 1))
+    omitted = _omitted_log_term(op.kernels, power, g - (order + 1))
     params = {
         "beta": 1.0,
         "gamma": gamma,
@@ -203,9 +202,10 @@ def _critical(f, order, op, coeffs, gamma, printed_form):
     return params, expansion, omitted
 
 
-def _omitted_log_term(ctx, power, log_power):
+def _omitted_log_term(kernels, power, log_power):
     """x -> p**(x power) |x L|**log_power, the size of the first omitted term."""
-    return lambda x: ctx.p_pow(power * x) * abs(
+    ctx = kernels.ctx
+    return lambda x: kernels.p_pow(power * x) * abs(
         general_power(ctx, x * ctx.log_unit(), log_power)
     )
 
@@ -248,7 +248,7 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     rows = []
     for x in ladder:
         value = op.at(x).value
-        ratio = abs(value) / ctx.p_pow((op.alpha - 1) * x)
+        ratio = abs(value) / op.kernels.p_pow((op.alpha - 1) * x)  # the rung's K, reused
         rows.append((x, float(ratio)))
     ratios = [r for _, r in rows]
     return min(ratios), max(ratios), rows

@@ -38,7 +38,11 @@ from padic_ialpha import (
     unit_kernel_integral,
 )
 from padic_ialpha import radial
-from padic_ialpha.asymptotics import build_infinity_beta1_prediction
+from padic_ialpha.asymptotics import (
+    build_infinity_beta1_prediction,
+    build_infinity_prediction,
+    build_origin_prediction,
+)
 from padic_ialpha.core import sample_kernel_exponents
 from series_oracle import (
     b_coefficient_series,
@@ -379,6 +383,36 @@ class TestPredictInfinity:
     def test_regime_check(self, ctx2):
         with pytest.raises(ParamOutOfRange):
             predict_infinity([1.0], 0.5, 2.0, 0, 1, 2.0, ctx2)
+
+
+class TestBuiltExpansionRadii:
+    """A built expansion reads its radius exponent as the predictors do."""
+
+    def built(self, ctx):
+        return {
+            "T3": build_infinity_prediction([1.0], 0.5, 2.0, 1, 2.0, ctx),
+            "T4": build_infinity_beta1_prediction([1.0], 0.0, 0, LogPower(1.0, 0.0),
+                                                  2.0, ctx),
+            "T1": build_origin_prediction([1.0], [1.0], 0, 2.0, ctx),
+        }
+
+    @pytest.mark.parametrize("x", [2.5, -2.5, True, 5.0], ids=repr)
+    def test_non_integer_and_bool_radii_raise(self, ctx2, x):
+        for at in self.built(ctx2).values():
+            with pytest.raises(ParamOutOfRange):
+                at(x)
+
+    def test_large_radius_forms_need_two(self, ctx2):
+        built = self.built(ctx2)
+        for name in ("T3", "T4"):
+            with pytest.raises(ParamOutOfRange):
+                built[name](1)
+        built["T1"](1)
+
+    def test_numpy_integers_read_as_ints(self, ctx2):
+        for name, at in self.built(ctx2).items():
+            x = 7 if name != "T1" else -7
+            assert at(np.int64(x))._mpf_ == at(x)._mpf_
 
 
 class TestPredictInfinityCritical:

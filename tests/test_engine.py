@@ -19,8 +19,10 @@ from padic_ialpha import (
     ZeroTail,
     cumulative_ball_integral,
     ialpha_eval,
+    outer_expansion,
     residual_scan,
 )
+from padic_ialpha.asymptotics import _beta1_prediction, _infinity_prediction
 from padic_ialpha.ialpha import _Operator
 from padic_ialpha import radial
 from padic_ialpha.radial import SphereSum, _RateKernels, sphere_segments
@@ -278,6 +280,21 @@ def test_rung_values_do_not_depend_on_history(f):
     for order in (rungs, sorted(rungs), sorted(rungs, reverse=True)):
         op = _Operator(f, 2.3, ctx)
         assert {N: _raw(op.at(N)) for N in order} == fresh
+    # an expansion built first, from the operator's table, forms kernels at
+    # order 3 and powers of p that the operator reads after it
+    declared = outer_expansion(f, ctx)
+    if declared is not None:
+        op = _Operator(f, 2.3, ctx)
+        beta, gamma, coeffs = declared
+        if beta == 1:
+            at = _beta1_prediction(coeffs, gamma, 3, f, declared, op.alpha, op.kernels,
+                                   op.C, op.U, False)
+        else:
+            at = _infinity_prediction(coeffs, beta, gamma, 3, op.alpha, op.kernels,
+                                      op.C, op.U)
+        for N in (40, 7, 200):
+            at(N)
+        assert {N: _raw(op.at(N)) for N in rungs} == fresh
 
 
 def test_exact_scan_equals_literal_sums():

@@ -315,7 +315,8 @@ class TestBuildOnce:
         ("T4", LogPower(1.0, 2.0), range(4, 41, 4)),
     ])
     def test_one_series_B_call_per_scan(self, monkeypatch, ctx2, theorem, f, ladder):
-        calls = self.count_calls(monkeypatch, "series_B")
+        # a scan forms B through series_B's core, with its operator's table
+        calls = self.count_calls(monkeypatch, "_series_B")
         residual_scan(theorem, f, 2, ladder, 2.0, ctx2)
         assert len(calls) == 1
 
@@ -411,7 +412,7 @@ class TestOneOperatorPerScan:
             return original(ctx, m, rate)
 
         original = radial._rate_kernel
-        # the operator forms C and U; prefactor forms C for the expansion
+        # the operator forms C and U, and the expansion reads them
         prefactor_C = counted("C", core._prefactor)
         for module in (core, ialpha):
             monkeypatch.setattr(module, "_prefactor", prefactor_C)
@@ -421,10 +422,83 @@ class TestOneOperatorPerScan:
             counts.update(C=0, U=0)
             kernels.clear()
             residual_scan("T3", LogPower(0.5, 2.0), 0, ladder, 2.0, ctx2)
-            # once for the operator and once for the expansion, whatever the rungs
-            assert counts == {"C": 2, "U": 1}
+            # once for the operator and its expansion, whatever the rungs
+            assert counts == {"C": 1, "U": 1}
             # the closed form of (jL)**2 p**(j/2) at the rates 1/2 and 1/2 + alpha - 1
             assert sorted(kernels) == [(2, 0.5), (2, 1.5)]
+
+
+def working_powers(monkeypatch, ctx) -> list:
+    """The exponent of every power of p formed at ctx's precision, as raw values."""
+    formed, p_pow = [], core.NumericContext.p_pow
+
+    def counted(self, exponent):
+        if self.precision_bits == ctx.precision_bits:
+            formed.append(core._raw(exponent, self.precision_bits))
+        return p_pow(self, exponent)
+
+    monkeypatch.setattr(core.NumericContext, "p_pow", counted)
+    return formed
+
+
+def counted_calls(monkeypatch, name, *modules) -> list:
+    """The arguments of every call of name, through each module's binding."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, f=original: calls.append(args) or f(*args))
+    return calls
+
+
+SCANS = [
+    *[("T3", LogPower(0.5, 2.0), order, False) for order in (0, 1, 2)],
+    *[("T4", LogPower(1.0, 0.0), 0, printed) for printed in (False, True)],
+    *[("T4", LogPower(1.0, 1.0), order, printed)
+      for order in (0, 1) for printed in (False, True)],
+]
+LADDERS = {"T3": range(12, 41, 4), "T4": range(8, 41, 4)}
+
+
+class TestOneTablePerScan:
+    """A scan's operator and expansion share one table of p-powers and kernels."""
+
+    @pytest.mark.parametrize("alpha", [1.7, 2.0])
+    @pytest.mark.parametrize("theorem, f, order, printed", SCANS)
+    def test_no_exponent_is_formed_twice(self, monkeypatch, ctx2, theorem, f, order,
+                                         printed, alpha):
+        formed = working_powers(monkeypatch, ctx2)
+        residual_scan(theorem, f, order, LADDERS[theorem], alpha, ctx2,
+                      printed_form=printed)
+        assert formed and len(formed) == len(set(formed))
+
+    def test_ratio_check_forms_no_exponent_twice(self, monkeypatch, ctx2):
+        formed = working_powers(monkeypatch, ctx2)
+        ratio_bound_check(LogPower(2.0, 0.0), [3, 9, 27], 1.7, ctx2)
+        assert formed and len(formed) == len(set(formed))
+
+    @pytest.mark.parametrize("theorem, f, order, printed", SCANS)
+    def test_each_kernel_is_formed_once(self, monkeypatch, ctx2, theorem, f, order,
+                                        printed):
+        formed = counted_calls(monkeypatch, "_rate_kernel", radial)
+        residual_scan(theorem, f, order, LADDERS[theorem], 1.7, ctx2,
+                      printed_form=printed)
+        keys = [(m, rate) for _, m, rate in formed]
+        assert keys and len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("theorem, f, order, printed", SCANS)
+    def test_expansion_forms_no_phi_sum_of_its_own(self, monkeypatch, ctx2, theorem,
+                                                   f, order, printed):
+        # order <= gamma: the operator's entry for (gamma, rate) holds each Phi_k
+        calls = counted_calls(monkeypatch, "phi_sum", series, asymptotics)
+        residual_scan(theorem, f, order, LADDERS[theorem], 1.7, ctx2,
+                      printed_form=printed)
+        scan = len(calls)
+        calls.clear()
+        op = ialpha._Operator(f, 1.7, ctx2)
+        for x in LADDERS[theorem]:
+            op.at(x)
+        assert scan == len(calls)
 
 
 def test_reports_sorted_by_exponent(ctx2):
