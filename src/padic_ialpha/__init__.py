@@ -36,9 +36,7 @@ from .core import (
     RandomStream,
     TailMismatch,
     UndefinedAtZero,
-    ball_power_integral,
     prefactor,
-    sphere_measure,
     unit_kernel_integral,
 )
 from .ialpha import (

@@ -25,7 +25,7 @@ from .core import (
     prefactor,
     unit_kernel_integral,
 )
-from .ialpha import _Operator, mc_ialpha_eval
+from .ialpha import mc_ialpha_eval
 from .radial import (
     Indicator,
     LinearCombo,
@@ -37,6 +37,7 @@ from .radial import (
     Table,
     ValueRun,
     ZeroTail,
+    _Operator,
     eval_sphere,
     outer_expansion,
     sphere_segments,
@@ -433,10 +434,10 @@ def _run_eval(args, ctx, config):
     if f is None:
         raise ParamOutOfRange("eval needs a profile (--monomial/--indicator/--table)")
     ladder = _parse_ladder(args.ladder)
-    op = _Operator(f, args.alpha, ctx)
+    op = _Operator(args.alpha, ctx)
     rows = []
     for x in ladder:
-        ov = op.at(x)
+        ov = op.at(f, x)
         rows.append((x, float(ov.value), float(ov.truncation_bound)))
     if args.dump_table:
         dump_table(f, args.dump_table, ctx, ladder)
@@ -530,13 +531,13 @@ def _run_mc(args, ctx, config):
         raise ParamOutOfRange("mc needs a profile (--monomial/--indicator/--table)")
     ladder = _parse_ladder(args.ladder)
     streams = RandomStream(args.seed).split(len(ladder))
-    op = _Operator(f, args.alpha, ctx)
+    op = _Operator(args.alpha, ctx)
     rows = []
     for x, stream in zip(ladder, streams):
         estimate, stderr = mc_ialpha_eval(
             f, x, args.alpha, args.samples, stream, ctx
         )
-        exact = float(op.at(x).value)
+        exact = float(op.at(f, x).value)
         if stderr > 0:
             z = (estimate - exact) / stderr
         else:

@@ -1,4 +1,4 @@
-"""Numeric context, closed-form ball/sphere integrals and the Haar depth sampler.
+"""Numeric context, the closed-form constants C and U and the Haar depth sampler.
 
 Everything downstream (radial profiles, the operator evaluator, the
 asymptotic coefficient engines) funnels its arithmetic through a
@@ -58,10 +58,8 @@ __all__ = [
     "TailMismatch",
     "UndefinedAtZero",
     "ZERO",
-    "ball_power_integral",
     "prefactor",
     "sample_kernel_exponents",
-    "sphere_measure",
     "unit_kernel_integral",
 ]
 
@@ -456,37 +454,17 @@ def general_power(ctx: NumericContext, base, exponent):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form integrals
+# Closed-form constants
 # ---------------------------------------------------------------------------
 
-def ball_power_integral(ctx: NumericContext, alpha, n):
-    """Integral of |x|**(alpha-1) over the ball |x| <= p**n.
+def _prefactor(ctx: NumericContext, pa, pa1):
+    """C = (1 - pa) / (1 - pa1) with pa = p**(-alpha) and pa1 = p**(alpha - 1).
 
-    Equals (1 - 1/p) / (1 - p**(-alpha)) * p**(alpha*n); alpha = 1 collapses
-    to the ball measure p**n.
-    """
-    a = ctx.real(alpha)
-    if a <= 0:
-        raise AlphaOutOfRange(f"alpha must be positive, got {alpha}")
-    n = _require_finite(n)
-    one = ctx.real(1)
-    return (one - ctx.p_pow(-1)) / (one - ctx.p_pow(-a)) * ctx.p_pow(a * n)
-
-
-def sphere_measure(ctx: NumericContext, n):
-    """Haar measure (1 - 1/p) * p**n of the sphere |x| = p**n."""
-    n = _require_finite(n)
-    return (ctx.real(1) - ctx.p_pow(-1)) * ctx.p_pow(n)
-
-
-def _prefactor(ctx: NumericContext, a, pa):
-    """C = (1 - pa) / (1 - p**(a - 1)) at alpha = a > 1, with pa = p**(-a).
-
-    The callers check a.  Raises :class:`AlphaOutOfRange` when p**(a - 1)
-    rounds to 1 at the context's precision, as it does for an a within
+    The callers check alpha.  Raises :class:`AlphaOutOfRange` when pa1
+    rounds to 1 at the context's precision, as it does for an alpha within
     about 2**-precision_bits of 1 given at a higher precision.
     """
-    gap = 1 - ctx.p_pow(a - 1)
+    gap = 1 - pa1
     if not gap:
         raise AlphaOutOfRange(
             f"alpha must exceed 1 by more than {ctx.precision_bits} bits resolve: "
@@ -504,16 +482,15 @@ def _unit(ctx: NumericContext, pa):
 def unit_kernel_integral(ctx: NumericContext, alpha):
     """Integral of |1 - t|**(alpha-1) over the unit sphere |t| = 1.
 
-    Closed form (p - 2 + p**(-alpha)) / (p * (1 - p**(-alpha))).
+    Closed form (p - 2 + p**(-alpha)) / (p * (1 - p**(-alpha))).  It needs
+    no C, so it stays finite where C's denominator rounds to 0.
     """
-    a = ctx.real(alpha)
-    if a <= 1:
-        raise AlphaOutOfRange(f"alpha must exceed 1, got {alpha}")
-    return _unit(ctx, ctx.p_pow(-a))
+    return _unit(ctx, ctx.p_pow(-_check_alpha(ctx, alpha)))
 
 
-def _check_prefactor_alpha(ctx: NumericContext, alpha):
-    """alpha as a context scalar; AlphaOutOfRange unless it exceeds 1 by more than rel_tol."""
+def _check_alpha(ctx: NumericContext, alpha):
+    """alpha as a context scalar, by the library's one rule for alpha:
+    AlphaOutOfRange unless it exceeds 1 by more than rel_tol."""
     a = ctx.real(alpha)
     if a - 1 <= ctx.rel_tol:
         raise AlphaOutOfRange(
@@ -527,8 +504,8 @@ def prefactor(ctx: NumericContext, alpha):
 
     Negative for every alpha > 1 (the denominator changes sign at 1).
     """
-    a = _check_prefactor_alpha(ctx, alpha)
-    return _prefactor(ctx, a, ctx.p_pow(-a))
+    a = _check_alpha(ctx, alpha)
+    return _prefactor(ctx, ctx.p_pow(-a), ctx.p_pow(a - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,39 +8,36 @@ Wherever the profile is exactly c * p**(j*d), or a log-power term
 (jL)**m p**(-j*beta) with m a nonnegative integer, the inner spheres form
 two series summed in closed form; table values and the other log-power
 terms form two series K A - B walked sphere by sphere from a start sphere
-up (:class:`~padic_ialpha.radial.SphereSum`).  What does not depend on the
-radius is formed once per operator, which a scan makes once; the walks are
-kept there too, so a scan's rungs share each walk.  The small-ball kernel
-integral is two such series with an open end (:mod:`~padic_ialpha.series`).
-A Haar-measure Monte Carlo estimator provides an independent cross-check;
-it reads the profile from the same upward walk over the runs.
+up (:class:`~padic_ialpha.radial.SphereSum`).  The operator
+(:class:`~padic_ialpha.radial._Operator`) lives in ``radial`` and is
+profile-free: what depends on neither the profile nor the radius is formed
+once per operator, which a scan makes once, and every expansion reads it;
+the walks are kept there too, so a scan's rungs share each walk.  Each
+function here makes a fresh one.  The small-ball kernel integral is two
+such series with an open end (:mod:`~padic_ialpha.series`).  A Haar-measure
+Monte Carlo estimator provides an independent cross-check; it reads the
+profile from the same upward walk over the runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .asymptotics import _alpha, _beta, b_coefficient
+from .asymptotics import _b, _beta
 from .core import (
     ZERO,
     NumericContext,
     ParamOutOfRange,
     RandomStream,
-    _check_prefactor_alpha,
-    _prefactor,
     _require_count,
     _require_finite,
-    _unit,
-    prefactor,
     sample_kernel_exponents,
 )
 from .radial import (
+    OperatorValue,
     RadialFunction,
-    SphereSum,
-    _RateKernels,
+    _Operator,
     _parts_at,
-    _runs_below,
     _steps,
     sphere_segments,
 )
@@ -55,84 +52,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OperatorValue:
-    """Operator value at one radius with a certified truncation bound.
-
-    ``j_cut`` is the lowest sphere exponent summed explicitly, one sphere at
-    a time; it equals N when every inner sphere came from a closed form.
-    """
-
-    value: object
-    truncation_bound: object
-    j_cut: object
-
-    def __float__(self) -> float:
-        return float(self.value)
-
-
 def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorValue:
     """Operator value at |x| = p**N for a radial profile.
 
     The profile's runs are built once, on j <= N.  The inner spheres j < N
-    are summed by one :class:`SphereSum`: closed forms wherever the profile
-    is exactly c * p**(j*d) and for the log-power terms whose log power is a
-    nonnegative integer, running-power walks for table values and the other
-    log-power terms, up to N - 1.  Those that decay toward the origin start
-    at the highest sphere whose certified remainder below is under rel_tol
-    of what is summed.  The sphere |y| = |x| enters through the unit-sphere
-    kernel integral.
+    are summed by one :class:`~padic_ialpha.radial.SphereSum`: closed forms
+    wherever the profile is exactly c * p**(j*d) and for the log-power terms
+    whose log power is a nonnegative integer, running-power walks for table
+    values and the other log-power terms, up to N - 1.  Those that decay
+    toward the origin start at the highest sphere whose certified remainder
+    below is under rel_tol of what is summed.  The sphere |y| = |x| enters
+    through the unit-sphere kernel integral.
     The bound adds that remainder to a rounding bound on the magnitudes
     summed before cancellation, run by run on |y| = |x| as well.  N = ZERO
     integrates over the single point 0 and returns exactly 0.
     """
-    return _Operator(f, alpha, ctx).at(N)
-
-
-class _Operator:
-    """The operator on one profile at one alpha in one context, at any radius.
-
-    What does not depend on the radius is formed once, when it is made:
-    alpha's check, the prefactor C, the unit-sphere integral U, 1 - 1/p,
-    and a table of the closed forms' rate kernels, the explicit runs'
-    walks and the powers of p, which fills as radii need them
-    (:class:`~padic_ialpha.radial.SphereSum`).  A scan makes one operator,
-    calls :meth:`at` per radius and builds its expansion from C, U and the
-    same table;
-    :func:`ialpha_eval` makes one per value.  A value at a radius does not
-    depend on the radii evaluated before.  The table dies with the operator.
-    """
-
-    def __init__(self, f: RadialFunction, alpha, ctx: NumericContext):
-        self.f, self.ctx = f, ctx
-        self.alpha = _check_prefactor_alpha(ctx, alpha)
-        pa = ctx.p_pow(-self.alpha)  # C and U share p**(-alpha)
-        self.C, self.U = _prefactor(ctx, self.alpha, pa), _unit(ctx, pa)
-        self.kernels = _RateKernels(ctx)
-        self.unit = unit = 1 - self.kernels.p_pow(-1)
-        # the factors of the sphere |y| = |x| and of the bound
-        self._sphere = (self.U - unit, self.U + unit, abs(self.C))
-
-    def at(self, N) -> OperatorValue:
-        """The value at |x| = p**N, as :func:`ialpha_eval` documents it."""
-        ctx, unit = self.ctx, self.unit
-        if N is ZERO:
-            zero = ctx.real(0)
-            return OperatorValue(zero, zero, ZERO)
-        N = _require_finite(N, "radius exponent")
-        runs = sphere_segments(self.f, N, ctx)
-        inner = SphereSum(_runs_below(runs, N, ctx), N - 1, self.kernels, self.alpha)
-        ball = inner.K * self.kernels.p_pow(N)  # p**(N alpha)
-        parts = _parts_at(runs, N, ctx)
-        f_N, size_N = sum(parts), sum(abs(x) for x in parts)
-        U_minus, U_plus, abs_C = self._sphere
-        bracket = unit * inner.total + f_N * ball * U_minus
-        magnitude = unit * inner.magnitude + size_N * ball * U_plus
-        bound = abs_C * (
-            magnitude * ctx.rounding_eps() * (inner.explicit + 16)
-            + unit * inner.remainder
-        )
-        return OperatorValue(self.C * bracket, bound, inner.low)
+    return _Operator(alpha, ctx).at(f, N)
 
 
 def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
@@ -144,12 +79,11 @@ def ialpha_monomial_exact(M, N, alpha, ctx: NumericContext):
     m = ctx.real(M)
     if m <= -1:
         raise ParamOutOfRange("monomial degree must exceed -1")
-    C = prefactor(ctx, alpha)
+    op = _Operator(alpha, ctx)
     if N is ZERO:
         return ctx.real(0)
     N = _require_finite(N, "radius exponent")
-    a = ctx.real(alpha)
-    return C * b_coefficient(m, a, ctx) * ctx.p_pow((m + a) * N)
+    return op.C * _b(m, op) * op.kernels.p_pow((m + op.alpha) * N)
 
 
 # ---------------------------------------------------------------------------
@@ -169,23 +103,22 @@ def smallball_kernel_integral(k: int, beta, R: int, alpha, ctx: NumericContext):
     formula runs in both arithmetic modes; in exact mode it needs integer
     beta and alpha (and base-p logs when k > 0).
     """
-    return _build_smallball(k, beta, alpha, ctx)(R)
+    return _build_smallball(k, beta, _Operator(alpha, ctx))(R)
 
 
-def _build_smallball(k: int, beta, alpha, ctx: NumericContext):
-    """R -> :func:`smallball_kernel_integral` (k, beta, R, alpha): one check and
-    one table of rate kernels for every R."""
-    k = _require_count(k, "k")
-    b, a = _beta(ctx, beta), _alpha(ctx, alpha)
-    kernels, rates = _RateKernels(ctx), (b - 1, b - a)
-    lk = ctx.log_unit() ** k if k else ctx.real(1)
-    scale = (1 - ctx.p_pow(-1)) * lk
+def _build_smallball(k: int, beta, op: _Operator):
+    """R -> :func:`smallball_kernel_integral` (k, beta, R) at the operator's
+    alpha: one check, and the operator's 1 - 1/p and table, for every R."""
+    ctx, k = op.ctx, _require_count(k, "k")
+    b = _beta(ctx, beta)
+    rates = (b - 1, b - op.alpha)
+    scale = op.unit * (ctx.log_unit() ** k if k else ctx.real(1))
 
     def at(R):
         R = _require_finite(R, "R")
         if R < 1:
             raise ParamOutOfRange("R must be at least 1")
-        near, far = (_power_sum(kernels, k, rate, R, math.inf)[0] for rate in rates)
+        near, far = (_power_sum(op.kernels, k, rate, R, math.inf)[0] for rate in rates)
         return scale * (near - far)
 
     return at
@@ -222,7 +155,7 @@ def mc_ialpha_eval(
     samples = _require_finite(samples, "samples")
     if samples < 10_000:
         raise ParamOutOfRange("at least 10^4 samples are required")
-    alpha = _check_prefactor_alpha(ctx, alpha)
+    op = _Operator(alpha, ctx)
 
     def double(x) -> float:
         try:
@@ -233,12 +166,12 @@ def mc_ialpha_eval(
             raise OverflowError(f"estimate overflows a double at x_exp={N}")
         return v
 
-    C = _prefactor(ctx, alpha, ctx.p_pow(-alpha))
+    alpha, C, p_pow = op.alpha, op.C, op.kernels.p_pow
     if N is ZERO:
         return 0.0, 0.0
     N = _require_finite(N, "radius exponent")
-    scale = C * ctx.p_pow(N)
-    top = ctx.p_pow((alpha - 1) * N)  # the largest kernel power, at e = N
+    scale = C * p_pow(N)
+    top = p_pow((alpha - 1) * N)  # the largest kernel power, at e = N
     double(scale * top)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     j, e, counts = sample_kernel_exponents(ctx, N, samples, stream)
@@ -246,9 +179,9 @@ def mc_ialpha_eval(
     runs = sphere_segments(f, N, ctx)
     f_N = sum(_parts_at(runs, N, ctx))
     depth = max(cells[-1], 0)  # N - j on the deepest sphere drawn inside
-    walks = [_steps(run, N - depth, ctx, 0) for run in runs]
+    walks = [_steps(run, N - depth, op.kernels, 0) for run in runs]
     below = [sum(next(w)[0] for w in walks) for _ in range(depth)]  # j = N - depth ...
-    q, kernel = ctx.p_pow(1 - alpha), [top]  # kernel[k] = p**((alpha - 1)(N - k))
+    q, kernel = p_pow(1 - alpha), [top]  # kernel[k] = p**((alpha - 1)(N - k))
     while len(kernel) <= max(-cells[0], cells[-1]):
         kernel.append(kernel[-1] * q)
     terms = []

@@ -19,8 +19,11 @@ start sphere up, as two series K A - B (:class:`SphereSum`).  Every walk
 over consecutive spheres, these and the Monte Carlo oracle's, steps a run
 upward with one generator (``_steps``).  What does not depend on a sum's
 top (the geometric denominator, the guarded kernels Phi_t, the walks and
-their sums at each top served) is formed once per table of rate kernels;
-an operator keeps one table for all the radii of a scan.
+their sums at each top served, the powers of p) is formed once per table
+of rate kernels.  The operator lives here too (``_Operator``): it is
+profile-free, holds alpha's check, C, U and one table, and takes the
+profile with the radius.  Every expansion builder reads an operator, so a
+scan's rungs and its expansion share one table.
 """
 
 from __future__ import annotations
@@ -37,9 +40,12 @@ from .core import (
     NumericContext,
     ParamOutOfRange,
     UndefinedAtZero,
+    _check_alpha,
+    _prefactor,
     _raw,
     _require_finite,
     _require_real,
+    _unit,
     general_power,
 )
 from .series import _power_sum, _rate_kernel
@@ -50,6 +56,7 @@ __all__ = [
     "LogPower",
     "LogRun",
     "Monomial",
+    "OperatorValue",
     "OuterTail",
     "PowerRun",
     "PowerTail",
@@ -272,31 +279,33 @@ def _log_terms(run: LogRun, js, L, ctx: NumericContext):
         yield terms[::-1]
 
 
-def _steps(run, j: int, ctx: NumericContext, shift):
+def _steps(run, j: int, kernels: _RateKernels, shift):
     """(u_i, size) for i = j, j + 1, ...: u_i = f(p**i) p**(i*shift), 0 off the run.
 
     u_i steps with a running power: coeff * p**(i(degree + shift)) is a
     power run's u_i, coeff * p**(i*shift) times a value run's value, and
-    p**(i(shift - beta)) times a log run's terms.  ``size`` sums the sizes
-    of those terms where there are several, else it is None (|u_i|).
+    p**(i(shift - beta)) times a log run's terms.  The powers of p come
+    from ``kernels``.  ``size`` sums the sizes of those terms where there
+    are several, else it is None (|u_i|).
     """
+    ctx, p_pow = kernels.ctx, kernels.p_pow
     lo = j if run.lo is None else max(j, run.lo)
     yield from repeat((0, None), lo - j)  # the spheres below the run
     spheres = islice(count(lo), None if run.hi == math.inf else max(0, run.hi + 1 - lo))
     if isinstance(run, PowerRun):
         e = run.degree + shift
-        s, up = (run.coeff * ctx.p_pow(e * lo), ctx.p_pow(e)) if e else (run.coeff, 1)
+        s, up = (run.coeff * p_pow(e * lo), p_pow(e)) if e else (run.coeff, 1)
         for _ in spheres:
             yield s, None
             s *= up
     elif isinstance(run, ValueRun):
-        s, up = run.coeff * ctx.p_pow(shift * lo), ctx.p_pow(shift)
+        s, up = run.coeff * p_pow(shift * lo), p_pow(shift)
         for _, v in zip(spheres, islice(run.values, lo - run.lo, None)):
             yield s * ctx.real(v), None
             s *= up
     else:
         e = shift - run.beta
-        s, up = ctx.p_pow(e * lo), ctx.p_pow(e)
+        s, up = p_pow(e * lo), p_pow(e)
         for terms in _log_terms(run, spheres, ctx.log_unit(), ctx):
             u = s * sum(terms[1:], terms[0])
             yield u, None if len(terms) == 1 else s * sum(abs(t) for t in terms)
@@ -505,9 +514,9 @@ class _RateKernels(dict):
         run = replace(run, hi=math.inf)
         w = self.walks.get((run, c, a1))
         if w is None:
-            w = self.walks[run, c, a1] = _Walk(run, c, self.ctx, a1)
+            w = self.walks[run, c, a1] = _Walk(run, c, self, a1)
         snapshot = w.snapshots.get(top)
-        return snapshot or (w if top >= w.next else _Walk(run, c, self.ctx, a1)).to(top)
+        return snapshot or (w if top >= w.next else _Walk(run, c, self, a1)).to(top)
 
 
 class _Walk:
@@ -515,19 +524,20 @@ class _Walk:
 
     Its sums over c <= j <= top: A = sum u_j, B = sum u_j P_j, the sizes of
     u_j, sum |u_j| and sum |u_j| P_j, for u_j = f(p**j) * p**j and
-    P_j = p**(j(alpha-1)) (B = 0 when a1 is None).  A higher top continues
-    the same additions, so the sums at a top, kept in ``snapshots``, do not
-    depend on the tops served before.
+    P_j = p**(j(alpha-1)) (B = 0 when a1 is None), their powers of p read
+    from ``kernels``.  A higher top continues the same additions, so the
+    sums at a top, kept in ``snapshots``, do not depend on the tops served
+    before.
     """
 
-    def __init__(self, run, c: int, ctx: NumericContext, a1):
+    def __init__(self, run, c: int, kernels: _RateKernels, a1):
         self.next, self.snapshots = c, {}
-        self.steps, self.P, self.up = _steps(run, c, ctx, 1), None, None
+        self.steps, self.P, self.up = _steps(run, c, kernels, 1), None, None
         # only a log run of several terms yields sizes; else size is sum |u_j|
         self.sized = isinstance(run, LogRun) and len(run.coeffs) > 1
         if a1 is not None:
-            self.P, self.up = ctx.p_pow(a1 * c), ctx.p_pow(a1)
-        self.sums = (ctx.real(0),) * 5
+            self.P, self.up = kernels.p_pow(a1 * c), kernels.p_pow(a1)
+        self.sums = (kernels.ctx.real(0),) * 5
 
     def to(self, top: int) -> tuple:
         """The sums over c ... top, for a top not below one reached before."""
@@ -701,6 +711,73 @@ def _rest(run: LogRun, c: int, ctx: NumericContext):
     )
     down = ctx.p_pow(run.beta - 1)
     return E * ctx.p_pow((1 - run.beta) * c) * down / (1 - down)
+
+
+# ---------------------------------------------------------------------------
+# The operator
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OperatorValue:
+    """Operator value at one radius with a certified truncation bound.
+
+    ``j_cut`` is the lowest sphere exponent summed explicitly, one sphere at
+    a time; it equals N when every inner sphere came from a closed form.
+    """
+
+    value: object
+    truncation_bound: object
+    j_cut: object
+
+    def __float__(self) -> float:
+        return float(self.value)
+
+
+class _Operator:
+    """The operator at one alpha in one context, for any profile and radius.
+
+    What depends on neither the profile nor the radius is formed once, when
+    it is made: alpha's check, the prefactor C, the unit-sphere integral U,
+    1 - 1/p, and a table of the closed forms' rate kernels, the explicit
+    runs' walks and the powers of p, which fills as sums need them.  A scan
+    makes one operator, calls :meth:`at` per radius and builds its
+    expansion from it; every expansion builder and the constants b(M),
+    omega, omega_tilde and B_n read an operator.  A value does not depend
+    on the values formed before.  The table dies with the operator.
+    """
+
+    def __init__(self, alpha, ctx: NumericContext):
+        self.ctx = ctx
+        self.alpha = a = _check_alpha(ctx, alpha)
+        self.kernels = kernels = _RateKernels(ctx)
+        pa = kernels.p_pow(-a)  # C and U share p**(-alpha)
+        self.C = _prefactor(ctx, pa, kernels.p_pow(a - 1))
+        self.U = _unit(ctx, pa)
+        self.unit = unit = 1 - kernels.p_pow(-1)
+        # the factors of the sphere |y| = |x| and of the bound
+        self._sphere = (self.U - unit, self.U + unit, abs(self.C))
+
+    def at(self, f: RadialFunction, N) -> OperatorValue:
+        """The value at |x| = p**N for the profile f, as
+        :func:`~padic_ialpha.ialpha.ialpha_eval` documents it."""
+        ctx, unit = self.ctx, self.unit
+        if N is ZERO:
+            zero = ctx.real(0)
+            return OperatorValue(zero, zero, ZERO)
+        N = _require_finite(N, "radius exponent")
+        runs = sphere_segments(f, N, ctx)
+        inner = SphereSum(_runs_below(runs, N, ctx), N - 1, self.kernels, self.alpha)
+        ball = inner.K * self.kernels.p_pow(N)  # p**(N alpha)
+        parts = _parts_at(runs, N, ctx)
+        f_N, size_N = sum(parts), sum(abs(x) for x in parts)
+        U_minus, U_plus, abs_C = self._sphere
+        bracket = unit * inner.total + f_N * ball * U_minus
+        magnitude = unit * inner.magnitude + size_N * ball * U_plus
+        bound = abs_C * (
+            magnitude * ctx.rounding_eps() * (inner.explicit + 16)
+            + unit * inner.remainder
+        )
+        return OperatorValue(self.C * bracket, bound, inner.low)
 
 
 def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):

@@ -5,12 +5,13 @@ expansions over ladders of radii.  o(.) and O(.) statements are made
 assertable on finite data by normalising each residual against the scale of
 the first omitted term of the expansion actually evaluated, so "bounded
 normalized error" is the finite-ladder proxy for the asymptotic claim.
-Each scan makes one operator and evaluates it at every rung, so alpha's
-check, the prefactor, the unit-sphere integral and the closed forms' rate
-kernels are formed once per scan, not once per rung.  A T3 or T4 scan
-builds its expansion from that operator's prefactor, unit-sphere integral
-and table, which also keeps each power of p: the operator and its
-expansion form each Phi_k and each power of p once.
+Each scan makes one profile-free operator
+(:class:`~padic_ialpha.radial._Operator`) and evaluates it on the profile
+at every rung, so alpha's check, the prefactor, the unit-sphere integral
+and the closed forms' rate kernels are formed once per scan, not once per
+rung.  Every scan, T1 included, builds its expansion from that operator,
+whose table also keeps each power of p: the operator and its expansion
+form C, each Phi_k and each power of p once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .asymptotics import _beta1_prediction, _infinity_prediction, build_origin_prediction
+from .asymptotics import _beta1_prediction, _infinity_prediction, _origin_prediction
 from .core import (
     HypothesisMismatch,
     NumericContext,
@@ -27,13 +28,14 @@ from .core import (
     _require_finite,
     general_power,
 )
-from .ialpha import _build_smallball, _Operator
+from .ialpha import _build_smallball
 from .radial import (
     LogPower,
     LogRun,
     PowerRun,
     RadialFunction,
     _ball_integral,
+    _Operator,
     _RateKernels,
     _whole_line,
     origin_expansion,
@@ -95,7 +97,7 @@ def residual_scan(
     """
     order = _require_count(order, "order")
     ladder = _ladder(ladder)
-    op = _Operator(f, alpha, ctx)
+    op = _Operator(alpha, ctx)
     if theorem == "T1":
         if ladder[-1] > -1:
             raise HypothesisMismatch("origin-side scans need negative exponents")
@@ -113,7 +115,7 @@ def residual_scan(
     params, expansion, omitted = terms
     rows = []
     for x in ladder:
-        computed = op.at(x).value
+        computed = op.at(f, x).value
         predicted = expansion(x)
         err = abs(computed - predicted)
         rows.append(
@@ -139,7 +141,7 @@ def _origin(f, order, op, coeffs, scales):
         coeffs, scales = declared
     if len(coeffs) != len(scales) or len(coeffs) < order + 1:
         raise HypothesisMismatch("need len(coeffs) == len(scales) >= order + 1")
-    expansion = build_origin_prediction(coeffs, scales, order, a, ctx)
+    expansion = _origin_prediction(coeffs, scales, order, op)
     # the first omitted term is p**(x (M + alpha)) at the next listed scale M;
     # the last listed scale + 1 stands in when the expansion is exhausted
     # (exact finite expansions)
@@ -148,7 +150,7 @@ def _origin(f, order, op, coeffs, scales):
     else:
         power = ctx.real(scales[order]) + 1 + a
     params = {"coeffs": list(coeffs), "scales": list(scales)}
-    return params, expansion, lambda x: ctx.p_pow(power * x)
+    return params, expansion, lambda x: op.kernels.p_pow(power * x)
 
 
 def _infinity(f, order, op, coeffs, beta, gamma):
@@ -167,7 +169,7 @@ def _infinity(f, order, op, coeffs, beta, gamma):
     if not 0 <= b < 1:
         raise HypothesisMismatch(f"outer decay beta={beta} is not in [0, 1)")
     g = ctx.real(gamma)
-    expansion = _infinity_prediction(coeffs, b, g, order, a, op.kernels, op.C, op.U)
+    expansion = _infinity_prediction(coeffs, b, g, order, op)
     omitted = _omitted_log_term(op.kernels, a - b, g - (order + 1))
     params = {"beta": beta, "gamma": gamma, "coeffs": list(coeffs)}
     return params, expansion, omitted
@@ -187,9 +189,7 @@ def _critical(f, order, op, coeffs, gamma, printed_form):
     if declared is not None and declared[0] != 1:
         raise HypothesisMismatch("critical-decay scans need outer beta = 1")
     g = ctx.real(gamma)
-    expansion = _beta1_prediction(
-        coeffs, g, order, f, declared, a, op.kernels, op.C, op.U, printed_form
-    )
+    expansion = _beta1_prediction(coeffs, g, order, f, declared, op, printed_form)
     # the printed variant carries no radius power on its log sum
     power = 0 if printed_form else a - 1
     omitted = _omitted_log_term(op.kernels, power, g - (order + 1))
@@ -235,7 +235,7 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     declared form and tails.
     """
     ladder = _ladder(ladder)
-    op = _Operator(f, alpha, ctx)
+    op = _Operator(alpha, ctx)
     positive, decay = _two_sided_profile(f, ctx)
     if not positive:
         raise HypothesisMismatch(
@@ -247,7 +247,7 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
         )
     rows = []
     for x in ladder:
-        value = op.at(x).value
+        value = op.at(f, x).value
         ratio = abs(value) / op.kernels.p_pow((op.alpha - 1) * x)  # the rung's K, reused
         rows.append((x, float(ratio)))
     ratios = [r for _, r in rows]
@@ -313,10 +313,9 @@ def lemma_decay_check(which: str, params: dict, ladder, ctx: NumericContext):
         k = _require_finite(params["k"], "k")
         beta = ctx.real(params["beta"])
         eps = ctx.real(params["eps"])
-        alpha = ctx.real(params["alpha"])
         if eps <= 0 or beta + eps >= 1:
             raise ParamOutOfRange("need eps > 0 and beta + eps < 1")
-        kernel, rows = _build_smallball(k, beta, alpha, ctx), []
+        kernel, rows = _build_smallball(k, beta, _Operator(params["alpha"], ctx)), []
         for R in ladder:
             if R < 1:
                 raise ParamOutOfRange("L2 ladder entries must be >= 1")

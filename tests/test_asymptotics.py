@@ -39,9 +39,9 @@ from padic_ialpha import (
 )
 from padic_ialpha import radial
 from padic_ialpha.asymptotics import (
-    build_infinity_beta1_prediction,
-    build_infinity_prediction,
-    build_origin_prediction,
+    _beta1_prediction,
+    _infinity_prediction,
+    _origin_prediction,
 )
 from padic_ialpha.core import sample_kernel_exponents
 from series_oracle import (
@@ -389,11 +389,12 @@ class TestBuiltExpansionRadii:
     """A built expansion reads its radius exponent as the predictors do."""
 
     def built(self, ctx):
+        op, f = radial._Operator(2.0, ctx), LogPower(1.0, 0.0)
         return {
-            "T3": build_infinity_prediction([1.0], 0.5, 2.0, 1, 2.0, ctx),
-            "T4": build_infinity_beta1_prediction([1.0], 0.0, 0, LogPower(1.0, 0.0),
-                                                  2.0, ctx),
-            "T1": build_origin_prediction([1.0], [1.0], 0, 2.0, ctx),
+            "T3": _infinity_prediction([1.0], ctx.real(0.5), ctx.real(2.0), 1, op),
+            "T4": _beta1_prediction([1.0], ctx.real(0.0), 0, f,
+                                    radial.outer_expansion(f, ctx), op, False),
+            "T1": _origin_prediction([1.0], [1.0], 0, op),
         }
 
     @pytest.mark.parametrize("x", [2.5, -2.5, True, 5.0], ids=repr)
@@ -429,8 +430,8 @@ class TestPredictInfinityCritical:
             assert abs(float(got - want)) <= 1e-30 * abs(float(want))
 
     def test_rate_kernels_formed_once_per_build(self, ctx2, monkeypatch):
-        # G at every rung comes from one kernel table, and each value equals
-        # the one a fresh build, with a table of its own, gives
+        # G at every rung comes from one operator's kernel table, and each
+        # value equals the one the predictor, with an operator of its own, gives
         f = Table(-4, (0.75, 1.25, 0.5, 2.0, 1.5, 0.875), PowerTail(1.3, 0.7),
                   OuterTail(1.0, 0.0, (1.0,)))
         rungs = (4, 8, 16)
@@ -438,7 +439,9 @@ class TestPredictInfinityCritical:
         formed, kernel = [], radial._rate_kernel
         monkeypatch.setattr(radial, "_rate_kernel",
                             lambda *args: formed.append(args[1:]) or kernel(*args))
-        at = build_infinity_beta1_prediction([1.0], 0.0, 0, f, 2.0, ctx2)
+        at = _beta1_prediction([1.0], ctx2.real(0.0), 0, f,
+                               radial.outer_expansion(f, ctx2),
+                               radial._Operator(2.0, ctx2), False)
         assert [at(x)._mpf_ for x in rungs] == [w._mpf_ for w in want]
         assert formed and len(formed) == len(set(formed))
 

@@ -25,7 +25,6 @@ from padic_ialpha import (
     ParamOutOfRange,
     RandomStream,
     b_coefficient,
-    ball_power_integral,
     gen_binomial,
     ialpha_eval,
     lemma_decay_check,
@@ -39,7 +38,6 @@ from padic_ialpha import (
     residual_scan,
     series_B,
     smallball_kernel_integral,
-    sphere_measure,
     unit_kernel_integral,
 )
 from padic_ialpha.core import (
@@ -156,15 +154,6 @@ class TestNumericContext:
 # Closed-form integrals
 # ---------------------------------------------------------------------------
 
-def _sphere_sum_power_integral(ctx, alpha, n, j_floor=-200):
-    """Oracle: partial sphere sums of the ball power integral."""
-    with ctx.workprec():
-        total = mp.mpf(0)
-        for j in range(j_floor, n + 1):
-            total += sphere_measure(ctx, j) * ctx.p_pow(j * (alpha - 1))
-        return total
-
-
 def _level_set_unit_integral(ctx, alpha, m_max=400):
     """Oracle: level sets of |1 - t| on the unit sphere.
 
@@ -177,46 +166,6 @@ def _level_set_unit_integral(ctx, alpha, m_max=400):
         for m in range(1, m_max):
             total += (1 - 1 / p) * ctx.p_pow(-m) * ctx.p_pow(-m * (alpha - 1))
         return total
-
-
-class TestBallPowerIntegral:
-    def test_ball_measure_collapse(self, exact3):
-        assert ball_power_integral(exact3, 1, 2) == 9
-
-    def test_unit_ball_quadratic(self, exact2):
-        assert ball_power_integral(exact2, 2, 0) == Fraction(2, 3)
-
-    def test_matches_sphere_sum_oracle(self, ctx2):
-        val = ball_power_integral(ctx2, 2, 0)
-        oracle = _sphere_sum_power_integral(ctx2, 2, 0)
-        assert abs(float(val - oracle)) < 1e-40
-
-    def test_rejects_nonpositive_alpha(self, ctx2):
-        with pytest.raises(AlphaOutOfRange):
-            ball_power_integral(ctx2, 0, 1)
-
-    def test_rejects_zero_radius(self, ctx2):
-        with pytest.raises(ParamOutOfRange):
-            ball_power_integral(ctx2, 1, ZERO)
-
-
-class TestSphereMeasure:
-    def test_values(self, exact2):
-        assert sphere_measure(NumericContext(5, exact=True), 0) == Fraction(4, 5)
-        assert sphere_measure(exact2, 3) == 4
-
-    def test_telescoping_exact(self, exact2):
-        # spheres filling the annulus between balls J and n telescope to
-        # p**n - p**J exactly
-        p = Fraction(2)
-        for J, n in [(-50, 2), (-3, 0), (0, 6)]:
-            total = sum(sphere_measure(exact2, j) for j in range(J + 1, n + 1))
-            assert total == p**n - p**J
-
-    def test_partial_sums_reach_ball_measure(self, ctx2):
-        total = sum(float(sphere_measure(ctx2, j)) for j in range(-50, 3))
-        ball = float(ball_power_integral(ctx2, 1, 2))
-        assert abs(total - ball) < ctx2.rel_tol * ball + 1e-14
 
 
 class TestUnitKernelIntegral:
@@ -288,6 +237,17 @@ class TestPrefactor:
             residual_scan("T3", LogPower(0.5, 2.0), 0, [4, 8], alpha, ctx)
         with pytest.raises(AlphaOutOfRange):
             mc_ialpha_eval(Monomial(1), 5, alpha, 10**4, 1, ctx)
+        # the constants of the expansions read the same operator; at 64 bits
+        # they would lose every digit of values near 1e-25
+        for constant in (
+            lambda: omega(0, alpha, 0.25, ctx),
+            lambda: omega_tilde(1, alpha, ctx),
+            lambda: series_B([1.0], 2.0, 1, "omega", alpha, ctx, beta=0.5),
+            lambda: b_coefficient(0.5, alpha, ctx),
+            lambda: smallball_kernel_integral(0, 0.25, 3, alpha, ctx),
+        ):
+            with pytest.raises(AlphaOutOfRange):
+                constant()
         # U needs no C: the unit-sphere integral is finite there
         assert math.isfinite(unit_kernel_integral(ctx, alpha))
 
@@ -296,7 +256,6 @@ class TestPrefactor:
 # rejects them before any range check can let a NaN through
 ENTRY_POINTS = {
     "unit_kernel_integral": lambda ctx, x: unit_kernel_integral(ctx, x),
-    "ball_power_integral": lambda ctx, x: ball_power_integral(ctx, x, 1),
     "b_coefficient.M": lambda ctx, x: b_coefficient(x, 2.0, ctx),
     "b_coefficient.alpha": lambda ctx, x: b_coefficient(0.5, x, ctx),
     "omega.alpha": lambda ctx, x: omega(0, x, 0.5, ctx),
@@ -352,7 +311,6 @@ def test_precision_doubling_is_stable():
     for p, alpha in [(2, 2.0), (3, 1.5), (5, 2.5)]:
         lo, hi = NumericContext(p, precision_bits=128), NumericContext(p, precision_bits=256)
         for fn in (
-            lambda c: ball_power_integral(c, alpha, 3),
             lambda c: unit_kernel_integral(c, alpha),
             lambda c: prefactor(c, alpha),
         ):
@@ -552,7 +510,10 @@ class TestHaarSampling:
         n = int(counts.sum())
         mean = float(counts @ draws) / n
         stderr = math.sqrt(float(counts @ (draws - mean) ** 2) / (n - 1) / n)
-        target = float(ball_power_integral(ctx, 2, 2) / ball_power_integral(ctx, 1, 2))
+        # the integral of |y|**(a-1) over the ball p**n is
+        # (1 - 1/p) p**(a n) / (1 - p**-a); E|y| is its ratio at a = 2 and a = 1
+        p, n = 3.0, 2
+        target = p ** (2 * n) / (1 - p**-2) / (p**n / (1 - p**-1))
         assert abs(mean - target) < 4 * stderr
 
     @pytest.mark.parametrize(

@@ -23,9 +23,8 @@ from padic_ialpha import (
     residual_scan,
 )
 from padic_ialpha.asymptotics import _beta1_prediction, _infinity_prediction
-from padic_ialpha.ialpha import _Operator
 from padic_ialpha import radial
-from padic_ialpha.radial import SphereSum, _RateKernels, sphere_segments
+from padic_ialpha.radial import SphereSum, _Operator, _RateKernels, sphere_segments
 from sphere_oracle import oracle_ball, oracle_ialpha
 
 VALUES = (0.75, 1.25, 0.5, 2.0, 1.5, 0.875)
@@ -247,9 +246,9 @@ def test_explicit_runs_within_bound(name, f, p, bits, alpha, rungs):
     # against the untruncated literal sum at 700 bits; the rungs run as a
     # scan does, highest first, so lower ones read the shared walks
     ctx = NumericContext(p, precision_bits=bits)
-    op = _Operator(f, alpha, ctx)
+    op = _Operator(alpha, ctx)
     for N in sorted(rungs, reverse=True):
-        ov = op.at(N)
+        ov = op.at(f, N)
         want, slack = oracle_ialpha(f, N, alpha, p, bits=700)
         with mp.workprec(700):
             assert abs(mp.mpf(ov.value) - want) <= ov.truncation_bound + slack
@@ -278,40 +277,38 @@ def test_rung_values_do_not_depend_on_history(f):
     rungs = [-3, 1, 0, 40, 7, 200, 8, 40, -3]
     fresh = {N: _raw(ialpha_eval(f, N, 2.3, ctx)) for N in rungs}
     for order in (rungs, sorted(rungs), sorted(rungs, reverse=True)):
-        op = _Operator(f, 2.3, ctx)
-        assert {N: _raw(op.at(N)) for N in order} == fresh
+        op = _Operator(2.3, ctx)
+        assert {N: _raw(op.at(f, N)) for N in order} == fresh
     # an expansion built first, from the operator's table, forms kernels at
     # order 3 and powers of p that the operator reads after it
     declared = outer_expansion(f, ctx)
     if declared is not None:
-        op = _Operator(f, 2.3, ctx)
+        op = _Operator(2.3, ctx)
         beta, gamma, coeffs = declared
         if beta == 1:
-            at = _beta1_prediction(coeffs, gamma, 3, f, declared, op.alpha, op.kernels,
-                                   op.C, op.U, False)
+            at = _beta1_prediction(coeffs, gamma, 3, f, declared, op, False)
         else:
-            at = _infinity_prediction(coeffs, beta, gamma, 3, op.alpha, op.kernels,
-                                      op.C, op.U)
+            at = _infinity_prediction(coeffs, beta, gamma, 3, op)
         for N in (40, 7, 200):
             at(N)
-        assert {N: _raw(op.at(N)) for N in rungs} == fresh
+        assert {N: _raw(op.at(f, N)) for N in rungs} == fresh
 
 
 def test_exact_scan_equals_literal_sums():
     ctx = NumericContext(2, exact=True, log_base="base_p")
     f = Table(-3, (1, 3, 2, 5), PowerTail(2, 1), OuterTail(0, 1, (1, -1)))
-    op = _Operator(f, 2, ctx)
+    op = _Operator(2, ctx)
     for N in (9, 2, -1, 5, 9):
         want = oracle_ialpha(f, N, 2, 2, exact=True, log_base_p=True)[0]
-        assert op.at(N).value == ialpha_eval(f, N, 2, ctx).value == want
+        assert op.at(f, N).value == ialpha_eval(f, N, 2, ctx).value == want
 
 
 def counted_steps(monkeypatch) -> list:
     """Every sphere that the operator's walks step through, as (run, j)."""
     formed, steps = [], radial._steps
 
-    def counted(run, j, ctx, shift):
-        for i, step in enumerate(steps(run, j, ctx, shift), j):
+    def counted(run, j, kernels, shift):
+        for i, step in enumerate(steps(run, j, kernels, shift), j):
             formed.append((run, i))
             yield step
 

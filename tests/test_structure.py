@@ -437,3 +437,45 @@ def test_only_the_series_module_forms_the_series_closed_forms():
         if names_used(path.read_text()) & SERIES_PRIVATE
     }
     assert readers == {"series"}
+
+
+def top_level_callers(source: str, names: set) -> set:
+    """(top-level definition, name) of every call of one of names in source;
+    a call outside every definition has None."""
+    found = set()
+    for node in ast.parse(source).body:
+        owner = getattr(node, "name", None)
+        found |= {
+            (owner, _called_name(call.func))
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and _called_name(call.func) in names
+        }
+    return found
+
+
+def test_one_operator_forms_the_constants():
+    # C and U are formed by the operator, which every expansion reads, and
+    # by the two public constants; no expansion builds a table of its own
+    src = Path(padic_ialpha.__file__).parent
+    makers = {
+        (path.stem, owner)
+        for path in sorted(src.glob("*.py"))
+        for owner, _ in top_level_callers(path.read_text(), {"_prefactor", "_unit"})
+    }
+    assert makers == {
+        ("radial", "_Operator"), ("core", "prefactor"), ("core", "unit_kernel_integral"),
+    }
+    asymptotics = (src / "asymptotics.py").read_text()
+    assert top_level_callers(asymptotics, {"_RateKernels"}) == set()
+
+
+def test_caller_scan_sees_every_form_of_call():
+    source = (
+        "class Op:\n    def __init__(self):\n        self.C = core._prefactor(1, 2)\n"
+        "def f():\n    def g():\n        return _unit(ctx, pa)\n    return g\n"
+        "x = _RateKernels(ctx)\n"
+        "def h(kernels: _RateKernels):\n    return kernels\n"
+    )
+    assert top_level_callers(source, {"_prefactor", "_unit", "_RateKernels"}) == {
+        ("Op", "_prefactor"), ("f", "_unit"), (None, "_RateKernels"),
+    }

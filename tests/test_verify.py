@@ -25,7 +25,7 @@ from padic_ialpha import (
     residual_scan,
     smallball_kernel_integral,
 )
-from padic_ialpha import asymptotics, core, ialpha, radial, series
+from padic_ialpha import asymptotics, core, radial, series
 
 
 def alternating_ratio_table(ctx, j_lo=-60, j_hi=0):
@@ -322,7 +322,8 @@ class TestBuildOnce:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_one_b_coefficient_call_per_origin_term(self, monkeypatch, ctx2, order):
-        calls = self.count_calls(monkeypatch, "b_coefficient")
+        # a scan forms each b(M) through b_coefficient's core, with its operator
+        calls = self.count_calls(monkeypatch, "_b")
         f = alternating_ratio_table(ctx2)
         coeffs = [(-1.0) ** n for n in range(5)]
         scales = [float(n + 1) for n in range(5)]
@@ -414,9 +415,9 @@ class TestOneOperatorPerScan:
         original = radial._rate_kernel
         # the operator forms C and U, and the expansion reads them
         prefactor_C = counted("C", core._prefactor)
-        for module in (core, ialpha):
+        for module in (core, radial):
             monkeypatch.setattr(module, "_prefactor", prefactor_C)
-        monkeypatch.setattr(ialpha, "_unit", counted("U", core._unit))
+        monkeypatch.setattr(radial, "_unit", counted("U", core._unit))
         monkeypatch.setattr(radial, "_rate_kernel", rate_kernel)
         for ladder in ([12, 16, 20], [12, 14, 16, 18, 20, 24]):
             counts.update(C=0, U=0)
@@ -426,6 +427,11 @@ class TestOneOperatorPerScan:
             assert counts == {"C": 1, "U": 1}
             # the closed form of (jL)**2 p**(j/2) at the rates 1/2 and 1/2 + alpha - 1
             assert sorted(kernels) == [(2, 0.5), (2, 1.5)]
+        # an origin-side scan's expansion reads its operator's C too
+        counts.update(C=0, U=0)
+        f = LinearCombo(((1.0, Monomial(0.3)), (-2.0, Monomial(1.5))))
+        residual_scan("T1", f, 1, [-30, -12, -5], 2.0, ctx2)
+        assert counts == {"C": 1, "U": 1}
 
 
 def working_powers(monkeypatch, ctx) -> list:
@@ -456,6 +462,8 @@ SCANS = [
     *[("T4", LogPower(1.0, 0.0), 0, printed) for printed in (False, True)],
     *[("T4", LogPower(1.0, 1.0), order, printed)
       for order in (0, 1) for printed in (False, True)],
+    # no closed form: the walk reads its powers of p from the scan's table
+    ("T3", LogPower(0.3, 1.5), 0, False),
 ]
 LADDERS = {"T3": range(12, 41, 4), "T4": range(8, 41, 4)}
 
@@ -495,9 +503,9 @@ class TestOneTablePerScan:
                       printed_form=printed)
         scan = len(calls)
         calls.clear()
-        op = ialpha._Operator(f, 1.7, ctx2)
+        op = radial._Operator(1.7, ctx2)
         for x in LADDERS[theorem]:
-            op.at(x)
+            op.at(f, x)
         assert scan == len(calls)
 
 
