@@ -2,8 +2,13 @@
 
 Reports stream to stdout as CSV (default) or JSON; every report embeds the
 full run configuration, including the seed and working precision, so a rerun
-of the same argv is byte-identical.  Exit status: 0 success, 2 validation
-error, 3 numeric error.
+of the same argv is byte-identical.  The configuration is one dict of 20
+keys built from the parsed flags (:func:`_config`), which parses the list
+flags ``--ladder``, ``--coeffs`` and ``--scales`` once; the subcommands read
+them from it and add their own keys.  theorem1, theorem3 and theorem4 share
+one residual-scan runner.  A flag's value may start with a minus sign
+(``--coeffs -1,1``).  Exit status: 0 success, 2 validation error, 3 numeric
+error.
 """
 
 from __future__ import annotations
@@ -11,8 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import asdict, dataclass, field
 
 from .asymptotics import b_coefficient, omega, omega_tilde
 from .core import (
@@ -22,10 +27,11 @@ from .core import (
     ParamOutOfRange,
     ParseError,
     RandomStream,
+    _require_count,
     prefactor,
     unit_kernel_integral,
 )
-from .ialpha import mc_ialpha_eval
+from .ialpha import _mc_eval, _require_samples
 from .radial import (
     Indicator,
     LinearCombo,
@@ -44,38 +50,11 @@ from .radial import (
 )
 from .verify import lemma_decay_check, ratio_bound_check, residual_scan
 
-__all__ = ["RunConfig", "dump_table", "load_table", "main", "run"]
+__all__ = ["dump_table", "load_table", "main", "run"]
 
 DEFAULT_SEED = 20250801
 DEFAULT_SAMPLES = 100_000
 TABLE_MAGIC = "#padic-radial v1"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of one CLI invocation, embedded in every report."""
-
-    subcommand: str
-    p: int
-    alpha: float | None = None
-    beta: float | None = None
-    gamma: float | None = None
-    coeffs: list | None = None
-    scales: list | None = None
-    monomial: float | None = None
-    indicator: int | None = None
-    table_file: str | None = None
-    ladder: list | None = None
-    n_order: int | None = None
-    seed: int = DEFAULT_SEED
-    samples: int = DEFAULT_SAMPLES
-    precision_bits: int = 256
-    log_base: str = "natural"
-    format: str = "csv"
-    kmax: int | None = None
-    eq13_printed: bool = False
-    which: str | None = None
-    extra: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -210,25 +189,16 @@ def _tail_to_json(tail):
 def _parse_ladder(raw: str) -> list[int]:
     parts = raw.split(":")
     if len(parts) == 1:
-        return [int(parts[0])]
-    if len(parts) != 3:
+        parts = [raw, raw, "1"]
+    elif len(parts) != 3:
         raise ParamOutOfRange(f"--ladder must be start:stop:step, got {raw!r}")
     start, stop, step = (int(x) for x in parts)
     if step == 0:
         raise ParamOutOfRange("--ladder step must be nonzero")
-    out = []
-    v = start
-    if step > 0:
-        while v <= stop:
-            out.append(v)
-            v += step
-    else:
-        while v >= stop:
-            out.append(v)
-            v += step
-    if not out:
+    ladder = range(start, stop + (1 if step > 0 else -1), step)
+    if not ladder:
         raise ParamOutOfRange(f"--ladder {raw!r} is empty")
-    return out
+    return list(ladder)
 
 
 def _parse_reals(raw: str) -> list[float]:
@@ -342,32 +312,58 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(args) -> dict:
+    """The run configuration every report echoes, from the parsed flags.
+
+    Its 20 keys are the same for every subcommand: a flag the subcommand
+    lacks reads None (``samples`` the default, ``eq13_printed`` false),
+    ``table_file`` and ``n_order`` echo ``--table`` and ``--order``, and the
+    list flags are parsed here, once, for the subcommands to read.
+    """
+    ns = vars(args)
+    return {
+        **{k: ns.get(k) for k in ("alpha", "beta", "gamma", "monomial", "indicator",
+                                  "kmax", "which")},
+        **{k: _parse_reals(ns[k]) if ns.get(k) else None for k in ("coeffs", "scales")},
+        "ladder": _parse_ladder(ns["ladder"]) if "ladder" in ns else None,
+        "subcommand": args.subcommand,
+        "p": args.p,
+        "table_file": ns.get("table"),
+        "n_order": ns.get("order"),
+        "seed": args.seed,
+        "samples": ns.get("samples", DEFAULT_SAMPLES),
+        "precision_bits": args.precision_bits,
+        "log_base": args.log_base,
+        "format": args.format,
+        "eq13_printed": ns.get("eq13_printed", False),
+    }
+
+
 def _context(args) -> NumericContext:
     base = LogBase.NATURAL if args.log_base == "natural" else LogBase.BASE_P
     return NumericContext(args.p, precision_bits=args.precision_bits, log_base=base)
 
 
-def _profile(args, ctx) -> RadialFunction:
-    chosen = [
-        name
-        for name in ("monomial", "indicator", "table")
-        if getattr(args, name, None) is not None
-    ]
+def _profile(args) -> RadialFunction | None:
+    """The profile of --monomial, --indicator or --table; None without one."""
+    makers = {"monomial": Monomial, "indicator": Indicator,
+              "table": lambda path: load_table(path, expected_prime=args.p)}
+    chosen = [name for name in makers if getattr(args, name) is not None]
     if len(chosen) > 1:
         raise ParamOutOfRange(f"choose one profile flag, got {chosen}")
-    if getattr(args, "table", None) is not None:
-        return load_table(args.table, expected_prime=args.p)
-    if getattr(args, "monomial", None) is not None:
-        return Monomial(args.monomial)
-    if getattr(args, "indicator", None) is not None:
-        return Indicator(args.indicator)
-    return None
+    return makers[chosen[0]](getattr(args, chosen[0])) if chosen else None
 
 
-def _log_power_combo(beta: float, gamma: float, coeffs: list[float]) -> RadialFunction:
-    return LinearCombo(
-        tuple((c, LogPower(beta, gamma - n)) for n, c in enumerate(coeffs))
-    )
+def _monomials(cfg: dict, missing: str) -> RadialFunction:
+    """The sum of c |y|**m over --coeffs/--scales; ``missing`` is the error
+    when either is absent."""
+    coeffs, scales = cfg["coeffs"], cfg["scales"]
+    if not (coeffs and scales):
+        raise ParamOutOfRange(missing)
+    # theorem1's scan checks the lengths against --order itself
+    if cfg["subcommand"] == "eval" and len(coeffs) != len(scales):
+        raise ParamOutOfRange("--coeffs and --scales must have equal length")
+    return LinearCombo(tuple((c, Monomial(m)) for c, m in zip(coeffs, scales)))
 
 
 # ---------------------------------------------------------------------------
@@ -382,18 +378,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(config: RunConfig, header: list[str], rows: list[tuple], fmt: str,
-          out=None) -> None:
+def _emit(cfg: dict, header: list[str], rows: list[tuple]) -> None:
     # a value that overflowed or lost every digit cannot be printed
     # faithfully; fail (exit 3) before the report starts
     for row in rows:
         for name, value in zip(header, row):
             if isinstance(value, float) and not math.isfinite(value):
                 raise ArithmeticError(f"{name} is {value!r} at {header[0]}={row[0]}")
-    out = out or sys.stdout
-    cfg = {k: v for k, v in asdict(config).items() if k != "extra"}
-    cfg.update(config.extra)
-    if fmt == "csv":
+    out = sys.stdout
+    if cfg["format"] == "csv":
         out.write(f"# config {json.dumps(cfg, sort_keys=True)}\n")
         out.write(",".join(header) + "\n")
         for row in rows:
@@ -410,77 +403,67 @@ def _emit(config: RunConfig, header: list[str], rows: list[tuple], fmt: str,
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _run_constants(args, ctx, config):
+def _run_constants(args, ctx, cfg):
     rows = [
         ("C", "", float(prefactor(ctx, args.alpha))),
         ("U", "", float(unit_kernel_integral(ctx, args.alpha))),
         ("b", 0, float(b_coefficient(0, args.alpha, ctx))),
     ]
-    for k in range(args.kmax + 1):
-        rows.append(("Omega", k, float(omega(k, args.alpha, args.beta, ctx))))
-    for k in range(args.kmax + 1):
-        rows.append(("OmegaTilde", k, float(omega_tilde(k, args.alpha, ctx))))
-    _emit(config, ["name", "k", "value"], rows, args.format)
+    ks = range(_require_count(args.kmax, "kmax") + 1)
+    rows += [("Omega", k, float(omega(k, args.alpha, args.beta, ctx))) for k in ks]
+    rows += [("OmegaTilde", k, float(omega_tilde(k, args.alpha, ctx))) for k in ks]
+    _emit(cfg, ["name", "k", "value"], rows)
 
 
-def _run_eval(args, ctx, config):
-    f = _profile(args, ctx)
-    if f is None and args.coeffs and args.scales:
-        coeffs = _parse_reals(args.coeffs)
-        scales = _parse_reals(args.scales)
-        if len(coeffs) != len(scales):
-            raise ParamOutOfRange("--coeffs and --scales must have equal length")
-        f = LinearCombo(tuple((c, Monomial(m)) for c, m in zip(coeffs, scales)))
+def _run_eval(args, ctx, cfg):
+    f = _profile(args)
     if f is None:
-        raise ParamOutOfRange("eval needs a profile (--monomial/--indicator/--table)")
-    ladder = _parse_ladder(args.ladder)
+        f = _monomials(cfg, "eval needs a profile (--monomial/--indicator/--table)")
     op = _Operator(args.alpha, ctx)
     rows = []
-    for x in ladder:
+    for x in cfg["ladder"]:
         ov = op.at(f, x)
         rows.append((x, float(ov.value), float(ov.truncation_bound)))
     if args.dump_table:
-        dump_table(f, args.dump_table, ctx, ladder)
-    _emit(config, ["x_exp", "value", "truncation_bound"], rows, args.format)
-
-
-def _residual_rows(report):
-    return [
-        (r.x_exp, r.computed, r.predicted, r.abs_err, r.normalized_err)
-        for r in report.rows
-    ]
+        dump_table(f, args.dump_table, ctx, cfg["ladder"])
+    _emit(cfg, ["x_exp", "value", "truncation_bound"], rows)
 
 
 _THEOREM_HEADER = ["x_exp", "computed", "predicted", "abs_err", "normalized_err"]
 
 
-def _run_theorem1(args, ctx, config):
-    f = _profile(args, ctx)
-    coeffs = _parse_reals(args.coeffs) if args.coeffs else None
-    scales = _parse_reals(args.scales) if args.scales else None
-    if f is None:
-        if not (coeffs and scales):
-            raise ParamOutOfRange(
-                "theorem1 needs a profile or --coeffs/--scales monomials"
-            )
-        f = LinearCombo(tuple((c, Monomial(m)) for c, m in zip(coeffs, scales)))
-    ladder = _parse_ladder(args.ladder)
+def _run_scan(args, ctx, cfg):
+    """theorem1, theorem3, theorem4: residuals against the origin-side
+    expansion of a profile or of --coeffs/--scales monomials (T1), or the
+    large-radius expansion of sum_n c_n |y|**-beta log|y|**(gamma - n),
+    beta < 1 (T3) or beta = 1 (T4)."""
+    theorem, coeffs = "T" + args.subcommand[-1], cfg["coeffs"]
+    if theorem == "T1":
+        f = _profile(args)
+        if f is None:
+            f = _monomials(cfg, "theorem1 needs a profile or --coeffs/--scales monomials")
+    else:
+        coeffs = coeffs or []  # --coeffs "" echoes null and sums no terms
+        beta = 1.0 if theorem == "T4" else cfg["beta"]
+        f = LinearCombo(tuple((c, LogPower(beta, cfg["gamma"] - n))
+                              for n, c in enumerate(coeffs)))
     report = residual_scan(
-        "T1", f, args.order, ladder, args.alpha, ctx, coeffs=coeffs, scales=scales
+        theorem, f, cfg["n_order"], cfg["ladder"], args.alpha, ctx, coeffs=coeffs,
+        scales=cfg["scales"], beta=cfg["beta"], gamma=cfg["gamma"],
+        printed_form=cfg["eq13_printed"],
     )
-    _emit(config, _THEOREM_HEADER, _residual_rows(report), args.format)
+    rows = [(r.x_exp, r.computed, r.predicted, r.abs_err, r.normalized_err)
+            for r in report.rows]
+    _emit(cfg, _THEOREM_HEADER, rows)
 
 
-def _run_theorem2(args, ctx, config):
-    f = _profile(args, ctx)
+def _run_theorem2(args, ctx, cfg):
+    f = _profile(args)
     if f is None:
         if args.beta is None:
             raise ParamOutOfRange("theorem2 needs a profile or --beta")
         f = LogPower(args.beta, 0.0)
-    ladder = _parse_ladder(args.ladder)
-    c_hat, d_hat, rows = ratio_bound_check(f, ladder, args.alpha, ctx)
-    config = _with_extra(config, {"c_hat": c_hat, "d_hat": d_hat,
-                                  "spread": d_hat / c_hat if c_hat else float("inf")})
+    c_hat, d_hat, rows = ratio_bound_check(f, cfg["ladder"], args.alpha, ctx)
     a = ctx.real(args.alpha)
     out_rows = []
     for x, ratio in rows:
@@ -488,143 +471,81 @@ def _run_theorem2(args, ctx, config):
         computed = ratio * reference
         out_rows.append((x, float(computed), float(reference),
                          float(abs(computed - reference)), ratio))
-    _emit(config, _THEOREM_HEADER, out_rows, args.format)
+    spread = d_hat / c_hat if c_hat else float("inf")
+    _emit({**cfg, "c_hat": c_hat, "d_hat": d_hat, "spread": spread},
+          _THEOREM_HEADER, out_rows)
 
 
-def _run_theorem3(args, ctx, config):
-    coeffs = _parse_reals(args.coeffs)
-    f = _log_power_combo(args.beta, args.gamma, coeffs)
-    ladder = _parse_ladder(args.ladder)
-    report = residual_scan(
-        "T3", f, args.order, ladder, args.alpha, ctx,
-        coeffs=coeffs, beta=args.beta, gamma=args.gamma,
-    )
-    _emit(config, _THEOREM_HEADER, _residual_rows(report), args.format)
-
-
-def _run_theorem4(args, ctx, config):
-    coeffs = _parse_reals(args.coeffs)
-    f = _log_power_combo(1.0, args.gamma, coeffs)
-    ladder = _parse_ladder(args.ladder)
-    report = residual_scan(
-        "T4", f, args.order, ladder, args.alpha, ctx,
-        coeffs=coeffs, gamma=args.gamma, printed_form=args.eq13_printed,
-    )
-    _emit(config, _THEOREM_HEADER, _residual_rows(report), args.format)
-
-
-def _run_lemmas(args, ctx, config):
-    ladder = _parse_ladder(args.ladder)
+def _run_lemmas(args, ctx, cfg):
     if args.which == "L1":
         params = {"lam": args.lam, "lam_prime": args.lam_prime}
     else:
         params = {"k": args.k, "beta": args.beta, "eps": args.eps,
                   "alpha": args.alpha}
-    rows = lemma_decay_check(args.which, params, ladder, ctx)
-    config = _with_extra(config, {"params": params})
-    _emit(config, ["x_exp", "value"], rows, args.format)
+    rows = lemma_decay_check(args.which, params, cfg["ladder"], ctx)
+    _emit({**cfg, "params": params}, ["x_exp", "value"], rows)
 
 
-def _run_mc(args, ctx, config):
-    f = _profile(args, ctx)
+def _run_mc(args, ctx, cfg):
+    f = _profile(args)
     if f is None:
         raise ParamOutOfRange("mc needs a profile (--monomial/--indicator/--table)")
-    ladder = _parse_ladder(args.ladder)
-    streams = RandomStream(args.seed).split(len(ladder))
-    op = _Operator(args.alpha, ctx)
+    streams = RandomStream(args.seed).split(len(cfg["ladder"]))
+    op = _Operator(args.alpha, ctx)  # one operator for the estimates and exact values
+    samples = _require_samples(args.samples)
     rows = []
-    for x, stream in zip(ladder, streams):
-        estimate, stderr = mc_ialpha_eval(
-            f, x, args.alpha, args.samples, stream, ctx
-        )
+    for x, stream in zip(cfg["ladder"], streams):
+        estimate, stderr = _mc_eval(f, x, op, samples, stream)
         exact = float(op.at(f, x).value)
         if stderr > 0:
             z = (estimate - exact) / stderr
         else:
             z = 0.0 if estimate == exact else float("inf")
         rows.append((x, estimate, stderr, exact, z))
-    _emit(config, ["x_exp", "estimate", "stderr", "exact", "z_score"], rows,
-          args.format)
-
-
-def _with_extra(config: RunConfig, extra: dict) -> RunConfig:
-    merged = dict(config.extra)
-    merged.update(extra)
-    return RunConfig(**{**{k: v for k, v in asdict(config).items() if k != "extra"},
-                        "extra": merged})
+    _emit(cfg, ["x_exp", "estimate", "stderr", "exact", "z_score"], rows)
 
 
 _DISPATCH = {
     "constants": _run_constants,
     "eval": _run_eval,
-    "theorem1": _run_theorem1,
+    "theorem1": _run_scan,
     "theorem2": _run_theorem2,
-    "theorem3": _run_theorem3,
-    "theorem4": _run_theorem4,
+    "theorem3": _run_scan,
+    "theorem4": _run_scan,
     "lemmas": _run_lemmas,
     "mc": _run_mc,
 }
 
-
-def _config_from_args(args) -> RunConfig:
-    ns = vars(args)
-    ladder = ns.get("ladder")
-    return RunConfig(
-        subcommand=args.subcommand,
-        p=args.p,
-        alpha=ns.get("alpha"),
-        beta=ns.get("beta"),
-        gamma=ns.get("gamma"),
-        coeffs=_parse_reals(ns["coeffs"]) if ns.get("coeffs") else None,
-        scales=_parse_reals(ns["scales"]) if ns.get("scales") else None,
-        monomial=ns.get("monomial"),
-        indicator=ns.get("indicator"),
-        table_file=ns.get("table"),
-        ladder=_parse_ladder(ladder) if ladder else None,
-        n_order=ns.get("order"),
-        seed=ns.get("seed", DEFAULT_SEED),
-        samples=ns.get("samples", DEFAULT_SAMPLES),
-        precision_bits=ns.get("precision_bits", 256),
-        log_base=ns.get("log_base", "natural"),
-        format=ns.get("format", "csv"),
-        kmax=ns.get("kmax"),
-        eq13_printed=ns.get("eq13_printed", False),
-        which=ns.get("which"),
-    )
+# a value such as -1,1 or -.5 after a flag: argparse reads it as a flag of its own
+_FLAG, _NEGATIVE_VALUE = re.compile(r"--[^=]+"), re.compile(r"-[\d.]")
 
 
 def _mend_negative_values(argv: list[str]) -> list[str]:
-    """Join '--ladder -4:4:4' style pairs so argparse sees one token."""
+    """Join each '--flag -1,1' pair into '--flag=-1,1' so argparse sees one token."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--ladder" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and _FLAG.fullmatch(out[-1]) and _NEGATIVE_VALUE.match(tok):
+            out[-1] += f"={tok}"
+        else:
+            out.append(tok)
     return out
 
 
 def run(argv=None) -> int:
     """Parse argv, execute the subcommand, stream the report to stdout."""
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = _mend_negative_values(list(argv))
+    argv = _mend_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
         ctx = _context(args)
-        config = _config_from_args(args)
+        cfg = _config(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        _DISPATCH[args.subcommand](args, ctx, config)
+        _DISPATCH[args.subcommand](args, ctx, cfg)
     except ArithmeticError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3

@@ -13,7 +13,7 @@ up (:class:`~padic_ialpha.radial.SphereSum`).  The operator
 profile-free: what depends on neither the profile nor the radius is formed
 once per operator, which a scan makes once, and every expansion reads it;
 the walks are kept there too, so a scan's rungs share each walk.  Each
-function here makes a fresh one.  The small-ball kernel integral is two
+public function here makes a fresh one.  The small-ball kernel integral is two
 such series with an open end (:mod:`~padic_ialpha.series`).  A Haar-measure
 Monte Carlo estimator provides an independent cross-check; it reads the
 profile from the same upward walk over the runs.
@@ -150,12 +150,21 @@ def mc_ialpha_eval(
     drawing when C * p**(N alpha), the scale of the kernel terms, does not
     fit a double, and after drawing when a term does not.
     """
-    import numpy as np  # only the Monte Carlo path needs numpy
+    samples = _require_samples(samples)
+    return _mc_eval(f, N, _Operator(alpha, ctx), samples, seed)
 
+
+def _require_samples(samples) -> int:
     samples = _require_finite(samples, "samples")
     if samples < 10_000:
         raise ParamOutOfRange("at least 10^4 samples are required")
-    op = _Operator(alpha, ctx)
+    return samples
+
+
+def _mc_eval(f: RadialFunction, N, op: _Operator, samples: int, seed):
+    """:func:`mc_ialpha_eval` at the operator's alpha, for a checked sample
+    count: a ladder of estimates shares one operator."""
+    import numpy as np  # only the Monte Carlo path needs numpy
 
     def double(x) -> float:
         try:
@@ -166,7 +175,7 @@ def mc_ialpha_eval(
             raise OverflowError(f"estimate overflows a double at x_exp={N}")
         return v
 
-    alpha, C, p_pow = op.alpha, op.C, op.kernels.p_pow
+    ctx, alpha, C, p_pow = op.ctx, op.alpha, op.C, op.kernels.p_pow
     if N is ZERO:
         return 0.0, 0.0
     N = _require_finite(N, "radius exponent")

@@ -98,6 +98,42 @@ class TestEval:
         _, out2, _ = run_capture(capsys, argv)
         assert out1 == out2
 
+    @pytest.mark.parametrize("spaced,joined", [
+        (["eval", "--coeffs", "-1,1", "--scales", "-0.5,1", "--ladder", "0:2:1"],
+         ["eval", "--coeffs=-1,1", "--scales=-0.5,1", "--ladder", "0:2:1"]),
+        (["theorem1", "--coeffs", "-1,1", "--scales", "1,2", "--ladder", "-4:-8:-4"],
+         ["theorem1", "--coeffs=-1,1", "--scales", "1,2", "--ladder=-4:-8:-4"]),
+        (["theorem3", "--beta", "0.5", "--gamma", "2", "--coeffs", "-.5,1",
+          "--ladder", "8:16:8"],
+         ["theorem3", "--beta", "0.5", "--gamma", "2", "--coeffs=-.5,1",
+          "--ladder", "8:16:8"]),
+        (["theorem4", "--gamma", "1", "--coeffs", "-1,2", "--ladder", "4:8:4"],
+         ["theorem4", "--gamma", "1", "--coeffs=-1,2", "--ladder", "4:8:4"]),
+    ], ids=["eval", "theorem1", "theorem3", "theorem4"])
+    def test_list_values_may_start_with_a_minus_sign(self, capsys, spaced, joined):
+        # '--coeffs -1,1' reads as '--coeffs=-1,1', not as a flag '-1,1'
+        want = run_capture(capsys, [*joined, "--p", "2", "--alpha", "2"])
+        assert want[0] == 0 and want[2] == ""
+        assert run_capture(capsys, [*spaced, "--p", "2", "--alpha", "2"]) == want
+
+    def test_mc_forms_the_prefactor_once(self, capsys, monkeypatch):
+        # the exact column and every estimate of the ladder share one operator
+        import padic_ialpha.radial as radial
+
+        calls, prefactor_core = [], radial._prefactor
+
+        def counted(*args):
+            calls.append(args)
+            return prefactor_core(*args)
+
+        monkeypatch.setattr(radial, "_prefactor", counted)
+        status, _, _ = run_capture(
+            capsys, ["mc", "--p", "2", "--alpha", "2", "--monomial", "1",
+                     "--ladder", "0:3:1", "--samples", "10000"]
+        )
+        assert status == 0
+        assert len(calls) == 1
+
 
 class TestTableFormat:
     def make_table(self):
@@ -289,6 +325,14 @@ class TestExitCodes:
         assert "numeric error" in err
         assert column in err and "x_exp=" in err
 
+    def test_negative_kmax_rejected(self, capsys):
+        status, out, err = run_capture(
+            capsys, ["constants", "--p", "2", "--alpha", "2", "--kmax", "-3"]
+        )
+        assert status == 2
+        assert out == ""
+        assert "kmax" in err
+
     def test_bad_table_file(self, tmp_path, capsys):
         path = tmp_path / "bad.tab"
         path.write_text("#nope\n")
@@ -310,7 +354,7 @@ class TestExitCodes:
         def explode(*args, **kwargs):
             raise ArithmeticError("estimate lost every digit")
 
-        monkeypatch.setattr(cli_mod, "mc_ialpha_eval", explode)
+        monkeypatch.setattr(cli_mod, "_mc_eval", explode)
         status, _, err = run_capture(
             capsys,
             ["mc", "--p", "2", "--alpha", "2", "--monomial", "1",

@@ -295,6 +295,10 @@ class TestMonteCarlo:
         with pytest.raises(ParamOutOfRange):
             mc_ialpha_eval(Monomial(1.0), 0, 2.0, 100, 80, ctx2)
 
+    def test_sample_floor_is_checked_before_alpha(self, ctx2):
+        with pytest.raises(ParamOutOfRange, match="samples"):
+            mc_ialpha_eval(Monomial(1.0), 0, 0.5, 100, 80, ctx2)
+
     @pytest.mark.parametrize("samples", [True, 1e6, 1.5e6 + 0.5, "1000000"], ids=repr)
     def test_sample_count_must_be_an_integer(self, ctx2, samples):
         with pytest.raises(ParamOutOfRange):
