@@ -99,7 +99,7 @@ def b_coefficient(M, alpha, ctx: NumericContext):
 def _b(m, op: _Operator):
     """b(M) at a checked M = m, from the operator's alpha, 1 - 1/p and powers of p."""
     ctx, a, p_pow = op.ctx, op.alpha, op.kernels.p_pow
-    bterm = (p_pow(1 - a) - 1) / ((1 - p_pow(-a)) * ctx.prime)
+    bterm = (p_pow(-op.a1) - 1) / ((1 - p_pow(-a)) * ctx.prime)
     series = phi_sum(0, p_pow(-(m + 1)), ctx) - phi_sum(0, p_pow(-(m + a)), ctx)
     return bterm + op.unit * series
 
@@ -134,12 +134,12 @@ def _moment(k: int, M: int, b, op: _Operator):
     """omega(k) at a checked b, or omega_tilde(k) when b is None, with Phi_k
     read from the operator's table at the rates 1 - b, (1 - b) + (a - 1)
     and a - 1, and U and 1 - 1/p from the operator."""
-    kernels, a, unit = op.kernels, op.alpha, op.unit
+    kernels, a1, unit = op.kernels, op.a1, op.unit
     if b is None:
-        series, units = -_phi(kernels, M, k, a - 1), 2
+        series, units = -_phi(kernels, M, k, a1), 2
     else:
         rate = 1 - b
-        series, units = _phi(kernels, M, k, rate) - _phi(kernels, M, k, rate + (a - 1)), 1
+        series, units = _phi(kernels, M, k, rate) - _phi(kernels, M, k, rate + a1), 1
     value = unit * ((-op.ctx.log_unit()) ** k if k else 1) * series
     return value + (op.U - units * unit) if k == 0 else value
 
@@ -298,7 +298,7 @@ def _beta1_prediction(a, g, order: int, f, declared, op: _Operator, printed_form
             f"gamma={g}, beta=1"
         )
     logs = _log_sum(a, g, order, None, op)
-    power, C, kernels = op.alpha - 1, op.C, op.kernels
+    power, C, kernels = op.a1, op.C, op.kernels
 
     def at(x_exp):
         x_exp = _large_radius(x_exp)

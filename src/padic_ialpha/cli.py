@@ -101,12 +101,8 @@ def load_table(path: str, expected_prime: int | None = None) -> Table:
             v = float(parts[1])
         except ValueError:
             raise ParseError(f"bad row {raw!r}", line=i) from None
-        if j in values:
-            raise ParseError(f"duplicate exponent {j}", line=i)
-        if last is not None and j <= last:
-            raise ParseError(f"exponents must strictly increase at {j}", line=i)
         if last is not None and j != last + 1:
-            raise ParseError(f"exponent gap before {j}", line=i)
+            raise ParseError(f"expected exponent {last + 1}, got {j}", line=i)
         values[j] = v
         last = j
     if not values:
@@ -354,12 +350,15 @@ def _profile(args) -> RadialFunction | None:
     return makers[chosen[0]](getattr(args, chosen[0])) if chosen else None
 
 
-def _monomials(cfg: dict, missing: str) -> RadialFunction:
-    """The sum of c |y|**m over --coeffs/--scales; ``missing`` is the error
-    when either is absent."""
+def _monomials(cfg: dict) -> RadialFunction:
+    """The sum of c |y|**m over --coeffs/--scales, for a subcommand given no
+    profile flag."""
     coeffs, scales = cfg["coeffs"], cfg["scales"]
     if not (coeffs and scales):
-        raise ParamOutOfRange(missing)
+        raise ParamOutOfRange(
+            f"{cfg['subcommand']} needs a profile (--monomial/--indicator/--table) "
+            "or both --coeffs and --scales"
+        )
     # theorem1's scan checks the lengths against --order itself
     if cfg["subcommand"] == "eval" and len(coeffs) != len(scales):
         raise ParamOutOfRange("--coeffs and --scales must have equal length")
@@ -418,7 +417,7 @@ def _run_constants(args, ctx, cfg):
 def _run_eval(args, ctx, cfg):
     f = _profile(args)
     if f is None:
-        f = _monomials(cfg, "eval needs a profile (--monomial/--indicator/--table)")
+        f = _monomials(cfg)
     op = _Operator(args.alpha, ctx)
     rows = []
     for x in cfg["ladder"]:
@@ -441,7 +440,7 @@ def _run_scan(args, ctx, cfg):
     if theorem == "T1":
         f = _profile(args)
         if f is None:
-            f = _monomials(cfg, "theorem1 needs a profile or --coeffs/--scales monomials")
+            f = _monomials(cfg)
     else:
         coeffs = coeffs or []  # --coeffs "" echoes null and sums no terms
         beta = 1.0 if theorem == "T4" else cfg["beta"]
@@ -490,7 +489,7 @@ def _run_mc(args, ctx, cfg):
     f = _profile(args)
     if f is None:
         raise ParamOutOfRange("mc needs a profile (--monomial/--indicator/--table)")
-    streams = RandomStream(args.seed).split(len(cfg["ladder"]))
+    streams = RandomStream(_require_count(args.seed, "--seed")).split(len(cfg["ladder"]))
     op = _Operator(args.alpha, ctx)  # one operator for the estimates and exact values
     samples = _require_samples(args.samples)
     rows = []
@@ -557,3 +556,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

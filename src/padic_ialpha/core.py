@@ -35,7 +35,7 @@ import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 
 from mpmath import libmp, mp
 from mpmath.ctx_mp import MPContext
@@ -126,6 +126,7 @@ class ParseError(ValueError):
 # Ball exponents
 # ---------------------------------------------------------------------------
 
+@total_ordering
 class _RadiusZero:
     """Distinguished exponent for the degenerate radius 0 (the point x = 0).
 
@@ -148,23 +149,6 @@ class _RadiusZero:
             return True
         if other is self:
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, int) or other is self:
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, int) or other is self:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int):
-            return False
-        if other is self:
-            return True
         return NotImplemented
 
 

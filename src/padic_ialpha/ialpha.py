@@ -171,16 +171,16 @@ def _mc_eval(f: RadialFunction, N, op: _Operator, samples: int, seed):
             v = float(x)
         except OverflowError:  # a huge Fraction
             v = math.inf
-        if not math.isfinite(v):
+        if not math.isfinite(v):  # an mpf too large converts to inf
             raise OverflowError(f"estimate overflows a double at x_exp={N}")
         return v
 
-    ctx, alpha, C, p_pow = op.ctx, op.alpha, op.C, op.kernels.p_pow
+    ctx, a1, C, p_pow = op.ctx, op.a1, op.C, op.kernels.p_pow
     if N is ZERO:
         return 0.0, 0.0
     N = _require_finite(N, "radius exponent")
     scale = C * p_pow(N)
-    top = p_pow((alpha - 1) * N)  # the largest kernel power, at e = N
+    top = p_pow(a1 * N)  # the largest kernel power, at e = N
     double(scale * top)
     stream = seed if isinstance(seed, RandomStream) else RandomStream(seed)
     j, e, counts = sample_kernel_exponents(ctx, N, samples, stream)
@@ -190,7 +190,7 @@ def _mc_eval(f: RadialFunction, N, op: _Operator, samples: int, seed):
     depth = max(cells[-1], 0)  # N - j on the deepest sphere drawn inside
     walks = [_steps(run, N - depth, op.kernels, 0) for run in runs]
     below = [sum(next(w)[0] for w in walks) for _ in range(depth)]  # j = N - depth ...
-    q, kernel = p_pow(1 - alpha), [top]  # kernel[k] = p**((alpha - 1)(N - k))
+    q, kernel = p_pow(-a1), [top]  # kernel[k] = p**((alpha - 1)(N - k))
     while len(kernel) <= max(-cells[0], cells[-1]):
         kernel.append(kernel[-1] * q)
     terms = []
@@ -201,12 +201,7 @@ def _mc_eval(f: RadialFunction, N, op: _Operator, samples: int, seed):
             terms.append(scale * (kernel[-d] - top) * f_N)
         else:
             terms.append(scale * (top - kernel[d]) * below[depth - d])
-    try:  # an mpf too large converts to inf, a Fraction too large raises
-        values = np.array(terms, dtype=float)
-        if not np.isfinite(values).all():
-            raise OverflowError
-    except OverflowError:
-        raise OverflowError(f"estimate overflows a double at x_exp={N}") from None
+    values = np.array([double(t) for t in terms])
     # sums over values scaled by a power of two near their largest cannot overflow
     size = 2.0 ** math.frexp(float(np.abs(values).max()))[1]
     unit = values / size

@@ -18,11 +18,11 @@ log powers, and the spheres j <= 0) are walked sphere by sphere, from a
 start sphere up, as two series K A - B (:class:`SphereSum`).  Every walk
 over consecutive spheres, these and the Monte Carlo oracle's, steps a run
 upward with one generator (``_steps``).  What does not depend on a sum's
-top (the geometric denominator, the guarded kernels Phi_t, the walks and
-their sums at each top served, the powers of p) is formed once per table
-of rate kernels.  The operator lives here too (``_Operator``): it is
-profile-free, holds alpha's check, C, U and one table, and takes the
-profile with the radius.  Every expansion builder reads an operator, so a
+top (the geometric denominator, the guarded kernels Phi_t, the walks,
+each continued upward as its tops rise, the powers of p) is formed once
+per table of rate kernels.  The operator lives here too (``_Operator``):
+it is profile-free, holds alpha's check, alpha - 1, C, U and one table,
+and takes the profile with the radius.  Every expansion builder reads an operator, so a
 scan's rungs and its expansion share one table.
 """
 
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import count, islice, repeat
 from typing import Union
 
@@ -509,14 +509,14 @@ class _RateKernels(dict):
 
         One walk is kept per run apart from its top, c and a1: it walks the
         run extended to infinity (a value run still ends with its values).
-        A top below the walk's reads its snapshot, or walks again from c.
+        A top at or above the last one served continues that walk; a lower
+        top replaces it with a fresh walk from c.
         """
         run = replace(run, hi=math.inf)
         w = self.walks.get((run, c, a1))
-        if w is None:
+        if w is None or top + 1 < w.next:
             w = self.walks[run, c, a1] = _Walk(run, c, self, a1)
-        snapshot = w.snapshots.get(top)
-        return snapshot or (w if top >= w.next else _Walk(run, c, self, a1)).to(top)
+        return w.to(top)
 
 
 class _Walk:
@@ -526,12 +526,11 @@ class _Walk:
     u_j, sum |u_j| and sum |u_j| P_j, for u_j = f(p**j) * p**j and
     P_j = p**(j(alpha-1)) (B = 0 when a1 is None), their powers of p read
     from ``kernels``.  A higher top continues the same additions, so the
-    sums at a top, kept in ``snapshots``, do not depend on the tops served
-    before.
+    sums at a top do not depend on the tops served before.
     """
 
     def __init__(self, run, c: int, kernels: _RateKernels, a1):
-        self.next, self.snapshots = c, {}
+        self.next = c
         self.steps, self.P, self.up = _steps(run, c, kernels, 1), None, None
         # only a log run of several terms yields sizes; else size is sum |u_j|
         self.sized = isinstance(run, LogRun) and len(run.coeffs) > 1
@@ -551,7 +550,7 @@ class _Walk:
                 uP = u * P  # P > 0, so |u P| rounds as |u| P would
                 B, ub, P = B + uP, ub + abs(uP), P * up
         self.P, self.next = P, top + 1
-        self.sums = self.snapshots[top] = (A, B, size if self.sized else ua, ua, ub)
+        self.sums = (A, B, size if self.sized else ua, ua, ub)
         return self.sums
 
 
@@ -560,13 +559,14 @@ class SphereSum:
 
     ``runs`` are the profile's runs on j <= top (:func:`sphere_segments`).
     The Haar factor 1 - 1/p is left to the caller.  Ball integrals take
-    w = 1.  The operator at |x| = p**N takes top = N - 1 and the kernel
-    frozen on each inner sphere, w(j) = K - p**(j(alpha-1)) with
-    K = p**(N(alpha-1)).  A power run c p**(j*d), and each term
-    a (jL)**m p**(-j*beta) of a log-power run with m a nonnegative integer,
-    is summed in closed form (a log-power term on j >= 1, when the run is
-    long enough; see ``_add_log``) as K S(rate) - S(rate + alpha - 1), with
-    S the sum of j**m p**(j*rate), rate = d + 1 or 1 - beta.  Table values
+    w = 1 (``a1`` None).  The operator at |x| = p**N passes its
+    ``a1`` = alpha - 1, takes top = N - 1 and the kernel frozen on each
+    inner sphere, w(j) = K - p**(j(alpha-1)) with K = p**(N(alpha-1)).
+    A power run c p**(j*d), and each term a (jL)**m p**(-j*beta) of a
+    log-power run with m a nonnegative integer, is summed in closed form (a
+    log-power term on j >= 1, when the run is long enough; see
+    ``_add_log``) as K S(rate) - S(rate + alpha - 1), with S the sum of
+    j**m p**(j*rate), rate = d + 1 or 1 - beta.  Table values
     and the other log-power terms form K A - B, A and B the sums of u_j and
     u_j p**(j(alpha-1)), u_j = f(p**j) * p**j, walked from a start sphere c
     up (``_add_explicit``).  Every run is summed once, so a linear
@@ -582,15 +582,11 @@ class SphereSum:
     lowest of them (top + 1 when there is none).
     """
 
-    def __init__(self, runs: list, top: int, kernels: _RateKernels, alpha=None):
+    def __init__(self, runs: list, top: int, kernels: _RateKernels, a1=None):
         ctx = kernels.ctx
-        self.ctx, self.top, self.kernels = ctx, top, kernels
+        self.ctx, self.top, self.kernels, self.a1 = ctx, top, kernels, a1
         zero = ctx.real(0)
-        if alpha is None:
-            self.a1, self.K = None, ctx.real(1)
-        else:
-            self.a1 = ctx.real(alpha) - 1
-            self.K = kernels.p_pow(self.a1 * (top + 1))
+        self.K = ctx.real(1) if a1 is None else kernels.p_pow(a1 * (top + 1))
         self.total = self.magnitude = self.abs_total = self.remainder = zero
         self.explicit, self.low = 0, top + 1
         for run in runs:
@@ -736,26 +732,36 @@ class OperatorValue:
 class _Operator:
     """The operator at one alpha in one context, for any profile and radius.
 
-    What depends on neither the profile nor the radius is formed once, when
-    it is made: alpha's check, the prefactor C, the unit-sphere integral U,
-    1 - 1/p, and a table of the closed forms' rate kernels, the explicit
-    runs' walks and the powers of p, which fills as sums need them.  A scan
-    makes one operator, calls :meth:`at` per radius and builds its
-    expansion from it; every expansion builder and the constants b(M),
-    omega, omega_tilde and B_n read an operator.  A value does not depend
-    on the values formed before.  The table dies with the operator.
+    What depends on neither the profile nor the radius is formed once:
+    alpha's check, a1 = alpha - 1 and the prefactor C when it is made, the
+    unit-sphere integral U and 1 - 1/p when first read (the Monte Carlo
+    estimator reads neither), and a table of the closed forms' rate
+    kernels, the explicit runs' walks and the powers of p, which fills as
+    sums need them.  A scan makes one operator, calls :meth:`at` per
+    radius and builds its expansion from it; every expansion builder and
+    the constants b(M), omega, omega_tilde and B_n read an operator.  A
+    value does not depend on the values formed before.  The table dies with the operator.
     """
 
     def __init__(self, alpha, ctx: NumericContext):
         self.ctx = ctx
         self.alpha = a = _check_alpha(ctx, alpha)
+        self.a1 = a - 1
         self.kernels = kernels = _RateKernels(ctx)
-        pa = kernels.p_pow(-a)  # C and U share p**(-alpha)
-        self.C = _prefactor(ctx, pa, kernels.p_pow(a - 1))
-        self.U = _unit(ctx, pa)
-        self.unit = unit = 1 - kernels.p_pow(-1)
-        # the factors of the sphere |y| = |x| and of the bound
-        self._sphere = (self.U - unit, self.U + unit, abs(self.C))
+        self.C = _prefactor(ctx, kernels.p_pow(-a), kernels.p_pow(self.a1))
+
+    @cached_property
+    def U(self):
+        return _unit(self.ctx, self.kernels.p_pow(-self.alpha))  # C's p**(-alpha)
+
+    @cached_property
+    def unit(self):
+        return 1 - self.kernels.p_pow(-1)
+
+    @cached_property
+    def _sphere(self):
+        """The factors of the sphere |y| = |x| and of the bound."""
+        return self.U - self.unit, self.U + self.unit, abs(self.C)
 
     def at(self, f: RadialFunction, N) -> OperatorValue:
         """The value at |x| = p**N for the profile f, as
@@ -766,7 +772,7 @@ class _Operator:
             return OperatorValue(zero, zero, ZERO)
         N = _require_finite(N, "radius exponent")
         runs = sphere_segments(f, N, ctx)
-        inner = SphereSum(_runs_below(runs, N, ctx), N - 1, self.kernels, self.alpha)
+        inner = SphereSum(_runs_below(runs, N, ctx), N - 1, self.kernels, self.a1)
         ball = inner.K * self.kernels.p_pow(N)  # p**(N alpha)
         parts = _parts_at(runs, N, ctx)
         f_N, size_N = sum(parts), sum(abs(x) for x in parts)

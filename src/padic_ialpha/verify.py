@@ -176,7 +176,7 @@ def _infinity(f, order, op, coeffs, beta, gamma):
 
 
 def _critical(f, order, op, coeffs, gamma, printed_form):
-    a, ctx = op.alpha, op.ctx
+    ctx = op.ctx
     declared = outer_expansion(f, ctx)
     if coeffs is None or gamma is None:
         if declared is None:
@@ -191,7 +191,7 @@ def _critical(f, order, op, coeffs, gamma, printed_form):
     g = ctx.real(gamma)
     expansion = _beta1_prediction(coeffs, g, order, f, declared, op, printed_form)
     # the printed variant carries no radius power on its log sum
-    power = 0 if printed_form else a - 1
+    power = 0 if printed_form else op.a1
     omitted = _omitted_log_term(op.kernels, power, g - (order + 1))
     params = {
         "beta": 1.0,
@@ -248,7 +248,7 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     rows = []
     for x in ladder:
         value = op.at(f, x).value
-        ratio = abs(value) / op.kernels.p_pow((op.alpha - 1) * x)  # the rung's K, reused
+        ratio = abs(value) / op.kernels.p_pow(op.a1 * x)  # the rung's K, reused
         rows.append((x, float(ratio)))
     ratios = [r for _, r in rows]
     return min(ratios), max(ratios), rows

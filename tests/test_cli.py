@@ -259,6 +259,32 @@ class TestTableFormat:
         with pytest.raises(MissingTail):
             load_table(str(path))
 
+    ZERO_TAIL = '{"p": 2, "inner_tail": {"kind": "zero"}}'
+
+    @pytest.mark.parametrize("body,line", [
+        ("", 2),  # no preamble
+        ("{bad json", 2),
+        ("[2]", 2),  # not an object
+        ('{"p": 3, "inner_tail": {"kind": "zero"}}\n0,1.0', 2),  # prime mismatch
+        (ZERO_TAIL[:-1] + ', "outer_tail": {"beta": 0.5}}\n0,1.0', 2),
+        (ZERO_TAIL + "\n0,1.0,2.0", 3),  # three fields
+        (ZERO_TAIL + "\nzero,1.0", 3),
+        (ZERO_TAIL + "\n1,1.0\n0,2.0", 4),  # decreasing
+        (ZERO_TAIL + "\n0,1.0\n2,2.0", 4),  # gap
+        (ZERO_TAIL, 2),  # no rows
+        ('{"p": 2, "inner_tail": {"a": 1.0}}\n0,1.0', 2),  # no kind
+        ('{"p": 2, "inner_tail": {"kind": "power", "a": 1.0}}\n0,1.0', 2),  # no M
+        ('{"p": 2, "inner_tail": {"kind": "power", "M": 1.0}}\n0,1.0', 2),  # no a
+        ('{"p": 2, "inner_tail": {"kind": "cubic"}}\n0,1.0', 2),
+    ], ids=["no-preamble", "bad-json", "not-object", "prime", "outer-tail", "fields",
+            "row", "decreasing", "gap", "no-rows", "no-kind", "no-M", "no-a", "kind"])
+    def test_parse_error_names_its_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.tab"
+        path.write_text("#padic-radial v1\n" + body)
+        with pytest.raises(ParseError) as exc:
+            load_table(str(path), expected_prime=2)
+        assert exc.value.line == line
+
 
 class TestExitCodes:
     def test_unknown_flag(self, capsys):
@@ -332,6 +358,16 @@ class TestExitCodes:
         assert status == 2
         assert out == ""
         assert "kmax" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        (["mc", "--monomial", "1", "--seed", "-1"], "--seed must be nonnegative, got -1"),
+        (["eval", "--coeffs", "1", "--ladder", "0"],
+         "eval needs a profile (--monomial/--indicator/--table) "
+         "or both --coeffs and --scales"),
+    ], ids=["seed", "coeffs"])
+    def test_message_names_the_flag(self, capsys, argv, message):
+        status, out, err = run_capture(capsys, [*argv, "--p", "2", "--alpha", "2"])
+        assert (status, out, err) == (2, "", f"error: {message}\n")
 
     def test_bad_table_file(self, tmp_path, capsys):
         path = tmp_path / "bad.tab"
@@ -489,3 +525,16 @@ class TestParserReuse:
             assert (status, out) == (2, "") and "error:" in err
         assert [status for status, _ in alone] == [0] * len(examples)
         assert together == alone
+
+
+def test_module_runs_as_a_script(capsys):
+    # python -m padic_ialpha.cli prints what run prints
+    argv = ["constants", "--p", "2", "--alpha", "2"]
+    src = Path(padic_ialpha.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-m", "padic_ialpha.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == run_capture(capsys, argv)[1] != ""

@@ -21,8 +21,8 @@ CASES = {
     "constants": ["constants", *P2, "--beta", "0", "--kmax", "2"],
     "eval": ["eval", *P2, "--monomial", "1", "--ladder", "-4:4:4"],
     "eval-dump": DUMP,
-    "theorem1-table": ["theorem1", *P2, "--table", "prof.tab", "--coeffs", "1,-1",
-                       "--scales", "1,2", "--order", "1", "--ladder", "-6:-24:-2"],
+    "theorem1-table": ["theorem1", *P2, "--table", "prof.tab", "--coeffs", "1",
+                       "--scales", "1", "--order", "0", "--ladder", "-6:-24:-2"],
     "theorem2": ["theorem2", *P2, "--beta", "2", "--ladder", "5:30:1"],
     "theorem3": ["theorem3", *P2, "--beta", "0.5", "--gamma", "2", "--coeffs", "1",
                  "--order", "2", "--ladder", "4:40:4"],

@@ -148,6 +148,10 @@ class TestNumericContext:
         assert not ZERO < ZERO
         assert not (0 < ZERO)
         assert 5 > ZERO
+        assert ZERO <= -1 and ZERO >= ZERO and not ZERO > ZERO
+        assert not ZERO >= -1 and not ZERO > -1
+        with pytest.raises(TypeError):
+            ZERO < 0.5
 
 
 # ---------------------------------------------------------------------------

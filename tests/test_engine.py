@@ -178,7 +178,7 @@ def test_combo_walks_its_spheres_once(ctx2):
     ))
 
     def explicit(f):
-        return SphereSum(sphere_segments(f, 599, ctx2), 599, _RateKernels(ctx2), 2.0).explicit
+        return SphereSum(sphere_segments(f, 599, ctx2), 599, _RateKernels(ctx2), 1.0).explicit
 
     assert explicit(combo) == explicit(LogPower(1, 2.5)) == 599
 
