@@ -9,7 +9,9 @@ on alpha and p only, so every one of them, and each expansion's single
 builder, reads a profile-free operator (:class:`~padic_ialpha.radial._Operator`):
 its C, U, 1 - 1/p and its table of rate kernels and powers of p.  A scan
 passes its own operator, so the operator and its expansion form each Phi_k
-and each power of p once; each public function makes a fresh one.  Every
+and each power of p once; each public function makes a fresh one.  A
+builder returns its expansion and the scale of the expansion's first
+omitted term, by which a scan normalises its residuals.  Every
 real parameter enters through ``NumericContext.real``, so exponents such as
 M + alpha and beta - alpha are formed in the context arithmetic.  The
 direct-summation oracles that tests compare these closed forms against live
@@ -32,14 +34,8 @@ from .core import (
     _require_finite,
     general_power,
 )
-from .radial import (
-    RadialFunction,
-    _ball_integral,
-    _Operator,
-    _RateKernels,
-    outer_expansion,
-)
-from .series import phi_sum
+from .radial import RadialFunction, _ball_integral, _Operator, outer_expansion
+from .series import _phi, phi_sum
 
 __all__ = [
     "b_coefficient",
@@ -144,17 +140,6 @@ def _moment(k: int, M: int, b, op: _Operator):
     return value + (op.U - units * unit) if k == 0 else value
 
 
-def _phi(kernels: _RateKernels, M: int, k: int, rate):
-    """Phi_k(w), w = p**-rate, k <= M, from the kernels' entry for (M, rate): 1 - w
-    at M = 0, else 1 / (1 - w) = 1 + Phi_0 and Phi_1 ... Phi_M at its guard
-    precision (:func:`~padic_ialpha.series._rate_kernel`)."""
-    if M == 0:
-        d = kernels.at(0, rate)
-        return (1 - d) / d
-    phis = kernels.at(M, rate)[1]
-    return phis[k] if k else phis[0] - 1
-
-
 def series_B(a, gamma, n_max: int, kind: str, alpha, ctx: NumericContext, beta=None):
     """Convolved expansion coefficients B_0..B_{n_max}.
 
@@ -209,7 +194,8 @@ def _large_radius(x_exp) -> int:
 # ---------------------------------------------------------------------------
 
 def _log_sum(a, g, order: int, beta, op: _Operator):
-    """x_exp -> sum_{n<=order} B_n (x_exp L)**(g - n), with B_n formed once."""
+    """(x_exp -> sum_{n<=order} B_n (x_exp L)**(g - n), with B_n formed once,
+    x_exp -> |x_exp L|**(g - order - 1), the log power of the first omitted term)."""
     if g < 0:
         raise ParamOutOfRange("gamma must be nonnegative")
     B = _series_B(a, g, order, beta, op)
@@ -227,12 +213,18 @@ def _log_sum(a, g, order: int, beta, op: _Operator):
             for e, coeff in terms
         )
 
-    return logs
+    def next_log(x_exp):
+        return abs(general_power(ctx, x_exp * ctx.log_unit(), g - (order + 1)))
+
+    return logs, next_log
 
 
 def _origin_prediction(a, scales, order: int, op: _Operator):
-    """The origin-side truncation C sum_{n<=order} a_n b(M_n) p**(x_exp (M_n + alpha))
-    as a function of the integer x_exp."""
+    """(expansion, omitted) as functions of the integer x_exp: the origin-side
+    truncation C sum_{n<=order} a_n b(M_n) p**(x_exp (M_n + alpha)), and
+    p**(x_exp (M + alpha)), the scale of its first omitted term, at the next
+    listed scale M; the last listed scale + 1 stands in when the list is
+    exhausted (exact finite expansions)."""
     ctx = op.ctx
     if len(a) != len(scales) or len(a) < order + 1:
         raise ParamOutOfRange("need len(a) == len(scales) >= order + 1")
@@ -242,12 +234,14 @@ def _origin_prediction(a, scales, order: int, op: _Operator):
     terms = [
         (ms[n] + op.alpha, ctx.real(a[n]) * _b(ms[n], op)) for n in range(order + 1)
     ]
+    p_pow = op.kernels.p_pow
+    omitted = ms[order + 1] + op.alpha if len(ms) > order + 1 else ms[order] + 1 + op.alpha
 
     def at(x_exp):
         x_exp = _require_finite(x_exp, "x_exp")
-        return sum(op.C * op.kernels.p_pow(power * x_exp) * coeff for power, coeff in terms)
+        return sum(op.C * p_pow(power * x_exp) * coeff for power, coeff in terms)
 
-    return at
+    return at, lambda x_exp: p_pow(omitted * x_exp)
 
 
 def predict_origin(a, scales, order: int, x_exp, alpha, ctx: NumericContext):
@@ -257,37 +251,41 @@ def predict_origin(a, scales, order: int, x_exp, alpha, ctx: NumericContext):
     monomials.
     """
     order = _require_count(order, "order")
-    return _origin_prediction(a, scales, order, _Operator(alpha, ctx))(x_exp)
+    return _origin_prediction(a, scales, order, _Operator(alpha, ctx))[0](x_exp)
 
 
 def _infinity_prediction(a, b, g, order: int, op: _Operator):
-    """The beta < 1 large-radius truncation at checked b and g, as a function
-    of x_exp >= 2: C p**(x_exp (alpha - b)) sum_{n<=order} B_n (x_exp L)**(g - n)."""
-    logs = _log_sum(a, g, order, b, op)
-    power = op.alpha - b
+    """(expansion, omitted) as functions of x_exp >= 2 for the beta < 1
+    large-radius truncation at checked b and g:
+    C p**(x_exp (alpha - b)) sum_{n<=order} B_n (x_exp L)**(g - n), and
+    p**(x_exp (alpha - b)) |x_exp L|**(g - order - 1)."""
+    logs, next_log = _log_sum(a, g, order, b, op)
+    power, p_pow = op.alpha - b, op.kernels.p_pow
 
     def at(x_exp):
         x_exp = _large_radius(x_exp)
-        return op.C * op.kernels.p_pow(power * x_exp) * logs(x_exp)
+        return op.C * p_pow(power * x_exp) * logs(x_exp)
 
-    return at
+    return at, lambda x_exp: p_pow(power * x_exp) * next_log(x_exp)
 
 
 def predict_infinity(a, beta, gamma, order: int, x_exp, alpha, ctx: NumericContext):
     """Evaluate the beta < 1 large-radius prediction at |x| = p**x_exp."""
     order, b = _require_count(order, "order"), _beta(ctx, beta)
     op = _Operator(alpha, ctx)
-    return _infinity_prediction(a, b, ctx.real(gamma), order, op)(x_exp)
+    return _infinity_prediction(a, b, ctx.real(gamma), order, op)[0](x_exp)
 
 
 def _beta1_prediction(a, g, order: int, f, declared, op: _Operator, printed_form):
-    """The critical-decay (beta = 1) truncation of f as a function of x_exp >= 2.
+    """(expansion, omitted) as functions of x_exp >= 2 for the critical-decay
+    (beta = 1) truncation of f.
 
-    C P (G + log sum), with P = p**(x_exp (alpha - 1)) and G the cumulative
-    ball integral of f; ``printed_form`` evaluates the variant
-    C (P G + log sum) that leaves the log sum un-multiplied, kept for
-    comparison.  f's declared outer tail must be beta = 1 with exactly
-    these g and coefficients.
+    The expansion is C P (G + log sum), with P = p**(x_exp (alpha - 1)) and
+    G the cumulative ball integral of f, and its first omitted term has the
+    scale P |x_exp L|**(g - order - 1).  ``printed_form`` evaluates the
+    variant C (P G + log sum) that leaves the log sum un-multiplied, kept
+    for comparison; its omitted term carries no P.  f's declared outer
+    tail must be beta = 1 with exactly these g and coefficients.
     """
     d_beta, d_gamma, d_coeffs = declared or (None, None, ())
     if d_beta != 1 or d_gamma != g or any(
@@ -297,7 +295,7 @@ def _beta1_prediction(a, g, order: int, f, declared, op: _Operator, printed_form
             f"profile's declared outer tail does not match coeffs={list(a)}, "
             f"gamma={g}, beta=1"
         )
-    logs = _log_sum(a, g, order, None, op)
+    logs, next_log = _log_sum(a, g, order, None, op)
     power, C, kernels = op.a1, op.C, op.kernels
 
     def at(x_exp):
@@ -307,7 +305,11 @@ def _beta1_prediction(a, g, order: int, f, declared, op: _Operator, printed_form
             return C * (P * G + logs(x_exp))
         return C * P * (G + logs(x_exp))
 
-    return at
+    def omitted(x_exp):
+        term = next_log(x_exp)
+        return term if printed_form else kernels.p_pow(power * x_exp) * term
+
+    return at, omitted
 
 
 def predict_infinity_beta1(
@@ -324,4 +326,5 @@ def predict_infinity_beta1(
     order = _require_count(order, "order")
     op = _Operator(alpha, ctx)
     declared = outer_expansion(f, ctx)
-    return _beta1_prediction(a, ctx.real(gamma), order, f, declared, op, printed_form)(x_exp)
+    g = ctx.real(gamma)
+    return _beta1_prediction(a, g, order, f, declared, op, printed_form)[0](x_exp)

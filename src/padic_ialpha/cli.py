@@ -48,7 +48,7 @@ from .radial import (
     outer_expansion,
     sphere_segments,
 )
-from .verify import lemma_decay_check, ratio_bound_check, residual_scan
+from .verify import _ratios, lemma_decay_check, residual_scan
 
 __all__ = ["dump_table", "load_table", "main", "run"]
 
@@ -88,8 +88,7 @@ def load_table(path: str, expected_prime: int | None = None) -> Table:
             outer = OuterTail(o["beta"], o["gamma"], tuple(o["coeffs"]))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad outer_tail: {exc}", line=2) from None
-    values: dict[int, float] = {}
-    last = None
+    j_lo, values = None, []
     for i, raw in enumerate(lines[2:], start=3):
         if not raw.strip():
             continue
@@ -101,13 +100,14 @@ def load_table(path: str, expected_prime: int | None = None) -> Table:
             v = float(parts[1])
         except ValueError:
             raise ParseError(f"bad row {raw!r}", line=i) from None
-        if last is not None and j != last + 1:
-            raise ParseError(f"expected exponent {last + 1}, got {j}", line=i)
-        values[j] = v
-        last = j
+        if j_lo is None:
+            j_lo = j
+        elif j != j_lo + len(values):
+            raise ParseError(f"expected exponent {j_lo + len(values)}, got {j}", line=i)
+        values.append(v)
     if not values:
         raise ParseError("table has no value rows", line=len(lines))
-    return Table.from_values(values, inner, outer)
+    return Table(j_lo, tuple(values), inner, outer)
 
 
 def _tail_from_json(data):
@@ -140,15 +140,18 @@ def dump_table(f: RadialFunction, path: str, ctx: NumericContext, j_range) -> No
         outer, runs = OuterTail(*outer), sphere_segments(f, math.inf, ctx)
         j_hi = max([j_hi] + [r.lo - 1 if r.hi == math.inf else r.hi for r in runs])
     else:
-        outer, runs = None, sphere_segments(f, j_hi, ctx)
-        while True:
+        outer = None
+        while True:  # from table end to table end while a table covers j_hi + 1
             try:
                 above = sphere_segments(f, j_hi + 1, ctx)
-            except MissingTail:  # a table without an outer tail ends here
+            except MissingTail:  # a table without an outer tail ends at j_hi
                 break
-            if not any(isinstance(r, ValueRun) and r.hi > j_hi for r in above):
+            ends = [r.lo + len(r.values) - 1
+                    for r in above if isinstance(r, ValueRun) and r.hi > j_hi]
+            if not ends:
                 break
-            runs, j_hi = above, j_hi + 1
+            j_hi = min(ends)  # each table that covers j_hi + 1 reaches it
+        runs = sphere_segments(f, j_hi, ctx)
     origin = [r for r in runs if r.lo is None]
     if len(origin) > 1:
         raise ParamOutOfRange(
@@ -462,17 +465,13 @@ def _run_theorem2(args, ctx, cfg):
         if args.beta is None:
             raise ParamOutOfRange("theorem2 needs a profile or --beta")
         f = LogPower(args.beta, 0.0)
-    c_hat, d_hat, rows = ratio_bound_check(f, cfg["ladder"], args.alpha, ctx)
-    a = ctx.real(args.alpha)
-    out_rows = []
-    for x, ratio in rows:
-        reference = ctx.p_pow(x * (a - 1))
-        computed = ratio * reference
-        out_rows.append((x, float(computed), float(reference),
-                         float(abs(computed - reference)), ratio))
+    # computed |I f(p**x)|, its reference p**(x(alpha-1)) and their ratio
+    rows = [(x, float(v), float(K), float(abs(v - K)), float(v / K))
+            for x, v, K in _ratios(f, cfg["ladder"], _Operator(args.alpha, ctx))]
+    c_hat, d_hat = min(r[-1] for r in rows), max(r[-1] for r in rows)
     spread = d_hat / c_hat if c_hat else float("inf")
     _emit({**cfg, "c_hat": c_hat, "d_hat": d_hat, "spread": spread},
-          _THEOREM_HEADER, out_rows)
+          _THEOREM_HEADER, rows)
 
 
 def _run_lemmas(args, ctx, cfg):

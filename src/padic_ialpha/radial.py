@@ -191,10 +191,11 @@ class Table:
     @classmethod
     def from_values(cls, values: dict, inner_tail, outer_tail=None) -> "Table":
         """Build from an exponent -> value mapping covering a contiguous range."""
-        keys = sorted(values)
-        if keys != list(range(keys[0], keys[-1] + 1)):
+        keys = sorted(_require_finite(k, "table exponent") for k in values)
+        j_lo = keys[0] if keys else 0  # no keys: the table refuses its empty values
+        if keys != list(range(j_lo, j_lo + len(keys))):
             raise ParamOutOfRange("table exponents must form a contiguous range")
-        return cls(keys[0], tuple(values[k] for k in keys), inner_tail, outer_tail)
+        return cls(j_lo, tuple(values[k] for k in keys), inner_tail, outer_tail)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ kernel integral are all such series.  :func:`_power_sum` sums one between
 two ends, either of which may be open on the decaying side, from a table of
 rate kernels; those kernels are the series kernels
 Phi_k(q) = sum_{m>=1} m**k q**m (:func:`phi_sum`), exact rational closed
-forms from the recurrence Phi_k = q d/dq Phi_{k-1}.
+forms from the recurrence Phi_k = q d/dq Phi_{k-1}.  Only this module
+reads a kernel entry: the expansion moments take Phi_k through :func:`_phi`.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def _rate_kernel(ctx: NumericContext, m: int, rate):
     Formed at working precision, for rate != 0: the geometric denominator
     1 - p**(-rate) when m = 0, else (gctx, phis, ends), the guarded context
     of :func:`_power_sum`, Phi_0(w) ... Phi_m(w) at its precision and a dict
-    in which :func:`_power_sum` keeps the far ends it forms.
+    in which :func:`_power_sum` keeps the far ends it forms.  The expansion
+    moments read their Phi_k from the same entries (:func:`_phi`).
     """
     if m == 0:
         return _one_minus_p_pow(ctx, -rate)
@@ -99,6 +101,18 @@ def _rate_kernel(ctx: NumericContext, m: int, rate):
         ctx = replace(ctx, precision_bits=ctx.precision_bits + guard)
     w = ctx.p_pow(-abs(rate))
     return ctx, [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)], {}
+
+
+def _phi(kernels, M: int, k: int, rate):
+    """Phi_k(w), w = p**-rate, k <= M, from the kernel ``kernels.at(M, rate)``
+    (:func:`_rate_kernel`): (1 - d) / d from its denominator d = 1 - w at
+    M = 0, else its 1 / (1 - w) = 1 + Phi_0 and Phi_1 ... Phi_M at the
+    guard precision."""
+    if M == 0:
+        d = kernels.at(0, rate)
+        return (1 - d) / d
+    phis = kernels.at(M, rate)[1]
+    return phis[k] if k else phis[0] - 1
 
 
 def _power_sum(kernels, m: int, rate, lo, hi):

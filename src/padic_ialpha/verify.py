@@ -26,7 +26,6 @@ from .core import (
     ParamOutOfRange,
     _require_count,
     _require_finite,
-    general_power,
 )
 from .ialpha import _build_smallball
 from .radial import (
@@ -127,11 +126,12 @@ def residual_scan(
 
 
 # Each theorem resolves its parameters (declared or given) and returns
-# (params, expansion, omitted): the expansion and the scale of its first
-# omitted term, both as functions of the radius exponent.
+# (params, expansion, omitted): the parameters it echoes, and the
+# expansion and the scale of its first omitted term as its builder returns
+# them, both functions of the radius exponent.
 
 def _origin(f, order, op, coeffs, scales):
-    a, ctx = op.alpha, op.ctx
+    ctx = op.ctx
     if coeffs is None or scales is None:
         declared = origin_expansion(f, ctx)
         if declared is None:
@@ -141,20 +141,12 @@ def _origin(f, order, op, coeffs, scales):
         coeffs, scales = declared
     if len(coeffs) != len(scales) or len(coeffs) < order + 1:
         raise HypothesisMismatch("need len(coeffs) == len(scales) >= order + 1")
-    expansion = _origin_prediction(coeffs, scales, order, op)
-    # the first omitted term is p**(x (M + alpha)) at the next listed scale M;
-    # the last listed scale + 1 stands in when the expansion is exhausted
-    # (exact finite expansions)
-    if len(scales) > order + 1:
-        power = ctx.real(scales[order + 1]) + a
-    else:
-        power = ctx.real(scales[order]) + 1 + a
     params = {"coeffs": list(coeffs), "scales": list(scales)}
-    return params, expansion, lambda x: op.kernels.p_pow(power * x)
+    return (params, *_origin_prediction(coeffs, scales, order, op))
 
 
 def _infinity(f, order, op, coeffs, beta, gamma):
-    a, ctx = op.alpha, op.ctx
+    ctx = op.ctx
     if coeffs is None or beta is None or gamma is None:
         declared = outer_expansion(f, ctx)
         if declared is None:
@@ -168,11 +160,8 @@ def _infinity(f, order, op, coeffs, beta, gamma):
     b = ctx.real(beta)
     if not 0 <= b < 1:
         raise HypothesisMismatch(f"outer decay beta={beta} is not in [0, 1)")
-    g = ctx.real(gamma)
-    expansion = _infinity_prediction(coeffs, b, g, order, op)
-    omitted = _omitted_log_term(op.kernels, a - b, g - (order + 1))
     params = {"beta": beta, "gamma": gamma, "coeffs": list(coeffs)}
-    return params, expansion, omitted
+    return (params, *_infinity_prediction(coeffs, b, ctx.real(gamma), order, op))
 
 
 def _critical(f, order, op, coeffs, gamma, printed_form):
@@ -188,26 +177,14 @@ def _critical(f, order, op, coeffs, gamma, printed_form):
         coeffs = coeffs_d if coeffs is None else coeffs
     if declared is not None and declared[0] != 1:
         raise HypothesisMismatch("critical-decay scans need outer beta = 1")
-    g = ctx.real(gamma)
-    expansion = _beta1_prediction(coeffs, g, order, f, declared, op, printed_form)
-    # the printed variant carries no radius power on its log sum
-    power = 0 if printed_form else op.a1
-    omitted = _omitted_log_term(op.kernels, power, g - (order + 1))
     params = {
         "beta": 1.0,
         "gamma": gamma,
         "coeffs": list(coeffs),
         "printed_form": printed_form,
     }
-    return params, expansion, omitted
-
-
-def _omitted_log_term(kernels, power, log_power):
-    """x -> p**(x power) |x L|**log_power, the size of the first omitted term."""
-    ctx = kernels.ctx
-    return lambda x: kernels.p_pow(power * x) * abs(
-        general_power(ctx, x * ctx.log_unit(), log_power)
-    )
+    g = ctx.real(gamma)
+    return (params, *_beta1_prediction(coeffs, g, order, f, declared, op, printed_form))
 
 
 def _ladder(ladder) -> list:
@@ -234,9 +211,16 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
     and decay strictly faster than |x|**(-1) at infinity, judged from its
     declared form and tails.
     """
+    rows = [(x, float(v / K)) for x, v, K in _ratios(f, ladder, _Operator(alpha, ctx))]
+    ratios = [r for _, r in rows]
+    return min(ratios), max(ratios), rows
+
+
+def _ratios(f: RadialFunction, ladder, op: _Operator):
+    """(x, |value|, K) per rung of the ladder, K = p**(x(alpha-1)) the radius
+    power of :func:`ratio_bound_check`, after its checks of the profile."""
     ladder = _ladder(ladder)
-    op = _Operator(alpha, ctx)
-    positive, decay = _two_sided_profile(f, ctx)
+    positive, decay = _two_sided_profile(f, op.ctx)
     if not positive:
         raise HypothesisMismatch(
             "profile is not bounded between positive constants near the origin"
@@ -245,13 +229,7 @@ def ratio_bound_check(f: RadialFunction, ladder, alpha, ctx: NumericContext):
         raise HypothesisMismatch(
             f"declared outer decay exponent {decay} must exceed 1"
         )
-    rows = []
-    for x in ladder:
-        value = op.at(f, x).value
-        ratio = abs(value) / op.kernels.p_pow(op.a1 * x)  # the rung's K, reused
-        rows.append((x, float(ratio)))
-    ratios = [r for _, r in rows]
-    return min(ratios), max(ratios), rows
+    return [(x, abs(op.at(f, x).value), op.kernels.p_pow(op.a1 * x)) for x in ladder]
 
 
 def _two_sided_profile(f: RadialFunction, ctx: NumericContext):

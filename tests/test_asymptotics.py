@@ -391,10 +391,10 @@ class TestBuiltExpansionRadii:
     def built(self, ctx):
         op, f = radial._Operator(2.0, ctx), LogPower(1.0, 0.0)
         return {
-            "T3": _infinity_prediction([1.0], ctx.real(0.5), ctx.real(2.0), 1, op),
+            "T3": _infinity_prediction([1.0], ctx.real(0.5), ctx.real(2.0), 1, op)[0],
             "T4": _beta1_prediction([1.0], ctx.real(0.0), 0, f,
-                                    radial.outer_expansion(f, ctx), op, False),
-            "T1": _origin_prediction([1.0], [1.0], 0, op),
+                                    radial.outer_expansion(f, ctx), op, False)[0],
+            "T1": _origin_prediction([1.0], [1.0], 0, op)[0],
         }
 
     @pytest.mark.parametrize("x", [2.5, -2.5, True, 5.0], ids=repr)
@@ -414,6 +414,26 @@ class TestBuiltExpansionRadii:
         for name, at in self.built(ctx2).items():
             x = 7 if name != "T1" else -7
             assert at(np.int64(x))._mpf_ == at(x)._mpf_
+
+
+def test_builders_return_their_first_omitted_term(ctx2):
+    # T1: the next listed scale, or the last + 1 when the list is exhausted;
+    # T3 and T4: the next log power times the radius power (none when printed)
+    op, f, x = radial._Operator(2.5, ctx2), LogPower(1.0, 1.5), 9
+    declared, g = radial.outer_expansion(f, ctx2), ctx2.real(1.5)
+    omitted = [
+        _origin_prediction([1.0, 2.0], [0.5, 1.5], 0, op)[1](-x),
+        _origin_prediction([1.0, 2.0], [0.5, 1.5], 1, op)[1](-x),
+        _infinity_prediction([1.0], ctx2.real(0.5), ctx2.real(3.0), 1, op)[1](x),
+        _beta1_prediction([1.0], g, 0, f, declared, op, False)[1](x),
+        _beta1_prediction([1.0], g, 0, f, declared, op, True)[1](x),
+    ]
+    with mp.workprec(512):
+        two, log_r = mp.mpf(2), x * mp.log(2)
+        want = [two ** (-4 * x), two ** (-5 * x), two ** (2 * x) * log_r,
+                two ** (1.5 * x) * mp.sqrt(log_r), mp.sqrt(log_r)]
+        for got, w in zip(omitted, want):
+            assert abs(got - w) <= 1e-70 * w
 
 
 class TestPredictInfinityCritical:
@@ -439,9 +459,9 @@ class TestPredictInfinityCritical:
         formed, kernel = [], radial._rate_kernel
         monkeypatch.setattr(radial, "_rate_kernel",
                             lambda *args: formed.append(args[1:]) or kernel(*args))
-        at = _beta1_prediction([1.0], ctx2.real(0.0), 0, f,
-                               radial.outer_expansion(f, ctx2),
-                               radial._Operator(2.0, ctx2), False)
+        at, _ = _beta1_prediction([1.0], ctx2.real(0.0), 0, f,
+                                  radial.outer_expansion(f, ctx2),
+                                  radial._Operator(2.0, ctx2), False)
         assert [at(x)._mpf_ for x in rungs] == [w._mpf_ for w in want]
         assert formed and len(formed) == len(set(formed))
 

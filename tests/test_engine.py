@@ -286,9 +286,9 @@ def test_rung_values_do_not_depend_on_history(f):
         op = _Operator(2.3, ctx)
         beta, gamma, coeffs = declared
         if beta == 1:
-            at = _beta1_prediction(coeffs, gamma, 3, f, declared, op, False)
+            at, _ = _beta1_prediction(coeffs, gamma, 3, f, declared, op, False)
         else:
-            at = _infinity_prediction(coeffs, beta, gamma, 3, op)
+            at, _ = _infinity_prediction(coeffs, beta, gamma, 3, op)
         for N in (40, 7, 200):
             at(N)
         assert {N: _raw(op.at(f, N)) for N in rungs} == fresh

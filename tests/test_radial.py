@@ -95,6 +95,13 @@ class TestEvalSphere:
         with pytest.raises(ParamOutOfRange):
             Table.from_values({0: 1.0, 2: 1.0}, ZeroTail())
 
+    @pytest.mark.parametrize("values", [{}, {1.5: 1.0}, {0: 1.0, 1.5: 2.0}],
+                             ids=["empty", "half", "half-after-int"])
+    def test_table_from_values_rejects_malformed_maps(self, values):
+        # as every other malformed table, not with IndexError or TypeError
+        with pytest.raises(ParamOutOfRange):
+            Table.from_values(values, ZeroTail())
+
     def test_linear_combo(self, exact2):
         f = LinearCombo(((2, Monomial(1)), (-1, Indicator(0))))
         assert eval_sphere(f, -1, exact2) == Fraction(2, 2) - 1

@@ -439,6 +439,19 @@ def test_only_the_series_module_forms_the_series_closed_forms():
     assert readers == {"series"}
 
 
+def test_each_decision_lives_in_one_module():
+    # the expansion builders give their first omitted term, verify forms
+    # theorem2's radius power, and series alone reads a kernel entry
+    src = Path(padic_ialpha.__file__).parent
+    used = {m: names_used((src / f"{m}.py").read_text())
+            for m in ("verify", "cli", "asymptotics")}
+    assert not used["verify"] & {"general_power", "_omitted_log_term"}
+    assert not used["cli"] & {"p_pow", "a1"}
+    tree = ast.parse((src / "asymptotics.py").read_text())
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "_RateKernels" not in used["asymptotics"] and "at" not in attributes
+
+
 def top_level_callers(source: str, names: set) -> set:
     """(top-level definition, name) of every call of one of names in source;
     a call outside every definition has None."""
