@@ -132,7 +132,8 @@ def dump_table(f: RadialFunction, path: str, ctx: NumericContext, j_range) -> No
     the one power run that reaches the origin (none: a zero tail; several:
     :class:`ParamOutOfRange`) and the declared outer expansion when its
     beta lies in [0, 1].  Otherwise the rows end the table, so they run on
-    to the last tabulated row of the profile.
+    to the last tabulated row of the profile, or to the last sphere at
+    which it is defined when a table without an outer tail ends first.
     """
     j_lo, j_hi = min(j_range), max(j_range)
     outer = outer_expansion(f, ctx)
@@ -140,17 +141,16 @@ def dump_table(f: RadialFunction, path: str, ctx: NumericContext, j_range) -> No
         outer, runs = OuterTail(*outer), sphere_segments(f, math.inf, ctx)
         j_hi = max([j_hi] + [r.lo - 1 if r.hi == math.inf else r.hi for r in runs])
     else:
-        outer = None
-        while True:  # from table end to table end while a table covers j_hi + 1
+        outer, top = None, math.inf
+        while True:  # down to the last sphere on which every table is defined
             try:
-                above = sphere_segments(f, j_hi + 1, ctx)
-            except MissingTail:  # a table without an outer tail ends at j_hi
+                runs = sphere_segments(f, top, ctx)
                 break
-            ends = [r.lo + len(r.values) - 1
-                    for r in above if isinstance(r, ValueRun) and r.hi > j_hi]
-            if not ends:
-                break
-            j_hi = min(ends)  # each table that covers j_hi + 1 reaches it
+            except MissingTail as e:
+                if e.end is None:
+                    raise
+                top = e.end
+        j_hi = max([j_hi] + [r.hi for r in runs if isinstance(r, ValueRun)])
         runs = sphere_segments(f, j_hi, ctx)
     origin = [r for r in runs if r.lo is None]
     if len(origin) > 1:

@@ -93,7 +93,15 @@ class UndefinedAtZero(ValueError):
 
 
 class MissingTail(ValueError):
-    """A tabulated profile was evaluated outside its range with no tail model."""
+    """A tabulated profile was evaluated outside its range with no tail model.
+
+    ``end`` is the last sphere of a table without an outer tail, where the
+    profile stops being defined (None for a missing inner tail).
+    """
+
+    def __init__(self, message: str, end: int | None = None):
+        super().__init__(message)
+        self.end = end
 
 
 class DivergentInnerSum(ValueError):

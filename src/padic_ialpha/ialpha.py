@@ -16,7 +16,7 @@ the walks are kept there too, so a scan's rungs share each walk.  Each
 public function here makes a fresh one.  The small-ball kernel integral is two
 such series with an open end (:mod:`~padic_ialpha.series`).  A Haar-measure
 Monte Carlo estimator provides an independent cross-check; it reads the
-profile from the same upward walk over the runs.
+profile, f(p**N) too, as steps of the same upward walk over the runs.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .radial import (
     OperatorValue,
     RadialFunction,
     _Operator,
-    _parts_at,
+    _at,
     _steps,
     sphere_segments,
 )
@@ -144,8 +144,9 @@ def mc_ialpha_eval(
     are built once, on j <= N, and read with running powers at working
     precision: the kernel power p**((alpha - 1)(N - |e - j|)), and the
     profile stepped up by the runs' upward walk from the deepest sphere
-    drawn to N - 1.  A cell no draw fell in forms no term.  The sample
-    mean and standard deviation are read from the cell counts.  Returns
+    drawn to N - 1; f(p**N) is the first step of their walks from N, as
+    the operator reads it.  A cell no draw fell in forms no term.  The
+    sample mean and standard deviation are read from the cell counts.  Returns
     (estimate, standard error).  Raises :class:`OverflowError` before
     drawing when C * p**(N alpha), the scale of the kernel terms, does not
     fit a double, and after drawing when a term does not.
@@ -186,7 +187,7 @@ def _mc_eval(f: RadialFunction, N, op: _Operator, samples: int, seed):
     j, e, counts = sample_kernel_exponents(ctx, N, samples, stream)
     cells = (e - j).tolist()  # N - j > 0 inside the sphere |y| = p**N, e - N <= 0 on it
     runs = sphere_segments(f, N, ctx)
-    f_N = sum(_parts_at(runs, N, ctx))
+    f_N = _at(runs, N, op.kernels)[0]
     depth = max(cells[-1], 0)  # N - j on the deepest sphere drawn inside
     walks = [_steps(run, N - depth, op.kernels, 0) for run in runs]
     below = [sum(next(w)[0] for w in walks) for _ in range(depth)]  # j = N - depth ...

@@ -10,20 +10,23 @@ runs whose values add: power runs c * p**(j*d), tabulated value runs and
 log-power runs.  A linear combination is the merged run list of its terms.
 It is the only code that reads a profile's form; point values, the limit at
 the origin, the declared expansions and every sphere sum read the runs.
-Power runs, and each term of a log-power run whose log power is a
-nonnegative integer, are summed in closed form, as series
-sum_j j**m p**(j*rate) (:mod:`~padic_ialpha.series`).  Only tabulated
-values and the log-power terms without that form (non-integer or negative
-log powers, and the spheres j <= 0) are walked sphere by sphere, from a
-start sphere up, as two series K A - B (:class:`SphereSum`).  Every walk
-over consecutive spheres, these and the Monte Carlo oracle's, steps a run
-upward with one generator (``_steps``).  What does not depend on a sum's
-top (the geometric denominator, the guarded kernels Phi_t, the walks,
-each continued upward as its tops rise, the powers of p) is formed once
-per table of rate kernels.  The operator lives here too (``_Operator``):
-it is profile-free, holds alpha's check, alpha - 1, C, U and one table,
-and takes the profile with the radius.  Every expansion builder reads an operator, so a
-scan's rungs and its expansion share one table.
+The runs are plain data, and one generator (``_steps``) turns a run into
+sphere values, stepping it upward with a running power; a point value
+f(p**j) is the first step of each run that covers j.  Power runs, and each
+term of a log-power run whose log power is a nonnegative integer, are
+summed in closed form, as series sum_j j**m p**(j*rate)
+(:mod:`~padic_ialpha.series`).  Only tabulated values and the log-power
+terms without that form (non-integer or negative log powers, and the
+spheres j <= 0) are walked sphere by sphere, from a start sphere up, as
+two series K A - B (:class:`SphereSum`, which cuts each run at its top).
+Every walk over consecutive spheres, these and the Monte Carlo oracle's,
+steps its runs with ``_steps``.  What does not depend on a sum's top
+(the geometric denominator, the guarded kernels Phi_t, the walks, each
+continued upward as its tops rise, the powers of p) is formed once per
+table of rate kernels.  The operator lives here too (``_Operator``): it
+is profile-free, holds alpha's check, alpha - 1, C, U and one table, and
+takes the profile with the radius.  Every expansion builder reads an
+operator, so a scan's rungs and its expansion share one table.
 """
 
 from __future__ import annotations
@@ -230,10 +233,6 @@ class PowerRun:
     coeff: object
     degree: object
 
-    def at(self, j: int, ctx: NumericContext) -> list:
-        """The parts that add up to f(p**j) on a sphere the run covers."""
-        return [self.coeff * ctx.p_pow(self.degree * j) if self.degree else self.coeff]
-
 
 @dataclass(frozen=True)
 class ValueRun:
@@ -247,9 +246,6 @@ class ValueRun:
     values: tuple
     coeff: object
 
-    def at(self, j: int, ctx: NumericContext) -> list:
-        return [self.coeff * ctx.real(self.values[j - self.lo])]
-
 
 @dataclass(frozen=True)
 class LogRun:
@@ -260,11 +256,6 @@ class LogRun:
     beta: object
     gamma: object
     coeffs: tuple
-
-    def at(self, j: int, ctx: NumericContext) -> list:
-        (terms,) = _log_terms(self, (j,), ctx.log_unit(), ctx)
-        s = ctx.p_pow(-self.beta * j)
-        return [s * t for t in terms]
 
 
 def _log_terms(run: LogRun, js, L, ctx: NumericContext):
@@ -286,32 +277,52 @@ def _steps(run, j: int, kernels: _RateKernels, shift):
     u_i steps with a running power: coeff * p**(i(degree + shift)) is a
     power run's u_i, coeff * p**(i*shift) times a value run's value, and
     p**(i(shift - beta)) times a log run's terms.  The powers of p come
-    from ``kernels``.  ``size`` sums the sizes of those terms where there
-    are several, else it is None (|u_i|).
+    from ``kernels``; the step p**e is formed on the second sphere, so the
+    first step, a point value f(p**j) at shift 0 (:func:`_at`), forms only
+    p**(j*e).  ``size`` sums the sizes of those terms where there are
+    several, else it is None (|u_i|).
     """
-    ctx, p_pow = kernels.ctx, kernels.p_pow
+    ctx = kernels.ctx
     lo = j if run.lo is None else max(j, run.lo)
     yield from repeat((0, None), lo - j)  # the spheres below the run
     spheres = islice(count(lo), None if run.hi == math.inf else max(0, run.hi + 1 - lo))
     if isinstance(run, PowerRun):
-        e = run.degree + shift
-        s, up = (run.coeff * p_pow(e * lo), p_pow(e)) if e else (run.coeff, 1)
-        for _ in spheres:
+        for _, s in zip(spheres, _running(run.coeff, run.degree + shift, lo, kernels)):
             yield s, None
-            s *= up
     elif isinstance(run, ValueRun):
-        s, up = run.coeff * p_pow(shift * lo), p_pow(shift)
-        for _, v in zip(spheres, islice(run.values, lo - run.lo, None)):
+        values = islice(run.values, lo - run.lo, None)
+        for _, v, s in zip(spheres, values, _running(run.coeff, shift, lo, kernels)):
             yield s * ctx.real(v), None
-            s *= up
     else:
-        e = shift - run.beta
-        s, up = p_pow(e * lo), p_pow(e)
-        for terms in _log_terms(run, spheres, ctx.log_unit(), ctx):
-            u = s * sum(terms[1:], terms[0])
-            yield u, None if len(terms) == 1 else s * sum(abs(t) for t in terms)
-            s *= up
+        terms = _log_terms(run, spheres, ctx.log_unit(), ctx)
+        for t, s in zip(terms, _running(1, shift - run.beta, lo, kernels)):
+            u = s * sum(t[1:], t[0])
+            yield u, None if len(t) == 1 else s * sum(abs(x) for x in t)
     yield from repeat((0, None))  # the spheres above the run
+
+
+def _running(c, e, lo: int, kernels: _RateKernels):
+    """c * p**(i*e) for i = lo, lo + 1, ...; p**e is formed for the second."""
+    s = c * kernels.p_pow(e * lo) if e else c
+    yield s
+    up = kernels.p_pow(e) if e else 1
+    while True:
+        s *= up
+        yield s
+
+
+def _at(runs: list, j: int, kernels: _RateKernels) -> tuple:
+    """(f(p**j), size): the first steps of the runs that cover j.
+
+    ``size`` adds |u| of each run, or its size where it yields one; the
+    rounding error of f(p**j) scales with it.
+    """
+    value = size = 0
+    for run in runs:
+        if (run.lo is None or run.lo <= j) and j <= run.hi:  # else it steps 0
+            u, s = next(_steps(run, j, kernels, 0))
+            value, size = value + u, size + (abs(u) if s is None else s)
+    return value, size
 
 
 def _scaled(run, c):
@@ -383,7 +394,7 @@ def sphere_segments(f: RadialFunction, top, ctx: NumericContext) -> list:
         if top > f.j_hi:
             if outer is None:
                 raise MissingTail(
-                    f"no outer tail declared above the table range (j={top})"
+                    f"no outer tail declared above the table range (j={top})", f.j_hi
                 )
             coeffs = tuple(real(a) for a in outer.coeffs)
             runs.append(
@@ -414,28 +425,6 @@ def _add_run(runs: list, run):
     runs.append(run)
 
 
-def _runs_below(runs: list, top: int, ctx: NumericContext) -> list:
-    """The runs on j <= top cut to j < top: ``sphere_segments(f, top - 1)``.
-
-    Runs that end at top lose that sphere, and runs whose spans become
-    equal merge as :func:`sphere_segments` merges them, rounding at the
-    context's precision.
-    """
-    below = []
-    for run in runs:
-        if run.hi == top:
-            if run.lo == top:
-                continue
-            run = replace(run, hi=top - 1)
-        _add_run(below, run)
-    return below
-
-
-def _parts_at(runs: list, j: int, ctx: NumericContext) -> list:
-    """The parts of f(p**j) over the runs on j' <= j that reach j."""
-    return [x for run in runs if run.hi == j for x in run.at(j, ctx)]
-
-
 def _whole_line(f: RadialFunction, ctx: NumericContext):
     """The runs on every sphere, or None when a table declares no tail."""
     try:
@@ -451,23 +440,15 @@ def _whole_line(f: RadialFunction, ctx: NumericContext):
 def eval_sphere(f: RadialFunction, j, ctx: NumericContext):
     """Value of the profile on the sphere |x| = p**j (j = ZERO: limit at 0).
 
-    It is the sum of the values of the runs that cover j.
-    """
-    return ctx.real(sum(_sphere_parts(f, j, ctx)))
-
-
-def _sphere_parts(f: RadialFunction, j, ctx: NumericContext) -> list:
-    """The parts of f(p**j) over the runs that cover j, at working precision.
-
-    Rounding errors in f(p**j) scale with the sum of their sizes.
+    It is the sum of the first steps of the runs that cover j (:func:`_at`).
     """
     if j is ZERO:
         runs = sphere_segments(f, -math.inf, ctx)
         if any(run.degree < 0 for run in runs):
             raise UndefinedAtZero("a negative-degree power has no limit at 0")
-        return [run.coeff for run in runs if run.degree == 0]
+        return ctx.real(sum(run.coeff for run in runs if run.degree == 0))
     j = _require_finite(j, "sphere exponent")
-    return _parts_at(sphere_segments(f, j, ctx), j, ctx)
+    return ctx.real(_at(sphere_segments(f, j, ctx), j, _RateKernels(ctx))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +539,13 @@ class _Walk:
 class SphereSum:
     """Sum over the spheres j <= top of f(p**j) * p**j * w(j).
 
-    ``runs`` are the profile's runs on j <= top (:func:`sphere_segments`).
-    The Haar factor 1 - 1/p is left to the caller.  Ball integrals take
-    w = 1 (``a1`` None).  The operator at |x| = p**N passes its
-    ``a1`` = alpha - 1, takes top = N - 1 and the kernel frozen on each
-    inner sphere, w(j) = K - p**(j(alpha-1)) with K = p**(N(alpha-1)).
+    ``runs`` are the profile's runs (:func:`sphere_segments`), each cut at
+    top: a run that starts above top is left out, one that reaches above
+    it ends there.  The Haar factor 1 - 1/p is left to the caller.  Ball
+    integrals take w = 1 (``a1`` None).  The operator at |x| = p**N passes
+    its ``a1`` = alpha - 1 and its runs on j <= N, takes top = N - 1 and
+    the kernel frozen on each inner sphere, w(j) = K - p**(j(alpha-1))
+    with K = p**(N(alpha-1)).
     A power run c p**(j*d), and each term a (jL)**m p**(-j*beta) of a
     log-power run with m a nonnegative integer, is summed in closed form (a
     log-power term on j >= 1, when the run is long enough; see
@@ -591,6 +574,10 @@ class SphereSum:
         self.total = self.magnitude = self.abs_total = self.remainder = zero
         self.explicit, self.low = 0, top + 1
         for run in runs:
+            if run.lo is not None and run.lo > top:
+                continue  # the run starts above the sum
+            if run.hi > top:
+                run = replace(run, hi=top)
             if isinstance(run, PowerRun):
                 self._add_closed(run.coeff, 0, run.degree + 1, run.lo, run.hi)
             elif isinstance(run, ValueRun):
@@ -773,10 +760,9 @@ class _Operator:
             return OperatorValue(zero, zero, ZERO)
         N = _require_finite(N, "radius exponent")
         runs = sphere_segments(f, N, ctx)
-        inner = SphereSum(_runs_below(runs, N, ctx), N - 1, self.kernels, self.a1)
+        inner = SphereSum(runs, N - 1, self.kernels, self.a1)
         ball = inner.K * self.kernels.p_pow(N)  # p**(N alpha)
-        parts = _parts_at(runs, N, ctx)
-        f_N, size_N = sum(parts), sum(abs(x) for x in parts)
+        f_N, size_N = _at(runs, N, self.kernels)
         U_minus, U_plus, abs_C = self._sphere
         bracket = unit * inner.total + f_N * ball * U_minus
         magnitude = unit * inner.magnitude + size_N * ball * U_plus

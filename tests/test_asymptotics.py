@@ -342,6 +342,8 @@ class TestPredictOrigin:
     def test_minimum_one_term(self, ctx2):
         with pytest.raises(ParamOutOfRange):
             predict_origin([], [], -1, -5, 2.0, ctx2)
+        with pytest.raises(ParamOutOfRange):  # one coefficient per scale
+            predict_origin([1.0, 1.0], [1.0], 0, -5, 2.0, ctx2)
 
     def test_scales_must_increase(self, ctx2):
         with pytest.raises(ParamOutOfRange):

@@ -19,6 +19,7 @@ from padic_ialpha import (
     ParseError,
     PowerTail,
     Table,
+    ZeroTail,
     b_coefficient,
     ialpha_eval,
     prefactor,
@@ -210,6 +211,21 @@ class TestTableFormat:
         loaded = load_table(str(path), expected_prime=2)
         assert loaded == original
         for N in (3, 4):
+            assert ialpha_eval(loaded, N, 2.0, ctx2).value == ialpha_eval(
+                original, N, 2.0, ctx2).value
+
+    def test_table_above_the_range_keeps_every_row(self, tmp_path, ctx2):
+        # a table starting two spheres above the range was dropped whole:
+        # the rows were -3..0, all 0.0, and the reloaded table raised
+        # MissingTail at N = 3, where the original gives 9
+        original = Table(2, (0.5, 0.75, 1.0), ZeroTail())
+        path = tmp_path / "above.tab"
+        dump_table(original, str(path), ctx2, [-3, 0])
+        loaded = load_table(str(path), expected_prime=2)
+        assert (loaded.j_lo, loaded.j_hi) == (-3, 4)
+        assert loaded.values == (0.0,) * 5 + original.values
+        assert float(ialpha_eval(original, 3, 2.0, ctx2).value) == 9
+        for N in (-3, 0, 3, 4):
             assert ialpha_eval(loaded, N, 2.0, ctx2).value == ialpha_eval(
                 original, N, 2.0, ctx2).value
 

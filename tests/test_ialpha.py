@@ -64,6 +64,7 @@ class TestWorkedValues:
             assert abs(float(oracle - Fraction(5, 28))) < 1e-30
         got = ialpha_eval(Monomial(1.0), 0, 2.0, ctx2)
         assert abs(float(got.value) - 5 / 28) < 1e-12
+        assert float(got) == float(got.value)
         assert float(got.truncation_bound) < 1e-12 * abs(float(got.value))
 
     def test_monomial_equals_coefficient_route(self, exact2):
@@ -391,7 +392,7 @@ class TestMonteCarloCells:
             raise AssertionError("mc_ialpha_eval evaluated a sphere afresh")
 
         monkeypatch.setattr(NumericContext, "p_pow", counted)
-        monkeypatch.setattr(radial, "_sphere_parts", explode)  # under eval_sphere
+        monkeypatch.setattr(radial, "eval_sphere", explode)
         counts = []
         for samples in (10**4, 10**12):
             calls.clear()

@@ -31,11 +31,12 @@ from padic_ialpha.radial import (
     LogRun,
     ValueRun,
     _RateKernels,
-    _sphere_parts,
+    _at,
     _steps,
     sphere_segments,
 )
 from padic_ialpha.series import _power_count
+from sphere_oracle import Arith, value
 
 
 class TestEvalSphere:
@@ -335,8 +336,7 @@ class TestRuns:
         # the two runs cancel at j = 4; their sizes, what rounding scales
         # with, still add
         f = LinearCombo(((1.0, LogPower(0.5, 0.0)), (-1.0, Monomial(-0.5))))
-        parts = _sphere_parts(f, 4, ctx2)
-        assert (sum(parts), sum(abs(x) for x in parts)) == (0, 0.5)
+        assert _at(sphere_segments(f, 4, ctx2), 4, _RateKernels(ctx2)) == (0, 0.5)
 
     def test_table_values_stay_as_given(self, ctx2):
         tab = Table(0, (0.1, 0.2), ZeroTail())
@@ -380,7 +380,10 @@ STEP_PROFILES = [
 @pytest.mark.parametrize("f, top, j", STEP_PROFILES)
 @pytest.mark.parametrize("shift", [0, 1])
 def test_steps_match_point_values(ctx3, f, top, j, shift):
-    # u_i = f(p**i) p**(i shift) on each run's spheres, 0 below and above it
+    # u_i = f(p**i) p**(i shift) on each run's spheres, 0 below and above
+    # it, against the profile's definition at 512 bits; no two runs of
+    # these profiles cover one sphere
+    A = Arith(3, exact=False, log_base_p=False)
     runs = sphere_segments(f, top, ctx3)
     for run in runs:
         steps = _steps(run, j, _RateKernels(ctx3), shift)
@@ -390,14 +393,19 @@ def test_steps_match_point_values(ctx3, f, top, j, shift):
             if not covered:
                 assert (u, size) == (0, None)
                 continue
-            parts = [x * ctx3.p_pow(i * shift) for x in run.at(i, ctx3)]
-            want = sum(parts)
-            assert abs(u - want) <= 2.0**-240 * abs(want)
-            if isinstance(run, LogRun) and len(run.coeffs) > 1:
-                want_size = sum(abs(x) for x in parts)
-                assert abs(size - want_size) <= 2.0**-240 * want_size
-            else:
-                assert size is None
+            with mp.workprec(512):
+                want = value(f, i, A) * A.p_pow(i * shift)
+                assert abs(want - u) <= 2.0**-240 * abs(want)
+                if isinstance(run, LogRun) and len(run.coeffs) > 1:
+                    tail = f.outer_tail
+                    logs = sum(
+                        abs(A.num(a)) * A.power(A.log_radius(i), A.num(tail.gamma) - k)
+                        for k, a in enumerate(tail.coeffs)
+                    )
+                    want_size = A.p_pow((shift - A.num(tail.beta)) * i) * logs
+                    assert abs(want_size - size) <= 2.0**-240 * want_size
+                else:
+                    assert size is None
 
 
 @pytest.mark.parametrize("f, top, j", STEP_PROFILES)

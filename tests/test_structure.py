@@ -95,10 +95,11 @@ def imported_names(source: str) -> set:
 
 
 def test_operator_module_does_not_evaluate_spheres_afresh():
-    # ialpha reads a profile through its runs, built once per value or estimate
+    # ialpha reads a profile through its runs, built once per value or
+    # estimate, and f(p**N) through radial's point read of them
     src = Path(padic_ialpha.__file__).parent / "ialpha.py"
     names = imported_names(src.read_text())
-    assert "sphere_segments" in names
+    assert {"sphere_segments", "_at"} <= names
     assert "eval_sphere" not in names
 
 
@@ -320,19 +321,22 @@ def sphere_term_makers(source: str) -> set:
 
 
 def test_only_the_walk_sums_explicit_spheres():
-    # every walk over consecutive spheres steps its runs through _steps: the
-    # K A - B sums of SphereSum's explicit runs and the Monte Carlo oracle;
-    # every other maker forms the terms of one sphere (a point value, the
-    # bound below a start sphere)
+    # every sphere value is a step of _steps: the K A - B sums of
+    # SphereSum's explicit runs, the Monte Carlo oracle's walk, and each
+    # point value, the first step of a walk; the one other maker forms the
+    # bound below a start sphere.  The runs are data with no methods.
     src = Path(padic_ialpha.__file__).parent
     makers = {
         f"{path.stem}.{name}"
         for path in sorted(src.glob("*.py"))
         for name in sphere_term_makers(path.read_text())
     }
-    assert makers == {
-        "radial.LogRun.at", "radial._parts_at", "radial._rest", "radial._steps",
-    }
+    assert makers == {"radial._rest", "radial._steps"}
+    tree = ast.parse((src / "radial.py").read_text())
+    runs = [node for node in tree.body
+            if isinstance(node, ast.ClassDef) and node.name.endswith("Run")]
+    assert sorted(node.name for node in runs) == ["LogRun", "PowerRun", "ValueRun"]
+    assert [f.name for node in runs for f in node.body if isinstance(f, ast.FunctionDef)] == []
 
 
 def test_sphere_term_scan_sees_every_maker():

@@ -108,6 +108,9 @@ class TestOriginScan:
     def test_missing_expansion_rejected(self, ctx2):
         with pytest.raises(HypothesisMismatch):
             residual_scan("T1", alternating_ratio_table(ctx2), 0, [-8], 2.0, ctx2)
+        with pytest.raises(HypothesisMismatch):  # one coefficient per scale
+            residual_scan("T1", Monomial(1.0), 0, [-8], 2.0, ctx2,
+                          coeffs=[1.0, 1.0], scales=[1.0])
 
 
 class TestInfinityScan:
@@ -142,6 +145,12 @@ class TestInfinityScan:
     def test_regime_enforced(self, ctx2):
         with pytest.raises(HypothesisMismatch):
             residual_scan("T3", LogPower(0.5, 2.0), 0, [1, 4], 2.0, ctx2)
+
+    @pytest.mark.parametrize("theorem", ["T3", "T4"])
+    def test_missing_expansion_rejected(self, ctx2, theorem):
+        # a monomial reaches infinity from the origin: no outer expansion
+        with pytest.raises(HypothesisMismatch):
+            residual_scan(theorem, Monomial(1.0), 0, [4, 8], 2.0, ctx2)
 
     def test_beta_must_be_subcritical(self, ctx2):
         with pytest.raises(HypothesisMismatch):
@@ -229,6 +238,8 @@ class TestRatioBound:
             ratio_bound_check(LogPower(2.0, 1.0), [5, 10], 2.0, ctx2)  # zero near 0
         with pytest.raises(HypothesisMismatch):
             ratio_bound_check(Monomial(1.0), [5, 10], 2.0, ctx2)  # vanishes at 0
+        with pytest.raises(HypothesisMismatch):
+            ratio_bound_check(Table(0, (1.0, 2.0), None), [5], 2.0, ctx2)  # no tails
 
 
 class TestLemmaDecay:
@@ -289,9 +300,17 @@ class TestLemmaDecay:
     def test_param_validation(self, ctx2):
         with pytest.raises(ParamOutOfRange):
             lemma_decay_check("L1", {"lam": 0.5, "lam_prime": 0.4}, [10], ctx2)
+        for lam in (0.0, 1.0):
+            with pytest.raises(ParamOutOfRange):
+                lemma_decay_check("L1", {"lam": lam, "lam_prime": 1.5}, [10], ctx2)
+        with pytest.raises(ParamOutOfRange):
+            lemma_decay_check("L1", {"lam": 0.5, "lam_prime": 0.7}, [0, 10], ctx2)
         with pytest.raises(ParamOutOfRange):
             lemma_decay_check("L2", {"k": 0, "beta": 0.9, "eps": 0.2, "alpha": 2.0},
                               [1], ctx2)
+        with pytest.raises(ParamOutOfRange):
+            lemma_decay_check("L2", {"k": 0, "beta": 0.0, "eps": 0.05, "alpha": 2.0},
+                              [0, 1], ctx2)
         with pytest.raises(ParamOutOfRange):
             lemma_decay_check("L9", {}, [1], ctx2)
 
@@ -507,6 +526,13 @@ class TestOneTablePerScan:
         for x in LADDERS[theorem]:
             op.at(f, x)
         assert scan == len(calls)
+
+
+def test_scan_rejects_an_unknown_theorem_and_an_empty_ladder(ctx2):
+    with pytest.raises(HypothesisMismatch):  # T2 is ratio_bound_check
+        residual_scan("T2", LogPower(2.0, 0.0), 0, [4, 8], 2.0, ctx2)
+    with pytest.raises(ParamOutOfRange):
+        residual_scan("T3", LogPower(0.5, 2.0), 0, [], 2.0, ctx2)
 
 
 def test_reports_sorted_by_exponent(ctx2):
