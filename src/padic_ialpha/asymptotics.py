@@ -176,7 +176,7 @@ def _series_B(a, g, n_max: int, beta, op: _Operator):
 
 
 def _beta(ctx: NumericContext, beta):
-    b = ctx.real(beta)
+    b = ctx.real(beta, "beta")
     if not 0 <= b < 1:
         raise BetaOutOfRange(f"beta must lie in [0, 1), got {beta}")
     return b

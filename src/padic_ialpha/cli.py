@@ -19,7 +19,7 @@ import math
 import re
 import sys
 
-from .asymptotics import b_coefficient, omega, omega_tilde
+from .asymptotics import _b, _beta, _moment
 from .core import (
     LogBase,
     MissingTail,
@@ -28,8 +28,6 @@ from .core import (
     ParseError,
     RandomStream,
     _require_count,
-    prefactor,
-    unit_kernel_integral,
 )
 from .ialpha import _mc_eval, _require_samples
 from .radial import (
@@ -406,14 +404,16 @@ def _emit(cfg: dict, header: list[str], rows: list[tuple]) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_constants(args, ctx, cfg):
+    op = _Operator(args.alpha, ctx)  # one C, U and table for every row
     rows = [
-        ("C", "", float(prefactor(ctx, args.alpha))),
-        ("U", "", float(unit_kernel_integral(ctx, args.alpha))),
-        ("b", 0, float(b_coefficient(0, args.alpha, ctx))),
+        ("C", "", float(op.C)),
+        ("U", "", float(op.U)),
+        ("b", 0, float(_b(ctx.real(0), op))),
     ]
     ks = range(_require_count(args.kmax, "kmax") + 1)
-    rows += [("Omega", k, float(omega(k, args.alpha, args.beta, ctx))) for k in ks]
-    rows += [("OmegaTilde", k, float(omega_tilde(k, args.alpha, ctx))) for k in ks]
+    beta = _beta(ctx, args.beta)
+    rows += [("Omega", k, float(_moment(k, k, beta, op))) for k in ks]
+    rows += [("OmegaTilde", k, float(_moment(k, k, None, op))) for k in ks]
     _emit(cfg, ["name", "k", "value"], rows)
 
 

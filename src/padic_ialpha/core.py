@@ -206,6 +206,7 @@ def _require_real(x, what: str = "parameter"):
 # ---------------------------------------------------------------------------
 
 _RND = libmp.round_nearest  # the rounding of mpmath's default context
+_NON_FINITE = (libmp.finf, libmp.fninf, libmp.fnan)  # the raw mpfs of inf, -inf and NaN
 
 
 @lru_cache(maxsize=64)  # a context holds about 40 kB; guard bits add precisions
@@ -345,26 +346,34 @@ class NumericContext:
         """mpmath's global precision set to this one, for a caller's own mpfs."""
         return mp.workprec(self.precision_bits)
 
-    def real(self, x):
+    def real(self, x, what: str = "parameter"):
         """x as this context's scalar: a Fraction in exact mode, else an mpf.
 
         Every real parameter enters the arithmetic here, once, at its public
         entry: a float becomes the exact value of its double, and every
         exponent built from it (alpha - 1, M + alpha, ...) is then formed in
         the context arithmetic, never in float64.  Bools, NaN and inf are
-        rejected here (:class:`ParamOutOfRange`), before any range check
-        sees them.  ints and floats convert exactly; a Fraction rounds to
-        the context's precision, whatever ``mp.prec`` is.  An mpf of any
-        context moves into this one unrounded.
+        rejected here (:class:`ParamOutOfRange`, naming the parameter
+        ``what``), before any range check sees them.  ints and floats
+        convert exactly; a Fraction rounds to the context's precision,
+        whatever ``mp.prec`` is.  An mpf of any context moves into this one
+        unrounded.
         """
-        _require_real(x)
+        prec = self.precision_bits
+        if not self.exact:  # the common types by their type: the general checks are slow
+            kind = type(x)
+            if kind is float and math.isfinite(x):  # libmp.from_float's value, unrounded
+                man, den = x.as_integer_ratio()  # den is a power of 2
+                return _make_mpf(prec, libmp.from_man_exp(man, 1 - den.bit_length()))
+            if kind is int:
+                return _make_mpf(prec, libmp.from_int(x))
+            if kind is _mp_context(prec).mpf and x._mpf_ not in _NON_FINITE:
+                return x
+        _require_real(x, what)
         if self.exact:
             if isinstance(x, (numbers.Rational, float)):
                 return Fraction(x)
             raise NumericModeError(f"cannot represent {x!r} exactly")
-        prec = self.precision_bits
-        if type(x) is _mp_context(prec).mpf:
-            return x
         return _make_mpf(prec, _raw(x, prec))
 
     def p_pow(self, exponent):
@@ -483,7 +492,7 @@ def unit_kernel_integral(ctx: NumericContext, alpha):
 def _check_alpha(ctx: NumericContext, alpha):
     """alpha as a context scalar, by the library's one rule for alpha:
     AlphaOutOfRange unless it exceeds 1 by more than rel_tol."""
-    a = ctx.real(alpha)
+    a = ctx.real(alpha, "alpha")
     if a - 1 <= ctx.rel_tol:
         raise AlphaOutOfRange(
             f"alpha must exceed 1 by more than rel_tol, got {alpha}"

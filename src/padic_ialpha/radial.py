@@ -33,9 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import count, islice, repeat
 from typing import Union
+
+from mpmath import libmp
 
 from .core import (
     ZERO,
@@ -303,7 +305,9 @@ def _steps(run, j: int, kernels: _RateKernels, shift):
 
 def _running(c, e, lo: int, kernels: _RateKernels):
     """c * p**(i*e) for i = lo, lo + 1, ...; p**e is formed for the second."""
-    s = c * kernels.p_pow(e * lo) if e else c
+    s = c
+    if e:  # a product by c = 1 is exact, and skipped
+        s = kernels.p_pow(e * lo) if c == 1 else c * kernels.p_pow(e * lo)
     yield s
     up = kernels.p_pow(e) if e else 1
     while True:
@@ -468,11 +472,20 @@ class _RateKernels(dict):
         self.ctx, self.walks, self.powers = ctx, {}, {}  # dict.__new__ made the table
 
     def p_pow(self, exponent):
-        """p**exponent, formed on the first request of the exponent's value."""
+        """p**exponent, formed on the first request of the exponent's value.
+
+        The key is that value: the raw mpf of an mpf, an int or a float,
+        hashed in C, or in exact mode the exponent itself.
+        """
         ctx = self.ctx
-        key = getattr(exponent, "_mpf_", None)  # an mpf's exact value; hashed in C
-        if key is None:  # an int, or any exponent in exact mode
-            key = exponent if ctx.exact else _raw(exponent, ctx.precision_bits)
+        key = getattr(exponent, "_mpf_", None)
+        if key is None:
+            if ctx.exact:
+                key = exponent
+            elif type(exponent) is int:  # as _raw converts it, without its dispatch
+                key = libmp.from_int(exponent)
+            else:
+                key = _raw(exponent, ctx.precision_bits)
         power = self.powers.get(key)
         if power is None:
             power = self.powers[key] = ctx.p_pow(exponent)
@@ -541,7 +554,8 @@ class SphereSum:
 
     ``runs`` are the profile's runs (:func:`sphere_segments`), each cut at
     top: a run that starts above top is left out, one that reaches above
-    it ends there.  The Haar factor 1 - 1/p is left to the caller.  Ball
+    it ends there (a power run passes min(hi, top) to its closed form and
+    is not copied).  The Haar factor 1 - 1/p is left to the caller.  Ball
     integrals take w = 1 (``a1`` None).  The operator at |x| = p**N passes
     its ``a1`` = alpha - 1 and its runs on j <= N, takes top = N - 1 and
     the kernel frozen on each inner sphere, w(j) = K - p**(j(alpha-1))
@@ -550,7 +564,8 @@ class SphereSum:
     log-power run with m a nonnegative integer, is summed in closed form (a
     log-power term on j >= 1, when the run is long enough; see
     ``_add_log``) as K S(rate) - S(rate + alpha - 1), with S the sum of
-    j**m p**(j*rate), rate = d + 1 or 1 - beta.  Table values
+    j**m p**(j*rate), rate = d + 1 or 1 - beta, times its coefficient c
+    once (not at all when c = 1, where the product is exact).  Table values
     and the other log-power terms form K A - B, A and B the sums of u_j and
     u_j p**(j(alpha-1)), u_j = f(p**j) * p**j, walked from a start sphere c
     up (``_add_explicit``).  Every run is summed once, so a linear
@@ -563,7 +578,10 @@ class SphereSum:
     before any cancellation, which is what rounding errors scale with;
     ``remainder`` is the certified bound on the spheres below the start
     spheres; ``explicit`` counts the spheres walked and ``low`` is the
-    lowest of them (top + 1 when there is none).
+    lowest of them (top + 1 when there is none).  ``abs_total``, the sum
+    of each closed part's |c * part| and each walk's K sum|u_j| - sum|u_j| P_j
+    in the order of the runs, is what an explicit run's start test compares
+    against; it is brought up to date only when such a test reads it.
     """
 
     def __init__(self, runs: list, top: int, kernels: _RateKernels, a1=None):
@@ -572,15 +590,17 @@ class SphereSum:
         zero = ctx.real(0)
         self.K = ctx.real(1) if a1 is None else kernels.p_pow(a1 * (top + 1))
         self.total = self.magnitude = self.abs_total = self.remainder = zero
+        self.closed = []  # the closed parts not yet in abs_total
         self.explicit, self.low = 0, top + 1
         for run in runs:
             if run.lo is not None and run.lo > top:
                 continue  # the run starts above the sum
+            if isinstance(run, PowerRun):
+                self._add_closed(run.coeff, 0, run.degree + 1, run.lo, min(run.hi, top))
+                continue
             if run.hi > top:
                 run = replace(run, hi=top)
-            if isinstance(run, PowerRun):
-                self._add_closed(run.coeff, 0, run.degree + 1, run.lo, run.hi)
-            elif isinstance(run, ValueRun):
+            if isinstance(run, ValueRun):
                 self._add_explicit(run)
             else:
                 self._add_log(run)
@@ -592,9 +612,11 @@ class SphereSum:
         if self.a1 is not None:
             s2, size2 = _power_sum(self.kernels, m, rate + self.a1, lo, hi)
             part, size = part - s2, size + size2
-        self.total += c * part
-        self.magnitude += abs(c) * size
-        self.abs_total += abs(c * part)
+        if c != 1:  # a product by 1 is exact
+            part, size = c * part, abs(c) * size
+        self.total += part
+        self.magnitude += size
+        self.closed.append(part)
 
     def _add_log(self, run: LogRun):
         """Add a log-power run: integer powers (jL)**m, m >= 0, in closed form.
@@ -630,6 +652,9 @@ class SphereSum:
         all that is summed, this run from c included; it steps down until
         it does, and K * rest joins the remainder.
         """
+        for part in self.closed:  # the order in which they were summed
+            self.abs_total += abs(part)
+        self.closed.clear()
         ctx, K, c = self.ctx, self.K, self._start(run)
         while True:
             A, B, size, ua, ub = self.kernels.walk(run, c, self.a1, run.hi)
@@ -721,11 +746,13 @@ class _Operator:
     """The operator at one alpha in one context, for any profile and radius.
 
     What depends on neither the profile nor the radius is formed once:
-    alpha's check, a1 = alpha - 1 and the prefactor C when it is made, the
-    unit-sphere integral U and 1 - 1/p when first read (the Monte Carlo
-    estimator reads neither), and a table of the closed forms' rate
-    kernels, the explicit runs' walks and the powers of p, which fills as
-    sums need them.  A scan makes one operator, calls :meth:`at` per
+    alpha's check, a1 = alpha - 1 and the prefactor C when it is made; the
+    unit-sphere integral U, ``unit`` = 1 - 1/p and ``_sphere``, the factors
+    U - unit, U + unit and |C| of the sphere |y| = |x| and of the bound,
+    together on the first read of any of them (the Monte Carlo estimator
+    reads none); and a table of the closed forms' rate kernels, the
+    explicit runs' walks and the powers of p, which fills as sums need
+    them.  A scan makes one operator, calls :meth:`at` per
     radius and builds its expansion from it; every expansion builder and
     the constants b(M), omega, omega_tilde and B_n read an operator.  A
     value does not depend on the values formed before.  The table dies with the operator.
@@ -738,23 +765,21 @@ class _Operator:
         self.kernels = kernels = _RateKernels(ctx)
         self.C = _prefactor(ctx, kernels.p_pow(-a), kernels.p_pow(self.a1))
 
-    @cached_property
-    def U(self):
-        return _unit(self.ctx, self.kernels.p_pow(-self.alpha))  # C's p**(-alpha)
-
-    @cached_property
-    def unit(self):
-        return 1 - self.kernels.p_pow(-1)
-
-    @cached_property
-    def _sphere(self):
-        """The factors of the sphere |y| = |x| and of the bound."""
-        return self.U - self.unit, self.U + self.unit, abs(self.C)
+    def __getattr__(self, name):
+        """U, ``unit`` = 1 - 1/p and ``_sphere``, the factors of the sphere
+        |y| = |x| and of the bound, all formed on the first read of one."""
+        if name not in ("U", "unit", "_sphere"):
+            raise AttributeError(name)
+        p_pow = self.kernels.p_pow
+        self.U = U = _unit(self.ctx, p_pow(-self.alpha))  # C's p**(-alpha)
+        self.unit = unit = 1 - p_pow(-1)
+        self._sphere = U - unit, U + unit, abs(self.C)
+        return getattr(self, name)
 
     def at(self, f: RadialFunction, N) -> OperatorValue:
         """The value at |x| = p**N for the profile f, as
         :func:`~padic_ialpha.ialpha.ialpha_eval` documents it."""
-        ctx, unit = self.ctx, self.unit
+        ctx = self.ctx
         if N is ZERO:
             zero = ctx.real(0)
             return OperatorValue(zero, zero, ZERO)
@@ -763,7 +788,7 @@ class _Operator:
         inner = SphereSum(runs, N - 1, self.kernels, self.a1)
         ball = inner.K * self.kernels.p_pow(N)  # p**(N alpha)
         f_N, size_N = _at(runs, N, self.kernels)
-        U_minus, U_plus, abs_C = self._sphere
+        unit, (U_minus, U_plus, abs_C) = self.unit, self._sphere
         bracket = unit * inner.total + f_N * ball * U_minus
         magnitude = unit * inner.magnitude + size_N * ball * U_plus
         bound = abs_C * (

@@ -88,10 +88,10 @@ def _rate_kernel(ctx: NumericContext, m: int, rate):
     """The part of sum_j j**m p**(j*rate) that does not depend on its ends.
 
     Formed at working precision, for rate != 0: the geometric denominator
-    1 - p**(-rate) when m = 0, else (gctx, phis, ends), the guarded context
-    of :func:`_power_sum`, Phi_0(w) ... Phi_m(w) at its precision and a dict
-    in which :func:`_power_sum` keeps the far ends it forms.  The expansion
-    moments read their Phi_k from the same entries (:func:`_phi`).
+    1 - p**(-rate) when m = 0, else (gctx, grate, phis, ends), the guarded
+    context of :func:`_power_sum`, the rate and Phi_0(w) ... Phi_m(w) in it,
+    and a dict in which :func:`_power_sum` keeps the far ends it forms.  The
+    expansion moments read their Phi_k from the same entries (:func:`_phi`).
     """
     if m == 0:
         return _one_minus_p_pow(ctx, -rate)
@@ -100,7 +100,8 @@ def _rate_kernel(ctx: NumericContext, m: int, rate):
         guard = (m + 1) * max(0, math.ceil(gap)) + 8
         ctx = replace(ctx, precision_bits=ctx.precision_bits + guard)
     w = ctx.p_pow(-abs(rate))
-    return ctx, [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)], {}
+    phis = [1 / (1 - w)] + [phi_sum(t, w, ctx) for t in range(1, m + 1)]
+    return ctx, ctx.real(rate), phis, {}
 
 
 def _phi(kernels, M: int, k: int, rate):
@@ -111,7 +112,7 @@ def _phi(kernels, M: int, k: int, rate):
     if M == 0:
         d = kernels.at(0, rate)
         return (1 - d) / d
-    phis = kernels.at(M, rate)[1]
+    phis = kernels.at(M, rate)[2]
     return phis[k] if k else phis[0] - 1
 
 
@@ -166,10 +167,9 @@ def _power_sum(kernels, m: int, rate, lo, hi):
             / kernels.at(0, rate)
         )
         return s, s
-    ctx, phis, ends = kernels.at(m, rate)
     # rate * x rounds in the guarded context too; the results enter working
     # precision as the right operand of a product at working precision
-    rate = ctx.real(rate)
+    ctx, rate, phis, ends = kernels.at(m, rate)
     sign, (near, far) = (-1, (hi, lo)) if rate > 0 else (1, (lo, hi))
 
     def end(x):

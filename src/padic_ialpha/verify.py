@@ -273,8 +273,8 @@ def lemma_decay_check(which: str, params: dict, ladder, ctx: NumericContext):
     """
     ladder = _ladder(ladder)
     if which == "L1":
-        lam = ctx.real(params["lam"])
-        lam_prime = ctx.real(params["lam_prime"])
+        lam = ctx.real(params["lam"], "lam")
+        lam_prime = ctx.real(params["lam_prime"], "lam_prime")
         if not 0 < lam < 1:
             raise ParamOutOfRange(f"lam must lie in (0, 1), got {lam}")
         if lam_prime <= lam:
@@ -289,8 +289,8 @@ def lemma_decay_check(which: str, params: dict, ladder, ctx: NumericContext):
         return rows
     if which == "L2":
         k = _require_finite(params["k"], "k")
-        beta = ctx.real(params["beta"])
-        eps = ctx.real(params["eps"])
+        beta = ctx.real(params["beta"], "beta")
+        eps = ctx.real(params["eps"], "eps")
         if eps <= 0 or beta + eps >= 1:
             raise ParamOutOfRange("need eps > 0 and beta + eps < 1")
         kernel, rows = _build_smallball(k, beta, _Operator(params["alpha"], ctx)), []

@@ -376,14 +376,37 @@ class TestExitCodes:
         assert out == ""
         assert "kmax" in err
 
+    # a flag given after the defaults --p 2 --alpha 2 overrides them
     @pytest.mark.parametrize("argv,message", [
-        (["mc", "--monomial", "1", "--seed", "-1"], "--seed must be nonnegative, got -1"),
-        (["eval", "--coeffs", "1", "--ladder", "0"],
-         "eval needs a profile (--monomial/--indicator/--table) "
-         "or both --coeffs and --scales"),
-    ], ids=["seed", "coeffs"])
+        pytest.param(["mc", "--monomial", "1", "--seed", "-1"],
+                     "--seed must be nonnegative, got -1", id="seed"),
+        pytest.param(["eval", "--coeffs", "1", "--ladder", "0"],
+                     "eval needs a profile (--monomial/--indicator/--table) "
+                     "or both --coeffs and --scales", id="coeffs"),
+        *[pytest.param([sub, *flags, "--alpha", bad], f"alpha must be finite, got {bad}",
+                       id=f"{sub}-alpha")
+          for sub, flags, bad in [
+              ("constants", [], "nan"),
+              ("eval", ["--monomial", "1", "--ladder", "0"], "inf"),
+              ("theorem1", ["--monomial", "1"], "nan"),
+              ("theorem2", ["--beta", "2"], "nan"),
+              ("theorem3", ["--beta", "0.5", "--gamma", "2"], "nan"),
+              ("theorem4", ["--gamma", "0"], "inf"),
+              ("lemmas", ["--which", "L2"], "nan"),
+              ("mc", ["--monomial", "1"], "nan"),
+          ]],
+        pytest.param(["lemmas", "--which", "L1", "--lam", "nan"],
+                     "lam must be finite, got nan", id="lam"),
+        pytest.param(["lemmas", "--which", "L1", "--lam-prime", "inf"],
+                     "lam_prime must be finite, got inf", id="lam-prime"),
+        pytest.param(["lemmas", "--which", "L2", "--eps", "nan"],
+                     "eps must be finite, got nan", id="eps"),
+        pytest.param(["constants", "--beta", "nan"],
+                     "beta must be finite, got nan", id="constants-beta"),
+    ])
     def test_message_names_the_flag(self, capsys, argv, message):
-        status, out, err = run_capture(capsys, [*argv, "--p", "2", "--alpha", "2"])
+        status, out, err = run_capture(capsys, [argv[0], "--p", "2", "--alpha", "2",
+                                                *argv[1:]])
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
     def test_bad_table_file(self, tmp_path, capsys):

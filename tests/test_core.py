@@ -41,6 +41,7 @@ from padic_ialpha import (
     unit_kernel_integral,
 )
 from padic_ialpha.core import (
+    _mp_context,
     _one_minus_p_pow,
     _require_finite,
     general_power,
@@ -271,13 +272,30 @@ ENTRY_POINTS = {
         "L2", {"k": 0, "beta": 0.0, "eps": 0.05, "alpha": x}, [1, 2], ctx),
     "lemma_L1.lam": lambda ctx, x: lemma_decay_check(
         "L1", {"lam": x, "lam_prime": 0.7}, [10], ctx),
+    "real": lambda ctx, x: NumericContext(2).real(x),
     "real.exact": lambda ctx, x: NumericContext(2, exact=True).real(x),
+    "ialpha_eval.alpha": lambda ctx, x: ialpha_eval(Monomial(1), 2, x, ctx),
+    "mc_ialpha_eval.alpha": lambda ctx, x: mc_ialpha_eval(Monomial(1), 0, x, 10**4, 1, ctx),
+    "residual_scan.alpha": lambda ctx, x: residual_scan(
+        "T3", LogPower(0.5, 2.0), 0, [4, 8], x, ctx),
 }
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf, True), ids=repr)
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_points_reject_non_finite_and_bool(entry, bad, ctx2):
+    with pytest.raises(ParamOutOfRange):
+        ENTRY_POINTS[entry](ctx2, bad)
+
+
+# a numpy float and an mpf of another precision miss real's fast path by
+# type; an mpf of the context's own 256 bits takes it
+@pytest.mark.parametrize("bad", (
+    np.float64("nan"), _mp_context(64).mpf("inf"),
+    _mp_context(256).mpf("nan"), _mp_context(256).mpf("-inf"),
+), ids=repr)
+@pytest.mark.parametrize("entry", ["real", "real.exact"])
+def test_real_rejects_non_finite_numpy_and_mpf(entry, bad, ctx2):
     with pytest.raises(ParamOutOfRange):
         ENTRY_POINTS[entry](ctx2, bad)
 

@@ -31,7 +31,7 @@ from padic_ialpha import (
     smallball_kernel_integral,
     unit_kernel_integral,
 )
-from padic_ialpha import radial
+from padic_ialpha import core, radial, series
 
 
 def brute_sphere_sum(f_at, N, alpha, ctx, j_floor):
@@ -205,9 +205,56 @@ class TestOperatorInvariants:
         assert b.j_cut < a.j_cut - 10
         assert abs(float(a.value - b.value)) <= float(a.truncation_bound)
 
+    def test_closed_parts_summed_first_count_in_the_cut(self, ctx2):
+        # a walked run starts where its remainder falls below rel_tol of all
+        # that is summed, the closed parts added before it included: beside
+        # a monomial whose part dwarfs it, LogPower(0.5, 2.5) is cut far higher
+        g = LogPower(0.5, 2.5)
+        alone = ialpha_eval(g, 300, 2.0, ctx2)
+        mono = ialpha_eval(Monomial(0.5), 300, 2.0, ctx2)
+        combo = ialpha_eval(LinearCombo(((1.0, Monomial(0.5)), (1.0, g))), 300, 2.0, ctx2)
+        assert combo.j_cut > alone.j_cut + 100
+        err = abs(combo.value - mono.value - alone.value)
+        assert err <= combo.truncation_bound + mono.truncation_bound + alone.truncation_bound
+
     def test_alpha_validation(self, ctx2):
         with pytest.raises(AlphaOutOfRange):
             ialpha_eval(Monomial(1.0), 0, 1.0, ctx2)
+
+    # the calls that run mpmath's exp per fresh value (p**x with x not an
+    # integer, and 1 - p**x), counted at N = 40, alpha = 2.3, p = 2: an
+    # upper bound that a change may lower but not raise
+    TRANSCENDENTAL_BUDGET = {
+        "monomial": (Monomial(0.5), 7),
+        "indicator": (Indicator(2), 6),
+        "logpower": (LogPower(1.5, 0.0), 11),
+        "logpower_closed": (LogPower(0.5, 2.0), 9),
+        "logpower_walked": (LogPower(0.3, 1.5), 6),
+        "table": (Table(-3, (0.5, 1.5, 1.0, 2.0), PowerTail(1.0, 0.5),
+                        OuterTail(0.5, 1.0, (1.0, 0.5))), 19),
+        "combo": (LinearCombo(((0.5, Monomial(1.0)), (-1.5, Indicator(0)))), 8),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(TRANSCENDENTAL_BUDGET))
+    def test_transcendentals_per_value_stay_within_budget(self, kind, monkeypatch):
+        calls = []
+        p_pow, one_minus_p_pow = NumericContext.p_pow, core._one_minus_p_pow
+
+        def counted(self, exponent):
+            if int(exponent) != exponent:
+                calls.append(exponent)
+            return p_pow(self, exponent)
+
+        def counted_gap(ctx, x):
+            calls.append(x)
+            return one_minus_p_pow(ctx, x)
+
+        monkeypatch.setattr(NumericContext, "p_pow", counted)
+        for module in (core, series):
+            monkeypatch.setattr(module, "_one_minus_p_pow", counted_gap)
+        f, budget = self.TRANSCENDENTAL_BUDGET[kind]
+        ialpha_eval(f, 40, 2.3, NumericContext(2))
+        assert 0 < len(calls) <= budget
 
 
 class TestSmallBallKernelIntegral:
