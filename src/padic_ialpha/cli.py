@@ -28,6 +28,7 @@ from .core import (
     ParseError,
     RandomStream,
     _require_count,
+    _require_real,
 )
 from .ialpha import _mc_eval, _require_samples
 from .radial import (
@@ -198,11 +199,12 @@ def _parse_ladder(raw: str) -> list[int]:
     return list(ladder)
 
 
-def _parse_reals(raw: str) -> list[float]:
+def _parse_reals(raw: str, name: str) -> list[float]:
     try:
-        return [float(x) for x in raw.split(",") if x.strip()]
+        values = [float(x) for x in raw.split(",") if x.strip()]
     except ValueError:
         raise ParamOutOfRange(f"expected comma-separated reals, got {raw!r}") from None
+    return [_require_real(x, name) for x in values]
 
 
 _PARSER = None  # built on the first call of run
@@ -315,13 +317,18 @@ def _config(args) -> dict:
     Its 20 keys are the same for every subcommand: a flag the subcommand
     lacks reads None (``samples`` the default, ``eq13_printed`` false),
     ``table_file`` and ``n_order`` echo ``--table`` and ``--order``, and the
-    list flags are parsed here, once, for the subcommands to read.
+    list flags are parsed here, once, for the subcommands to read.  Every
+    float flag, and each --coeffs/--scales entry, must be finite, also where
+    the subcommand ignores it.
     """
     ns = vars(args)
+    for name, value in ns.items():
+        if isinstance(value, float):
+            _require_real(value, name)
     return {
         **{k: ns.get(k) for k in ("alpha", "beta", "gamma", "monomial", "indicator",
                                   "kmax", "which")},
-        **{k: _parse_reals(ns[k]) if ns.get(k) else None for k in ("coeffs", "scales")},
+        **{k: _parse_reals(ns[k], k) if ns.get(k) else None for k in ("coeffs", "scales")},
         "ladder": _parse_ladder(ns["ladder"]) if "ladder" in ns else None,
         "subcommand": args.subcommand,
         "p": args.p,

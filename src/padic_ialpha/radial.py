@@ -18,7 +18,7 @@ summed in closed form, as series sum_j j**m p**(j*rate)
 (:mod:`~padic_ialpha.series`).  Only tabulated values and the log-power
 terms without that form (non-integer or negative log powers, and the
 spheres j <= 0) are walked sphere by sphere, from a start sphere up, as
-two series K A - B (:class:`SphereSum`, which cuts each run at its top).
+two series K A - B, once every closed part is summed (:class:`SphereSum`).
 Every walk over consecutive spheres, these and the Monte Carlo oracle's,
 steps its runs with ``_steps``.  What does not depend on a sum's top
 (the geometric denominator, the guarded kernels Phi_t, the walks, each
@@ -554,12 +554,11 @@ class SphereSum:
 
     ``runs`` are the profile's runs (:func:`sphere_segments`), each cut at
     top: a run that starts above top is left out, one that reaches above
-    it ends there (a power run passes min(hi, top) to its closed form and
-    is not copied).  The Haar factor 1 - 1/p is left to the caller.  Ball
-    integrals take w = 1 (``a1`` None).  The operator at |x| = p**N passes
-    its ``a1`` = alpha - 1 and its runs on j <= N, takes top = N - 1 and
-    the kernel frozen on each inner sphere, w(j) = K - p**(j(alpha-1))
-    with K = p**(N(alpha-1)).
+    it is summed to hi = min(hi, top).  The Haar factor 1 - 1/p is left to
+    the caller.  Ball integrals take w = 1 (``a1`` None).  The operator at
+    |x| = p**N passes its ``a1`` = alpha - 1 and its runs on j <= N, takes
+    top = N - 1 and the kernel frozen on each inner sphere,
+    w(j) = K - p**(j(alpha-1)) with K = p**(N(alpha-1)).
     A power run c p**(j*d), and each term a (jL)**m p**(-j*beta) of a
     log-power run with m a nonnegative integer, is summed in closed form (a
     log-power term on j >= 1, when the run is long enough; see
@@ -568,42 +567,43 @@ class SphereSum:
     once (not at all when c = 1, where the product is exact).  Table values
     and the other log-power terms form K A - B, A and B the sums of u_j and
     u_j p**(j(alpha-1)), u_j = f(p**j) * p**j, walked from a start sphere c
-    up (``_add_explicit``).  Every run is summed once, so a linear
-    combination walks its spheres once.  The parts of S that do not depend
-    on the run's ends, and the walks, come from ``kernels``, whose context
-    the sum is formed in; an operator passes the one table it keeps across
-    the radii of a scan, so its rungs share each walk.
+    up (``_add_explicit``).  Every closed part is summed before any run is
+    walked; the walks follow the order of the runs.  Every run is summed
+    once, so a linear combination walks its spheres once.  The parts of S
+    that do not depend on the run's ends, and the walks, come from
+    ``kernels``, whose context the sum is formed in; an operator passes the
+    one table it keeps across the radii of a scan, so its rungs share each
+    walk.
 
     ``total`` is the sum; ``magnitude`` bounds the size of what was added
     before any cancellation, which is what rounding errors scale with;
     ``remainder`` is the certified bound on the spheres below the start
     spheres; ``explicit`` counts the spheres walked and ``low`` is the
-    lowest of them (top + 1 when there is none).  ``abs_total``, the sum
-    of each closed part's |c * part| and each walk's K sum|u_j| - sum|u_j| P_j
-    in the order of the runs, is what an explicit run's start test compares
-    against; it is brought up to date only when such a test reads it.
+    lowest of them (top + 1 when there is none).  ``abs_total``, each
+    closed part's |c * part| and each walk's K sum|u_j| - sum|u_j| P_j, is
+    what a walked run's start test compares against: every closed part and
+    the runs walked before it, in whatever order a combination lists them.
     """
 
     def __init__(self, runs: list, top: int, kernels: _RateKernels, a1=None):
         ctx = kernels.ctx
         self.ctx, self.top, self.kernels, self.a1 = ctx, top, kernels, a1
-        zero = ctx.real(0)
         self.K = ctx.real(1) if a1 is None else kernels.p_pow(a1 * (top + 1))
-        self.total = self.magnitude = self.abs_total = self.remainder = zero
-        self.closed = []  # the closed parts not yet in abs_total
+        self.total = self.magnitude = self.abs_total = self.remainder = ctx.real(0)
         self.explicit, self.low = 0, top + 1
+        walked = []
         for run in runs:
             if run.lo is not None and run.lo > top:
                 continue  # the run starts above the sum
+            hi = min(run.hi, top)
             if isinstance(run, PowerRun):
-                self._add_closed(run.coeff, 0, run.degree + 1, run.lo, min(run.hi, top))
-                continue
-            if run.hi > top:
-                run = replace(run, hi=top)
-            if isinstance(run, ValueRun):
-                self._add_explicit(run)
+                self._add_closed(run.coeff, 0, run.degree + 1, run.lo, hi)
+            elif isinstance(run, ValueRun):
+                walked.append((run, hi))
             else:
-                self._add_log(run)
+                walked += self._add_log(run, hi)
+        for run, hi in walked:
+            self._add_explicit(run, hi)
 
     def _add_closed(self, c, m: int, rate, lo, hi: int):
         """Add c * sum of j**m p**(j*rate) w(j) over lo <= j <= hi, in closed form."""
@@ -616,48 +616,47 @@ class SphereSum:
             part, size = c * part, abs(c) * size
         self.total += part
         self.magnitude += size
-        self.closed.append(part)
+        self.abs_total += abs(part)
 
-    def _add_log(self, run: LogRun):
-        """Add a log-power run: integer powers (jL)**m, m >= 0, in closed form.
+    def _add_log(self, run: LogRun, hi: int) -> list:
+        """Sum a log-power run's integer powers (jL)**m, m >= 0, in closed form.
 
-        The closed terms cover the spheres 1 <= j <= hi, when there are at
-        least (gamma + 1)**2 of them: the closed form costs about that many
-        sphere terms (its kernels Phi_1 ... Phi_gamma), and when hi is
-        below gamma its two ends cancel by more than its guard bits cover.
-        What is left is walked: the whole run when gamma is not an integer
-        or the run is short, the negative powers on j >= 1, and every term
-        on the spheres j <= 0.
+        They cover the spheres 1 <= j <= hi, when there are at least
+        (gamma + 1)**2 of them: the closed form costs about that many sphere
+        terms (its kernels Phi_1 ... Phi_gamma), and when hi is below gamma
+        its two ends cancel by more than its guard bits cover.  Returns the
+        (run, hi) left to walk once every closed part is summed: the whole
+        run when gamma is not an integer or the run is short, the negative
+        powers on j >= 1, and every term on the spheres j <= 0.
         """
         gamma = run.gamma
         lo = max(run.lo, 1)
         n = int(gamma) + 1
-        if gamma != n - 1 or n * n > run.hi - lo + 1:
-            self._add_explicit(run)
-            return
+        if gamma != n - 1 or n * n > hi - lo + 1:
+            return [(run, hi)]
         L = self.ctx.log_unit()
         for k, a in enumerate(run.coeffs[:n]):
             m = n - 1 - k
-            self._add_closed(a * L**m, m, 1 - run.beta, lo, run.hi)
+            self._add_closed(a * L**m, m, 1 - run.beta, lo, hi)
+        rest = []
         if run.coeffs[n:]:
-            self._add_explicit(replace(run, lo=lo, gamma=-1, coeffs=run.coeffs[n:]))
+            rest.append((replace(run, lo=lo, gamma=-1, coeffs=run.coeffs[n:]), hi))
         if run.lo <= 0:
-            self._add_explicit(replace(run, hi=0))
+            rest.append((run, 0))
+        return rest
 
-    def _add_explicit(self, run):
+    def _add_explicit(self, run, hi: int):
         """Add K A - B over the run's spheres c ... hi, from the kernels' walk.
 
         Each factor K - p**(j(alpha-1)) is positive for j <= top.  Above lo,
         c must pass the test that K * :func:`_rest` falls below rel_tol of
-        all that is summed, this run from c included; it steps down until
-        it does, and K * rest joins the remainder.
+        all that is summed: every closed part, the runs walked before this
+        one, and this run from c.  It steps down until it does, and K * rest
+        joins the remainder.
         """
-        for part in self.closed:  # the order in which they were summed
-            self.abs_total += abs(part)
-        self.closed.clear()
-        ctx, K, c = self.ctx, self.K, self._start(run)
+        ctx, K, c = self.ctx, self.K, self._start(run, hi)
         while True:
-            A, B, size, ua, ub = self.kernels.walk(run, c, self.a1, run.hi)
+            A, B, size, ua, ub = self.kernels.walk(run, c, self.a1, hi)
             rest = K * _rest(run, c, ctx) if c > run.lo else 0
             if c == run.lo or rest < ctx.real(ctx.rel_tol) * (self.abs_total + K * ua - ub):
                 break
@@ -666,10 +665,10 @@ class SphereSum:
         self.magnitude += K * size
         self.abs_total += K * ua - ub
         self.remainder += rest
-        self.explicit += run.hi - c + 1
+        self.explicit += hi - c + 1
         self.low = min(self.low, c)
 
-    def _start(self, run) -> int:
+    def _start(self, run, hi: int) -> int:
         """c for ``_add_explicit``: lo, or the highest sphere passing its test in doubles.
 
         Only log-power runs that decay toward the origin (1 - beta > 0,
@@ -679,7 +678,7 @@ class SphereSum:
         ctx, decay = self.ctx, 1 - run.beta if isinstance(run, LogRun) else 0
         if ctx.exact or decay <= 0 or run.lo < 1:
             return run.lo
-        hi, lo, g, L = run.hi, run.lo, float(run.gamma), ctx.log_unit()
+        lo, g, L = run.lo, float(run.gamma), ctx.log_unit()
         r = ctx.prime ** -float(decay)
         q = 0.0 if self.a1 is None else ctx.prime ** -float(self.a1)
         scale = self.K * ctx.p_pow(decay * hi) * general_power(ctx, hi * L, run.gamma)

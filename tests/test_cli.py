@@ -403,6 +403,15 @@ class TestExitCodes:
                      "eps must be finite, got nan", id="eps"),
         pytest.param(["constants", "--beta", "nan"],
                      "beta must be finite, got nan", id="constants-beta"),
+        # flags that the chosen check ignores are checked too
+        pytest.param(["lemmas", "--which", "L1", "--alpha", "nan", "--format", "json"],
+                     "alpha must be finite, got nan", id="L1-alpha"),
+        pytest.param(["lemmas", "--which", "L2", "--lam", "nan"],
+                     "lam must be finite, got nan", id="L2-lam"),
+        pytest.param(["theorem2", "--monomial", "1", "--beta", "inf"],
+                     "beta must be finite, got inf", id="theorem2-beta"),
+        pytest.param(["eval", "--coeffs", "1,nan", "--scales", "1,2", "--ladder", "0"],
+                     "coeffs must be finite, got nan", id="coeffs-entry"),
     ])
     def test_message_names_the_flag(self, capsys, argv, message):
         status, out, err = run_capture(capsys, [argv[0], "--p", "2", "--alpha", "2",

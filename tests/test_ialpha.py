@@ -207,8 +207,8 @@ class TestOperatorInvariants:
 
     def test_closed_parts_summed_first_count_in_the_cut(self, ctx2):
         # a walked run starts where its remainder falls below rel_tol of all
-        # that is summed, the closed parts added before it included: beside
-        # a monomial whose part dwarfs it, LogPower(0.5, 2.5) is cut far higher
+        # that is summed, every closed part included: beside a monomial
+        # whose part dwarfs it, LogPower(0.5, 2.5) is cut far higher
         g = LogPower(0.5, 2.5)
         alone = ialpha_eval(g, 300, 2.0, ctx2)
         mono = ialpha_eval(Monomial(0.5), 300, 2.0, ctx2)
@@ -216,6 +216,16 @@ class TestOperatorInvariants:
         assert combo.j_cut > alone.j_cut + 100
         err = abs(combo.value - mono.value - alone.value)
         assert err <= combo.truncation_bound + mono.truncation_bound + alone.truncation_bound
+
+    def test_term_order_does_not_move_the_cut(self, ctx2):
+        # every closed part is summed before any run is walked, so a walked
+        # run's start test sees the same closed parts in either term order
+        g, m = LogPower(0.5, 2.5), Monomial(0.5)
+        first, second = (ialpha_eval(LinearCombo(terms), 300, 2.0, ctx2)
+                         for terms in (((1.0, m), (1.0, g)), ((1.0, g), (1.0, m))))
+        assert first.j_cut == second.j_cut == 299
+        assert first.value._mpf_ == second.value._mpf_
+        assert first.truncation_bound._mpf_ == second.truncation_bound._mpf_
 
     def test_alpha_validation(self, ctx2):
         with pytest.raises(AlphaOutOfRange):

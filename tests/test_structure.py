@@ -496,3 +496,49 @@ def test_caller_scan_sees_every_form_of_call():
     assert top_level_callers(source, {"_prefactor", "_unit", "_RateKernels"}) == {
         ("Op", "_prefactor"), ("f", "_unit"), (None, "_RateKernels"),
     }
+
+
+def method_calls(source: str, cls: str) -> dict:
+    """The names each method of class cls calls; a replace(...) that sets
+    hi reads "replace(hi=)"."""
+    (node,) = [n for n in ast.parse(source).body
+               if isinstance(n, ast.ClassDef) and n.name == cls]
+    found = {}
+    for method in node.body:
+        if isinstance(method, ast.FunctionDef):
+            names = found[method.name] = set()
+            for call in ast.walk(method):
+                if isinstance(call, ast.Call):
+                    name = _called_name(call.func)
+                    if name == "replace" and any(k.arg == "hi" for k in call.keywords):
+                        name = "replace(hi=)"
+                    names.add(name)
+    return found
+
+
+def test_sphere_sum_sums_every_closed_part_before_any_walk():
+    # __init__ sums the closed parts, _add_log's among them, then walks
+    # what is left; a walked run is cut at the top by its hi, not copied
+    src = Path(padic_ialpha.__file__).parent
+    owners = {
+        (path.stem, owner)
+        for path in sorted(src.glob("*.py"))
+        for owner, _ in top_level_callers(path.read_text(), {"_add_explicit"})
+    }
+    assert owners == {("radial", "SphereSum")}
+    calls = method_calls((src / "radial.py").read_text(), "SphereSum")
+    assert {m for m, names in calls.items() if "_add_explicit" in names} == {"__init__"}
+    assert not calls["_add_log"] & {"_add_explicit", "replace(hi=)"}
+
+
+def test_method_call_scan_sees_every_form_of_call():
+    source = (
+        "class S:\n    def a(self, run):\n        self._add_explicit(run, 1)\n"
+        "    def b(self, run):\n"
+        "        return [replace(run, hi=0), dataclasses.replace(run, lo=1)]\n"
+        "    def c(self):\n        def inner():\n            return f()\n        return inner\n"
+        "class T:\n    def d(self):\n        g()\n"
+    )
+    assert method_calls(source, "S") == {
+        "a": {"_add_explicit"}, "b": {"replace(hi=)", "replace"}, "c": {"f"},
+    }
