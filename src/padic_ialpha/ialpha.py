@@ -55,7 +55,15 @@ __all__ = [
 def ialpha_eval(f: RadialFunction, N, alpha, ctx: NumericContext) -> OperatorValue:
     """Operator value at |x| = p**N for a radial profile.
 
-    The profile's runs are built once, on j <= N.  The inner spheres j < N
+    The profile's runs are built once, on j <= N.  A power run c |y|**d on
+    the whole ball |y| <= p**N (a monomial, an indicator whose ball holds
+    x, and their sums) has the exact value c C b(d) p**(N(d + alpha)),
+    formed as c p**(-alpha) g(d) g(d + alpha + 1) / (g(d + 1) g(d + alpha))
+    p**(N(d + alpha)) with g(y) = 1 - p**y formed without cancellation
+    (expm1, or p g(y - 1) + 1 - p where its terms share a sign): no pole
+    at alpha = 1, exactly 0 at d = 0, and a rounding bound counted factor
+    by factor (each exp, each rounded argument and exponent, each product).
+    The inner spheres j < N of the other runs
     are summed by one :class:`~padic_ialpha.radial.SphereSum`: closed forms
     wherever the profile is exactly c * p**(j*d) and for the log-power terms
     whose log power is a nonnegative integer, running-power walks for table

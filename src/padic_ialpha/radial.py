@@ -26,7 +26,9 @@ continued upward as its tops rise, the powers of p) is formed once per
 table of rate kernels.  The operator lives here too (``_Operator``): it
 is profile-free, holds alpha's check, alpha - 1, C, U and one table, and
 takes the profile with the radius.  Every expansion builder reads an
-operator, so a scan's rungs and its expansion share one table.
+operator, so a scan's rungs and its expansion share one table.  A power
+run on the whole ball |y| <= |x| never reaches the sphere sum there: its
+operator value is one factored closed power.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .core import (
     ParamOutOfRange,
     UndefinedAtZero,
     _check_alpha,
+    _one_minus_p_pow,
     _prefactor,
     _raw,
     _require_finite,
@@ -183,6 +186,14 @@ class Table:
 
     def __post_init__(self):
         _require_finite(self.j_lo, "table start exponent")
+        if not isinstance(self.inner_tail, (PowerTail, ZeroTail, type(None))):
+            raise ParamOutOfRange(
+                f"inner tail must be a PowerTail, a ZeroTail or None, got {self.inner_tail!r}"
+            )
+        if not isinstance(self.outer_tail, (OuterTail, type(None))):
+            raise ParamOutOfRange(
+                f"outer tail must be an OuterTail or None, got {self.outer_tail!r}"
+            )
         if len(self.values) == 0:
             raise ParamOutOfRange("a table needs at least one value")
         object.__setattr__(self, "values", tuple(self.values))
@@ -583,13 +594,18 @@ class SphereSum:
     closed part's |c * part| and each walk's K sum|u_j| - sum|u_j| P_j, is
     what a walked run's start test compares against: every closed part and
     the runs walked before it, in whatever order a combination lists them.
+    ``seed``, when given, is where ``abs_total`` starts: the operator passes
+    the size of the whole-ball power runs it took in factored form, in the
+    units of this sum, so that the start tests still see them.
     """
 
-    def __init__(self, runs: list, top: int, kernels: _RateKernels, a1=None):
+    def __init__(self, runs: list, top: int, kernels: _RateKernels, a1=None, seed=None):
         ctx = kernels.ctx
         self.ctx, self.top, self.kernels, self.a1 = ctx, top, kernels, a1
         self.K = ctx.real(1) if a1 is None else kernels.p_pow(a1 * (top + 1))
         self.total = self.magnitude = self.abs_total = self.remainder = ctx.real(0)
+        if seed is not None:
+            self.abs_total = seed
         self.explicit, self.low = 0, top + 1
         walked = []
         for run in runs:
@@ -755,6 +771,12 @@ class _Operator:
     radius and builds its expansion from it; every expansion builder and
     the constants b(M), omega, omega_tilde and B_n read an operator.  A
     value does not depend on the values formed before.  The table dies with the operator.
+
+    A power run on the whole ball |y| <= |x| (a monomial, an indicator
+    whose ball holds x, their sums) is the one profile on which the value
+    is a single closed power: :meth:`at` forms it in a factored form with
+    no 1/(alpha - 1) pole (:meth:`_whole_ball`), with a rounding bound
+    counted factor by factor, and sums only the other runs sphere by sphere.
     """
 
     def __init__(self, alpha, ctx: NumericContext):
@@ -777,14 +799,35 @@ class _Operator:
 
     def at(self, f: RadialFunction, N) -> OperatorValue:
         """The value at |x| = p**N for the profile f, as
-        :func:`~padic_ialpha.ialpha.ialpha_eval` documents it."""
+        :func:`~padic_ialpha.ialpha.ialpha_eval` documents it.
+
+        A power run on the whole ball |y| <= p**N (no lower end, hi >= N)
+        takes its exact value in factored form (:meth:`_whole_ball`); the
+        other runs go through the sphere sum and the sphere |y| = |x|,
+        their start tests seeded with the size of the factored terms.
+        """
         ctx = self.ctx
         if N is ZERO:
             zero = ctx.real(0)
             return OperatorValue(zero, zero, ZERO)
         N = _require_finite(N, "radius exponent")
-        runs = sphere_segments(f, N, ctx)
-        inner = SphereSum(runs, N - 1, self.kernels, self.a1)
+        whole, runs = [], []
+        for run in sphere_segments(f, N, ctx):
+            is_whole = isinstance(run, PowerRun) and run.lo is None and run.hi >= N
+            (whole if is_whole else runs).append(run)
+        if not whole:
+            return self._spheres(runs, N)
+        value, bound, size = self._whole_ball(whole, N)
+        if not runs:
+            return OperatorValue(value, bound, N)
+        rest = self._spheres(runs, N, size / (self._sphere[2] * self.unit))
+        return OperatorValue(value + rest.value, bound + rest.truncation_bound, rest.j_cut)
+
+    def _spheres(self, runs: list, N: int, seed=None) -> OperatorValue:
+        """The runs' value at |x| = p**N: the inner spheres' :class:`SphereSum`
+        (``seed`` starts its ``abs_total``) and the sphere |y| = |x|."""
+        ctx = self.ctx
+        inner = SphereSum(runs, N - 1, self.kernels, self.a1, seed)
         ball = inner.K * self.kernels.p_pow(N)  # p**(N alpha)
         f_N, size_N = _at(runs, N, self.kernels)
         unit, (U_minus, U_plus, abs_C) = self.unit, self._sphere
@@ -795,6 +838,53 @@ class _Operator:
             + unit * inner.remainder
         )
         return OperatorValue(self.C * bracket, bound, inner.low)
+
+    def _whole_ball(self, runs: list, N: int) -> tuple:
+        """(sum of T, its rounding bound, sum of |T|) over whole-ball power runs.
+
+        On c |y|**d the operator is exactly T = c C b(d) p**(N(d + alpha)),
+        and C b(d) = p**(-alpha) g(d) g(d + alpha + 1) / (g(d + 1) g(d + alpha))
+        with g(y) = 1 - p**y: no 1/(alpha - 1) pole, no sphere sum, and
+        T = 0 exactly at d = 0.  g(d) and g(d + alpha) go through expm1;
+        g(y + 1) = p g(y) + 1 - p adds two terms of one sign when y > 0, so
+        it forms g(d + alpha + 1), and g(d + 1) when d > 0 (else expm1).
+        """
+        ctx, kernels, a, p = self.ctx, self.kernels, self.alpha, self.ctx.prime
+        eps, L = ctx.rounding_eps(), math.log(p)
+        value = bound = size = ctx.real(0)
+        for run in runs:
+            d = run.degree
+            if not d:
+                continue  # b(0) = 0
+            da = d + a
+            x = N * da
+            g, g_a = _one_minus_p_pow(ctx, d), _one_minus_p_pow(ctx, da)
+            g_1 = p * g + (1 - p) if d > 0 else _one_minus_p_pow(ctx, d + 1)
+            T = kernels.p_pow(-a) * (g * (p * g_a + (1 - p)) / (g_1 * g_a)) * kernels.p_pow(x)
+            if run.coeff != 1:  # a product by 1 is exact
+                T = run.coeff * T
+            value += T
+            size += abs(T)
+            if not ctx.exact:
+                # Relative error of T in units u = 2**-prec (eps = 64 u), with
+                # T' = (d + alpha + 1) ln p >= |y ln p| for every argument y of g:
+                # - d + 1 and d + alpha round once, x = N (d + alpha) twice;
+                # - an expm1'd g(y): ln p (1 ulp = 2u) and y ln p (u) round the
+                #   argument, and the exponent's rounding adds u; expm1 carries
+                #   that relative error times at most 1 + T', and adds 1 ulp:
+                #   (1 + T') 4u + 2u, and (1 + T') 3u + 2u for g(d);
+                # - a g(y + 1) from g(y): that error, plus u for p g and u for the
+                #   same-sign sum; the four g add up to at most (1 + T') 16u + 12u;
+                # - p**(-alpha) and p**x: 1 ulp each for exp, whose argument
+                #   takes |.| 2**-(prec + 9) from ln p at prec + 10 bits, and
+                #   x's two roundings, 2 |x| ln p u;
+                # - the two products, the quotient, p**(-alpha), p**x and c: u each.
+                # In all at most u (38 + 16.1 T' + 2.1 |x| ln p), within
+                # eps (1 + T'/2 + |x| ln p / 16), whose margin covers the
+                # second-order terms.
+                weight = 1 + ((float(da) + 1) / 2 + abs(float(x)) / 16) * L
+                bound += eps * abs(T) * weight
+        return value, bound, size
 
 
 def cumulative_ball_integral(f: RadialFunction, n, ctx: NumericContext):

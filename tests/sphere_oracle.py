@@ -21,6 +21,14 @@ from mpmath import mp
 from padic_ialpha import Indicator, LinearCombo, LogPower, Monomial, Table, ZeroTail
 
 
+def exact(x) -> Fraction:
+    """x as a Fraction: a double's value, or an mpf's, however wide its mantissa."""
+    if hasattr(x, "man_exp"):
+        man, exp = x.man_exp
+        return Fraction(man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
 class Arith:
     """Scalars of the oracle: Fractions, or mpf at a fixed precision."""
 
@@ -28,7 +36,7 @@ class Arith:
         self.p, self.exact, self.log_base_p = p, exact, log_base_p
 
     def num(self, x):
-        x = Fraction(x)
+        x = exact(x)
         if self.exact:
             return x
         return mp.mpf(x.numerator) / x.denominator
@@ -169,3 +177,31 @@ def oracle_ball(f, n: int, p: int, *, exact=False, bits=512, log_base_p=False):
         total, slack, size = literal_sum(f, n, A)
         rounding = 0 if exact else mp.mpf(2) ** (40 - bits) * size
         return total, slack + rounding, size
+
+
+def whole_ball_ialpha(f, N: int, alpha, p: int, *, bits=1024):
+    """(value, slack) of the operator at |x| = p**N for a profile that is a
+    sum of powers c |y|**d on the whole ball |y| <= p**N.
+
+    The same sphere decomposition as :func:`oracle_ialpha`, with both inner
+    series geometric and summed in closed form: each power contributes
+    C p**(N(d+alpha)) [(1 - 1/p)(1/(p**(d+1) - 1) - 1/(p**(d+alpha) - 1)) + U - (1 - 1/p)].
+    ``slack`` bounds the rounding at ``bits``, cancellation and exponents
+    included.
+    """
+    A = Arith(p, False, False)
+    with mp.workprec(bits):
+        j0, pieces = inner_pieces(f, A)
+        assert j0 >= N, "the profile is a sum of powers only below p**j0"
+        a = A.num(alpha)
+        unit = 1 - A.num(1) / p
+        pa = A.p_pow(-a)
+        U = (p - 2 + pa) / (p * (1 - pa))
+        C = (1 - pa) / (1 - A.p_pow(a - 1))
+        total = size = A.num(0)
+        for c, d in pieces:
+            parts = (unit / (A.p_pow(d + 1) - 1), -unit / (A.p_pow(d + a) - 1), U, -unit)
+            scale = c * C * A.p_pow(N * (d + a))
+            total += scale * sum(parts)
+            size += abs(scale) * sum(abs(x) for x in parts) * (1 + abs(N * (d + a)) * p)
+        return total, mp.mpf(2) ** (40 - bits) * size

@@ -25,7 +25,7 @@ from padic_ialpha import (
 from padic_ialpha.asymptotics import _beta1_prediction, _infinity_prediction
 from padic_ialpha import radial
 from padic_ialpha.radial import SphereSum, _Operator, _RateKernels, sphere_segments
-from sphere_oracle import oracle_ball, oracle_ialpha
+from sphere_oracle import oracle_ball, oracle_ialpha, whole_ball_ialpha
 
 VALUES = (0.75, 1.25, 0.5, 2.0, 1.5, 0.875)
 
@@ -211,6 +211,81 @@ def test_float_parameters_within_bound(alpha, degree, beta, gamma, N, p):
         want, slack = oracle_ialpha(f, N, alpha, p)
         with mp.workprec(512):
             assert abs(mp.mpf(ov.value) - want) <= ov.truncation_bound + slack
+
+
+# ---------------------------------------------------------------------------
+# Whole-ball power runs: one factored closed form, no sphere sum
+# ---------------------------------------------------------------------------
+
+def _wide(x):
+    """x plus an offset that no context below 1024 bits holds exactly."""
+    with mp.workprec(1024):
+        return mp.mpf(x) + mp.sqrt(2) * mp.mpf(2) ** -70
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    alpha=st.one_of(st.floats(1.0, 4.0, exclude_min=True),
+                    st.sampled_from([1 + 1e-6, 1 + 1e-11])),
+    degree=st.one_of(st.floats(-1.0, 3.0, exclude_min=True),
+                     st.sampled_from([0.0, 1e-9, -0.999])),
+    N=st.integers(-40, 600),
+    bits=st.sampled_from([64, 256]),
+    wide=st.booleans(),
+    indicator=st.one_of(st.none(), st.tuples(st.floats(-4.0, 4.0), st.integers(0, 30))),
+)
+def test_whole_ball_profiles_match_the_closed_sphere_sums(
+    p, alpha, degree, N, bits, wide, indicator
+):
+    # monomials, and their sums with indicators whose ball holds |x|, take
+    # the factored form: within its bound of the sphere decomposition at
+    # 1024 bits, and with every digit that the rounded exponents leave
+    f = Monomial(degree)
+    if indicator is not None:
+        c, k = indicator
+        f = LinearCombo(((1.0, f), (c, Indicator(N + k))))
+    a = _wide(alpha) if wide else alpha
+    ov = ialpha_eval(f, N, a, NumericContext(p, precision_bits=bits))
+    want, slack = whole_ball_ialpha(f, N, a, p)
+    with mp.workprec(1024):
+        err = abs(mp.mpf(ov.value) - want)
+        assert err <= ov.truncation_bound + slack
+        lost = mp.mpf(2) ** (16 - bits) * (1 + abs(N) * (degree + alpha))
+        assert err <= lost * abs(want) + slack
+
+
+def test_found_case_is_cut_against_the_operator():
+    # the constant's inner sum no longer enters the log run's start test:
+    # in either order the value keeps its digits and the cut stays high
+    g, m = LogPower(0.5, 2.5), Monomial(0.0)
+    want, slack = oracle_ialpha(LinearCombo(((1.0, g), (-0.7, m))), 200, 1.5, 3, bits=1024)
+    for terms in (((1.0, g), (-0.7, m)), ((-0.7, m), (1.0, g))):
+        ov = ialpha_eval(LinearCombo(terms), 200, 1.5, NumericContext(3))
+        with mp.workprec(1024):
+            assert abs(mp.mpf(ov.value) - want) <= ov.truncation_bound + slack
+            assert ov.truncation_bound <= 1e-28 * abs(want)
+
+
+@pytest.mark.parametrize("f", [
+    Monomial(0.0), Indicator(7), LinearCombo(((2.0, Monomial(0.0)), (-1.0, Indicator(9)))),
+])
+def test_constants_on_the_whole_ball_are_exactly_zero(f):
+    ov = ialpha_eval(f, 5, 2.3, NumericContext(3))
+    assert ov.value == 0 and ov.truncation_bound == 0 and ov.j_cut == 5
+
+
+def test_whole_ball_keeps_its_digits_near_alpha_one():
+    # alpha = 1 + 1e-11 at 256 bits, read by a 64-bit context: C's pole
+    # cancels in C b(1) analytically, so no bits go to it
+    ctx = NumericContext(2, precision_bits=64)
+    with mp.workprec(256):
+        alpha = 1 + mp.mpf(10) ** -11
+    ov = ialpha_eval(Monomial(1.0), 5, alpha, ctx)
+    want, _ = whole_ball_ialpha(Monomial(1.0), 5, alpha, 2)
+    with mp.workprec(1024):
+        assert abs(mp.mpf(ov.value) - want) <= mp.mpf(2) ** -58 * abs(want)
+        assert abs(mp.mpf(ov.value) - want) <= ov.truncation_bound
 
 
 # ---------------------------------------------------------------------------

@@ -235,7 +235,7 @@ class TestOperatorInvariants:
     # integer, and 1 - p**x), counted at N = 40, alpha = 2.3, p = 2: an
     # upper bound that a change may lower but not raise
     TRANSCENDENTAL_BUDGET = {
-        "monomial": (Monomial(0.5), 7),
+        "monomial": (Monomial(0.5), 5),
         "indicator": (Indicator(2), 6),
         "logpower": (LogPower(1.5, 0.0), 11),
         "logpower_closed": (LogPower(0.5, 2.0), 9),
@@ -243,6 +243,7 @@ class TestOperatorInvariants:
         "table": (Table(-3, (0.5, 1.5, 1.0, 2.0), PowerTail(1.0, 0.5),
                         OuterTail(0.5, 1.0, (1.0, 0.5))), 19),
         "combo": (LinearCombo(((0.5, Monomial(1.0)), (-1.5, Indicator(0)))), 8),
+        "whole_combo": (LinearCombo(((1.0, Monomial(0.5)), (2.0, Indicator(50)))), 5),
     }
 
     @pytest.mark.parametrize("kind", sorted(TRANSCENDENTAL_BUDGET))
@@ -260,7 +261,7 @@ class TestOperatorInvariants:
             return one_minus_p_pow(ctx, x)
 
         monkeypatch.setattr(NumericContext, "p_pow", counted)
-        for module in (core, series):
+        for module in (core, series, radial):
             monkeypatch.setattr(module, "_one_minus_p_pow", counted_gap)
         f, budget = self.TRANSCENDENTAL_BUDGET[kind]
         ialpha_eval(f, 40, 2.3, NumericContext(2))

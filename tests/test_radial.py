@@ -144,6 +144,20 @@ class TestParameterValidation:
             with pytest.raises(ParamOutOfRange):
                 Table(0, (1.0, x), ZeroTail())
 
+    def test_table_tail_types(self):
+        # a tail of the wrong kind is refused when the table is made, naming
+        # the tail, rather than failing when a sum first reads it
+        for outer in (ZeroTail(), PowerTail(1.0, 0.5), (0.5, 1.0, (1.0,))):
+            with pytest.raises(ParamOutOfRange, match="outer tail"):
+                Table(-2, (1.0, -3.0, 0.5, 2.0), ZeroTail(), outer)
+        for inner in (OuterTail(0.5, 1.0, (1.0,)), 0.0, (1.0, 0.5)):
+            with pytest.raises(ParamOutOfRange, match="inner tail"):
+                Table(-2, (1.0, -3.0, 0.5, 2.0), inner)
+        # every declared kind, and None where the sums need no tail, still builds
+        for inner in (ZeroTail(), PowerTail(1.0, 0.5), None):
+            for outer in (OuterTail(0.5, 1.0, (1.0,)), None):
+                Table(-2, (1.0, -3.0, 0.5, 2.0), inner, outer)
+
     def test_indicator_exponent(self):
         for x in self.BAD + (2.5, Fraction(1, 2)):
             with pytest.raises(ParamOutOfRange):

@@ -1,6 +1,6 @@
 """Structure of the package: one place reads a profile's form, only core
 makes mpfs, nothing sets mpmath's global precision, and numpy loads only
-with the Monte Carlo path."""
+with the Monte Carlo path; no whole-ball power run reaches the sphere sum."""
 
 import ast
 import os
@@ -9,6 +9,10 @@ import sys
 from pathlib import Path
 
 import padic_ialpha
+from padic_ialpha import radial
+from padic_ialpha.radial import (
+    Indicator, LinearCombo, LogPower, Monomial, PowerRun, PowerTail, Table, _Operator,
+)
 
 PROFILE_CLASSES = {"Monomial", "LogPower", "Indicator", "Table", "LinearCombo"}
 
@@ -542,3 +546,36 @@ def test_method_call_scan_sees_every_form_of_call():
     assert method_calls(source, "S") == {
         "a": {"_add_explicit"}, "b": {"replace(hi=)", "replace"}, "c": {"f"},
     }
+
+
+def test_no_whole_ball_run_reaches_the_sphere_sum(monkeypatch):
+    # a power run on the whole ball |y| <= |x| takes the factored closed
+    # form in the operator; only the other runs reach SphereSum, and a
+    # profile made of whole-ball runs alone forms none
+    sums = []
+    make = radial.SphereSum.__init__
+
+    def spy(self, runs, top, *args):
+        sums.append((list(runs), top))
+        make(self, runs, top, *args)
+
+    monkeypatch.setattr(radial.SphereSum, "__init__", spy)
+    op = _Operator(2.3, padic_ialpha.NumericContext(2))
+    whole_only = [  # (profile, N)
+        (Monomial(0.5), 7), (Indicator(9), 7), (LogPower(0.5, 0.0), -2),
+        (Table(3, (1.0, 2.0), PowerTail(1.5, 0.25)), 1),
+        (LinearCombo(((1.0, Monomial(0.5)), (2.0, Indicator(50)))), 40),
+    ]
+    for f, N in whole_only:
+        op.at(f, N)
+    assert sums == []
+    mixed = [
+        (LinearCombo(((1.0, Monomial(0.5)), (1.0, LogPower(0.5, 2.5)))), 300),
+        (LinearCombo(((1.0, Monomial(1.0)), (-1.5, Indicator(0)))), 40),
+        (LogPower(0.5, 0.0), 9), (Table(3, (1.0, 2.0), PowerTail(1.5, 0.25)), 4),
+    ]
+    for f, N in mixed:
+        op.at(f, N)
+    assert len(sums) == len(mixed)
+    assert not [run for runs, top in sums for run in runs
+                if isinstance(run, PowerRun) and run.lo is None and run.hi > top]
